@@ -93,10 +93,6 @@ def octonion_algebra():
     return Algebra(oc.STRUCTURE.astype(float))
 
 
-def quaternion_algebra():
-    return Algebra(oc.STRUCTURE[:4, :4, :4].astype(float))
-
-
 def from_isotope(f, g, family=None, dim=8):
     """The isotope with product x . y = f(x) g(y) of O (or of H for dim 4)."""
     fm = f.mat if isinstance(f, mp.OrthoMap8) else np.asarray(f, dtype=float)
@@ -357,7 +353,10 @@ _BUILDERS = {
 def from_family(name, params):
     if name not in _BUILDERS:
         raise BadParameter(f"unknown family {name!r}; choose from {sorted(_BUILDERS)}")
-    return _BUILDERS[name](params)
+    try:
+        return _BUILDERS[name](params)
+    except KeyError as err:
+        raise BadParameter(f"family {name!r} needs parameter {err.args[0]!r}") from None
 
 
 def from_json(obj):

@@ -272,9 +272,7 @@ def _params_close(kind, left, right, tol=1e-8):
 def witness_residual(phi, source, target):
     """Max basis-pair deviation of phi from being a homomorphism source -> target."""
     m = phi.mat if isinstance(phi, mp.OrthoMap8) else np.asarray(phi, float)
-    lhs = np.einsum("km,ijm->ijk", m, source.sc)
-    rhs = np.einsum("ai,bj,abk->ijk", m, m, target.sc)
-    return float(np.max(np.abs(lhs - rhs)))
+    return oc.homomorphism_residual(m, m, m, source.sc, target.sc)
 
 
 @dataclass

@@ -20,16 +20,36 @@ from .errors import CompalgError
 from .numerics import DEFAULT_SEED, TolerancePolicy
 
 
-def _tolerance(args):
-    if getattr(args, "tol", None):
-        t = float(args.tol)
+class BadInput(Exception):
+    """Input that parses as JSON but does not have the expected shape."""
+
+
+def _tolerance_arg(text):
+    try:
+        t = float(text)
         return TolerancePolicy(rank_tol=t, eq_tol=t, zero_tol=t)
-    return TolerancePolicy()
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _tolerance(args):
+    return args.tol or TolerancePolicy()
 
 
 def _load_algebra(path):
     with open(path) as fh:
-        return al.from_json(json.load(fh))
+        obj = json.load(fh)
+    try:
+        return al.from_json(obj)
+    except (KeyError, TypeError, ValueError) as err:
+        raise BadInput(f"{path} is not an algebra file ({err})") from None
 
 
 def _dump(obj, path):
@@ -43,11 +63,16 @@ def _dump(obj, path):
 
 def _cmd_build(args):
     params = json.loads(args.params) if args.params else {}
-    if args.degrees:
-        for key in ("alpha", "beta"):
-            if key in params:
-                params[key] = float(params[key]) * np.pi / 180.0
-    algebra = al.from_family(args.family, params)
+    if not isinstance(params, dict):
+        raise BadInput("--params must be a JSON object")
+    try:
+        if args.degrees:
+            for key in ("alpha", "beta"):
+                if key in params:
+                    params[key] = float(params[key]) * np.pi / 180.0
+        algebra = al.from_family(args.family, params)
+    except (TypeError, ValueError) as err:
+        raise BadInput(f"bad parameters for {args.family!r} ({err})") from None
     _dump(algebra.to_json(), args.output)
     return 0
 
@@ -148,8 +173,8 @@ def build_parser():
     def common(p):
         p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
                        help="seed for every randomized step (default 0xC0FFEE)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override all tolerance thresholds with one value")
+        p.add_argument("--tol", type=_tolerance_arg, default=None,
+                       help="override all tolerance thresholds with one value in (0, 1e-3)")
 
     p = sub.add_parser("build", help="construct a family algebra and write its JSON")
     p.add_argument("--family", required=True,
@@ -191,7 +216,8 @@ def build_parser():
     p = sub.add_parser("enumerate", help="stream canonical representatives of a block")
     p.add_argument("--block", required=True,
                    help="D17 | D8 | D35 | D4 | D134s | D134a | D116 | D1124 | D11114 | D1133")
-    p.add_argument("--grid", type=int, default=3, help="grid resolution for moduli")
+    p.add_argument("--grid", type=_positive_int, default=3,
+                   help="grid resolution for moduli (at least 1)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("-o", "--output", default=None)
     common(p)
@@ -215,6 +241,9 @@ def run(argv=None):
         return 2
     except json.JSONDecodeError as err:
         print(f"error: invalid JSON ({err})", file=sys.stderr)
+        return 2
+    except BadInput as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
     except CompalgError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -103,7 +103,7 @@ def _complex8(t):
 class GtoFWitness:
     theta: float
     zeta: float
-    phi: mp.OrthoMap8       # L_t R_s rho, with closed-form triality components
+    phi: mp.OrthoMap8       # L_t R_s rho
 
 
 def g_to_f(params: GParams, gamma=0.0, tol=DEFAULT_TOL):

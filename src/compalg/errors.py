@@ -69,10 +69,6 @@ class NotSpecialOrthogonal(CompalgError):
     pass
 
 
-class NoConvergence(CompalgError):
-    pass
-
-
 class PreconditionViolated(CompalgError):
     pass
 

@@ -1,8 +1,8 @@
 """Constructors for the orthogonal operators on O used throughout the library.
 
 Every constructor returns an OrthoMap8 whose matrix is orthogonal; maps carry
-a provenance label (family name + parameters) so that later stages can
-recover constructor parameters and pick closed-form triality components.
+a provenance label (family name + parameters) so that transport can carry
+family parameters through the map.  Triality components never read labels.
 """
 
 from __future__ import annotations
@@ -305,8 +305,7 @@ def f_block_matrix(theta, k1, k2):
 def left_right_mul_map(t, s, rho, tol=DEFAULT_TOL):
     """L_t R_s rho for unit t, s and an automorphism rho.
 
-    Carries the provenance needed for its closed-form triality components
-    (B_t R_{conj s} rho, L_{conj t} B_s rho).
+    Its triality components are (B_t R_{conj s} rho, L_{conj t} B_s rho).
     """
     t = t if isinstance(t, oc.Octonion) else oc.Octonion(t)
     s = s if isinstance(s, oc.Octonion) else oc.Octonion(s)
@@ -334,10 +333,7 @@ def is_automorphism(phi, tol=DEFAULT_TOL):
     mat = phi.mat if isinstance(phi, OrthoMap8) else np.asarray(phi, dtype=float)
     if mat.shape != (8, 8):
         return False
-    struct = oc.STRUCTURE.astype(float)
-    lhs = np.einsum("km,ijm->ijk", mat, struct)
-    rhs = np.einsum("ai,bj,abk->ijk", mat, mat, struct)
-    if np.max(np.abs(lhs - rhs)) >= tol.eq_tol:
+    if oc.homomorphism_residual(mat, mat, mat) >= tol.eq_tol:
         return False
     try:
         return det_sign(mat, tol) == 1

@@ -191,6 +191,15 @@ def right_mul_matrix(a):
     return np.einsum("j,ijk->ki", a, _STRUCTURE_F)
 
 
+def homomorphism_residual(phi, phi1, phi2, source=_STRUCTURE_F, target=_STRUCTURE_F):
+    """Max over basis pairs of |phi(e_i e_j) - phi1(e_i) phi2(e_j)|, with
+    e_i e_j taken in the structure tensor `source` and phi1(e_i) phi2(e_j)
+    in `target` (both O by default)."""
+    lhs = np.einsum("km,ijm->ijk", phi, source)
+    rhs = np.einsum("ai,bj,abk->ijk", phi1, phi2, target)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
 def is_cayley_triple(a, b, c, tol=DEFAULT_TOL):
     """True iff (a, b, c) is orthonormal, imaginary, and c is orthogonal to ab."""
     vecs = [x.coords for x in (a, b, c)]
@@ -315,11 +324,6 @@ def random_octonion(gen, unit=False):
     if unit:
         x /= np.linalg.norm(x)
     return Octonion(x)
-
-
-def random_unit_quaternion(gen):
-    q = gen.standard_normal(4)
-    return q / np.linalg.norm(q)
 
 
 def random_imaginary_unit_quaternion(gen):

@@ -2,10 +2,16 @@
 
 For phi in SO(8) there is a pair (phi1, phi2), unique up to a simultaneous
 sign, with phi(xy) = phi1(x) phi2(y).  Both components are determined by
-s = phi2(1): phi1 = R_{conj s} phi and phi2 = L_{s conj(phi(1))} phi.  We
-read the pair off closed forms when phi carries provenance (automorphisms,
-bimultiplication or left/right isotopy composites) and otherwise minimize
-the quartic residual in s over the unit sphere by multistart Gauss-Newton.
+s = phi2(1): phi1 = R_{conj s} phi and phi2 = L_{s conj(phi(1))} phi.
+
+The pair is computed in closed form (Conway & Smith, On Quaternions and
+Octonions, 2003, ch. 8).  For a unit vector w the reflection
+sigma_w(x) = x - 2<x, w> w equals -w conj(x) w, so sigma_a sigma_b is the
+bimultiplication product B_a B_{conj b}, with B_c(x) = c x c.  By the middle
+Moufang identity c(xy)c = (cx)(yc), B_c has the pair (L_c, R_c), and pairs
+compose.  A Householder factorization writes phi as an even product of
+reflections, and the pair follows as a product of left and of right
+multiplications.
 """
 
 from __future__ import annotations
@@ -16,13 +22,8 @@ import numpy as np
 
 from . import maps as mp
 from . import octonion as oc
-from .errors import NoConvergence, NoIsotopeProvenance, NotSpecialOrthogonal, PreconditionViolated
-from .numerics import DEFAULT_SEED, DEFAULT_TOL, det_sign, is_orthogonal, rng
-
-#: Squared-residual acceptance threshold for the sphere solve; iterations
-#: keep polishing down to SOLVE_TARGET while they improve.
-SOLVE_TOL = 1e-16
-SOLVE_TARGET = 1e-24
+from .errors import NoIsotopeProvenance, NotSpecialOrthogonal, PreconditionViolated
+from .numerics import DEFAULT_SEED, DEFAULT_TOL, det_sign, is_orthogonal
 
 PAIR_TOL = 1e-8
 
@@ -44,14 +45,7 @@ def is_triality_pair(phi, phi1, phi2, tol=DEFAULT_TOL):
     for x in (m, m1, m2):
         if not is_orthogonal(x, tol):
             return False
-    return _pair_residual(m, m1, m2) < PAIR_TOL
-
-
-def _pair_residual(m, m1, m2):
-    struct = oc.STRUCTURE.astype(float)
-    lhs = np.einsum("km,ijm->ijk", m, struct)
-    rhs = np.einsum("ai,bj,abk->ijk", m1, m2, struct)
-    return float(np.max(np.abs(lhs - rhs)))
+    return oc.homomorphism_residual(m, m1, m2) < PAIR_TOL
 
 
 def _pair_from_s(m, s):
@@ -73,101 +67,64 @@ def _normalize_sign(phi1, phi2, zero_tol):
     return phi1, phi2
 
 
-def solve_triality_components(m, tol=DEFAULT_TOL, seed=DEFAULT_SEED,
-                              starts=8, max_iter=100):
-    """Find s = phi2(1) minimizing the defining residual, by projected
-    Gauss-Newton on the sphere from the 8 basis directions plus `starts`
-    seeded random ones.  The residual is symmetric under s -> -s, so signs
-    need no extra starts."""
-    struct = oc.STRUCTURE.astype(float)
+def _reflection_vectors(m):
+    """Unit vectors w_1, ..., w_n with m = sigma_{w_1} ... sigma_{w_n}.
+
+    Householder steps on columns 0-6 use v = x + sign(x_0) |x| e_0, which
+    cannot cancel, so every step is kept; each -1 left on the diagonal is
+    then the coordinate reflection sigma_{e_k}.  n is even when det m = +1.
+    """
+    r = m.copy()
+    ws = []
+    for k in range(7):
+        w = np.zeros(8)
+        w[k:] = r[k:, k]
+        w[k] += np.copysign(np.linalg.norm(w), w[k])
+        w /= np.linalg.norm(w)
+        r -= 2.0 * np.outer(w, w @ r)
+        ws.append(w)
+    ws.extend(np.eye(8)[k] for k in range(8) if r[k, k] < 0)
+    return ws
+
+
+def _closed_form_pair(m):
+    """A triality pair of m in SO(8): the product over consecutive
+    reflection pairs (a, b) of (L_a L_{conj b}, R_a R_{conj b})."""
+    ws = _reflection_vectors(m)
     kmat = oc.conj_matrix()
-    c = kmat @ m[:, 0]
-    rc = oc.right_mul_matrix(c)             # s -> s c
-    target = np.einsum("km,ijm->ijk", m, struct)
+    phi1, phi2 = np.eye(8), np.eye(8)
+    for a, b in zip(ws[0::2], ws[1::2]):
+        bbar = kmat @ b
+        phi1 = phi1 @ oc.left_mul_matrix(a) @ oc.left_mul_matrix(bbar)
+        phi2 = phi2 @ oc.right_mul_matrix(a) @ oc.right_mul_matrix(bbar)
+    return phi1, phi2
 
-    # u_i(s) = phi(e_i) conj(s), w_j(s) = (s c) phi(e_j); both linear in s.
-    du = np.einsum("abk,ai,bc->kic", struct, m, kmat)
-    dw = np.einsum("abk,ac,bj->kjc", struct, rc, m)
 
-    def residual_and_jac(s):
-        u = du @ s                      # u[a, i] = coordinate a of phi(e_i) conj(s)
-        w = dw @ s                      # w[b, j] = coordinate b of (s c) phi(e_j)
-        prod = np.einsum("abk,ai,bj->ijk", struct, u, w)
-        r = (prod - target).ravel()
-        jac = (np.einsum("abk,aic,bj->ijkc", struct, du, w)
-               + np.einsum("abk,ai,bjc->ijkc", struct, u, dw))
-        return r, jac.reshape(-1, 8)
+def solve_triality_components(m, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
+    """s = phi2(1) of the triality pair of m, with the squared pair residual.
 
-    gen = rng(seed)
-    cand = [np.eye(8)[:, k] for k in range(8)]
-    for _ in range(starts):
-        v = gen.standard_normal(8)
-        cand.append(v / np.linalg.norm(v))
-
-    best = None
-    for s0 in cand:
-        s = s0.copy()
-        val = None
-        for _ in range(max_iter):
-            r, jac = residual_and_jac(s)
-            val = float(r @ r)
-            if val < SOLVE_TARGET:
-                break
-            jac_t = jac - np.outer(jac @ s, s)
-            step, *_ = np.linalg.lstsq(jac_t, -r, rcond=None)
-            step -= (step @ s) * s
-            if np.linalg.norm(step) < 1e-15:
-                break
-            new = s + step
-            s = new / np.linalg.norm(new)
-        if val is None:
-            r, _ = residual_and_jac(s)
-            val = float(r @ r)
-        if best is None or val < best[1]:
-            best = (s, val)
-        if best[1] < SOLVE_TARGET:
-            break
-    if best is not None and best[1] < SOLVE_TOL:
-        return best
-    raise NoConvergence(f"sphere solve stalled at squared residual {best[1]:g}")
+    The pair is the closed form of triality_pair; the result does not
+    depend on seed.
+    """
+    pair = triality_pair(m, tol, seed)
+    return pair.phi2[:, 0].copy(), pair.residual ** 2
 
 
 def triality_pair(phi, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     """A triality pair of phi in SO(8), sign-normalized deterministically
     (first significant coordinate of phi2(1) positive).
 
-    Closed forms: automorphisms give (phi, phi); B_c rho gives
-    (L_c rho, R_c rho); L_t R_s rho gives (B_t R_conj(s) rho, L_conj(t) B_s rho).
+    Computed in closed form from a reflection factorization of phi; the
+    result does not depend on seed.  NotSpecialOrthogonal unless phi is an
+    orthogonal 8x8 matrix of determinant +1.
     """
     m = _as_matrix(phi)
-    if det_sign(m, tol) != 1:
-        raise NotSpecialOrthogonal("triality pairs exist only for determinant +1")
-    label = phi.label if isinstance(phi, mp.OrthoMap8) else None
-
-    phi1 = phi2 = None
-    if label is not None and label.family == "bimul":
-        c = oc.Octonion(label.params["c"])
-        rho = label.params["rho"]
-        phi1 = oc.left_mul_matrix(c) @ rho
-        phi2 = oc.right_mul_matrix(c) @ rho
-    elif label is not None and label.family == "lr_mul":
-        t = oc.Octonion(label.params["t"])
-        s = oc.Octonion(label.params["s"])
-        rho = label.params["rho"]
-        phi1 = oc.left_mul_matrix(t) @ oc.right_mul_matrix(t) @ oc.right_mul_matrix(s.conj()) @ rho
-        phi2 = oc.left_mul_matrix(t.conj()) @ oc.left_mul_matrix(s) @ oc.right_mul_matrix(s) @ rho
-    elif (label is not None and label.family in mp.G2_FAMILIES) or mp.is_automorphism(m, tol):
-        phi1 = m.copy()
-        phi2 = m.copy()
-
-    if phi1 is None:
-        s, _ = solve_triality_components(m, tol, seed)
-        phi1, phi2 = _pair_from_s(m, s)
-
-    phi1, phi2 = _normalize_sign(phi1, phi2, tol.zero_tol)
-    res = _pair_residual(m, phi1, phi2)
+    if m.shape != (8, 8) or not is_orthogonal(m, tol) or det_sign(m, tol) != 1:
+        raise NotSpecialOrthogonal("triality pairs exist only for maps in SO(8)")
+    phi1, phi2 = _normalize_sign(*_closed_form_pair(m), tol.zero_tol)
+    res = oc.homomorphism_residual(m, phi1, phi2)
     if res >= PAIR_TOL:
-        raise NoConvergence(f"candidate pair residual {res:g} exceeds {PAIR_TOL:g}")
+        raise NotSpecialOrthogonal(f"pair residual {res:g} exceeds {PAIR_TOL:g}")
     return TrialityPair(phi1=phi1, phi2=phi2, residual=res)
 
 
@@ -175,17 +132,16 @@ def iso_isotopes(a, b, phi, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     """Is phi an isomorphism between the isotopes a and b?
 
     True iff phi is special orthogonal and, for a triality pair of phi (or
-    its negative), phi1 f phi^-1 and phi2 g phi^-1 give b's pair.
+    its negative), phi1 f phi^-1 and phi2 g phi^-1 give b's pair.  The
+    result does not depend on seed.
     """
     if a.isotope is None or b.isotope is None:
         raise NoIsotopeProvenance("isotope presentations required")
     m = _as_matrix(phi)
     try:
-        if det_sign(m, tol) != 1:
-            return False
-    except Exception:
+        pair = triality_pair(m, tol, seed)
+    except (NotSpecialOrthogonal, ValueError):
         return False
-    pair = triality_pair(phi, tol, seed)
     f, g = a.isotope
     fp, gp = b.isotope
     for sign in (1.0, -1.0):

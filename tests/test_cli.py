@@ -136,3 +136,37 @@ def test_bad_family_exit_code(capsys):
     code, _, err = run(["build", "--family", "nonsense"], capsys)
     assert code == 1
     assert "unknown family" in err
+
+
+def test_out_of_range_tolerance_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["enumerate", "--block", "D17", "--tol", "1e-2"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_zero_grid_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["enumerate", "--block", "D35", "--grid", "0"])
+    assert exc.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+
+
+def test_bad_family_parameters_exit_code(capsys):
+    code, _, err = run(["build", "--family", "tau_family", "--params", "{}"], capsys)
+    assert code == 1
+    assert "'i'" in err
+    assert "Traceback" not in err
+    for params in ("[0, 0]", '{"i": "x", "j": 0, "a": [0, 1, 0, 0], "b": [0, 0, 1, 0]}'):
+        code, _, err = run(["build", "--family", "tau_family", "--params", params], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+
+
+def test_non_cubic_tensor_exit_code(tmp_path, capsys):
+    target = tmp_path / "flat.json"
+    target.write_text(json.dumps({"dim": 2, "sc": [[1.0, 0.0], [0.0, 1.0]], "family": None}))
+    code, _, err = run(["analyze", str(target)], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1

@@ -119,7 +119,7 @@ def test_iso_isotopes(gen):
 
 
 def test_iso_isotopes_via_general_solver(gen):
-    # strip the label so the sphere solver must find the components
+    # an unlabelled map: the components come from its matrix alone
     a4, b4 = unit(gen, 4), unit(gen, 4)
     a = al.j_family(0, 0, a4, b4)
     q = unit(gen, 4)
@@ -193,3 +193,39 @@ def test_iso_isotopes_reflexive_and_symmetric_on_families(gen):
         b = al.transport(phi, a)
         assert tr.iso_isotopes(a, b, phi)
         assert tr.iso_isotopes(b, a, phi.inv())
+
+
+def test_non_orthogonal_maps_are_rejected(gen):
+    a = al.j_family(1, 1, unit(gen, 4), unit(gen, 4))
+    shear = np.eye(8)
+    shear[0, 1] = 0.3
+    for m in (shear, 2.0 * np.eye(8)):
+        phi = mp.OrthoMap8(m, check=False)
+        with pytest.raises(NotSpecialOrthogonal):
+            tr.triality_pair(phi)
+        assert not tr.iso_isotopes(a, a, phi)
+
+
+def test_labelled_maps_match_unlabelled_copies(gen):
+    maps = []
+    for _ in range(5):
+        rho = random_g2(gen)
+        maps += [mp.bimul_map(unit(gen, 8), rho),
+                 mp.left_right_mul_map(unit(gen, 8), unit(gen, 8), rho),
+                 rho, mp.kappa_hat_map(unit(gen, 4)), mp.tau_map(unit(gen, 4))]
+    for phi in maps:
+        labelled = tr.triality_pair(phi)
+        plain = tr.triality_pair(mp.OrthoMap8(phi.mat))
+        assert np.max(np.abs(labelled.phi1 - plain.phi1)) < 1e-12
+        assert np.max(np.abs(labelled.phi2 - plain.phi2)) < 1e-12
+
+
+def test_pairs_of_basis_aligned_maps():
+    # every Householder column already sits on a basis vector here
+    maps = [np.eye(8), -np.eye(8), mp.eps_hat(1).mat,
+            mp.kappa_hat_map(np.array([0.5, 0.5, 0.5, 0.5])).mat,
+            oc.conj_matrix() @ mp.sigma_u().mat]
+    for m in maps:
+        pair = tr.triality_pair(m)
+        assert pair.residual < 1e-12
+        assert tr.is_triality_pair(m, pair.phi1, pair.phi2)
