@@ -17,7 +17,8 @@ import numpy as np
 
 from . import maps as mp
 from . import octonion as oc
-from .errors import BadParameter, InconsistentSigns, NoIsotopeProvenance, NotOrthogonal
+from .errors import (BadParameter, InconsistentSigns, NearSingular, NoIsotopeProvenance,
+                     NotOrthogonal)
 from .numerics import DEFAULT_SEED, DEFAULT_TOL, det_sign, is_orthogonal, rng
 
 
@@ -178,6 +179,18 @@ def _transport_label(phi, family):
     return None
 
 
+def _det_sign_samples(algebra, count, tol, seed):
+    """(sgn det L_a, sgn det R_a) at count unit vectors a drawn in turn from
+    rng(seed); NearSingular at the first determinant within zero_tol of 0."""
+    gen = rng(seed)
+    signs = []
+    for _ in range(count):
+        a = gen.standard_normal(algebra.dim)
+        a /= np.linalg.norm(a)
+        signs.append((det_sign(algebra.left_mul(a), tol), det_sign(algebra.right_mul(a), tol)))
+    return signs
+
+
 def double_sign(algebra, tol=DEFAULT_TOL, seed=DEFAULT_SEED, samples=4):
     """The pair (sgn det L_a, sgn det R_a), sampled at several random a.
 
@@ -185,12 +198,7 @@ def double_sign(algebra, tol=DEFAULT_TOL, seed=DEFAULT_SEED, samples=4):
     """
     if algebra.dim < 2:
         raise BadParameter("double sign needs dimension at least 2")
-    gen = rng(seed)
-    signs = set()
-    for _ in range(samples):
-        a = gen.standard_normal(algebra.dim)
-        a /= np.linalg.norm(a)
-        signs.add((det_sign(algebra.left_mul(a), tol), det_sign(algebra.right_mul(a), tol)))
+    signs = set(_det_sign_samples(algebra, samples, tol, seed))
     if len(signs) != 1:
         raise InconsistentSigns(f"det signs varied across samples: {sorted(signs)}")
     sl, sr = signs.pop()
@@ -198,14 +206,11 @@ def double_sign(algebra, tol=DEFAULT_TOL, seed=DEFAULT_SEED, samples=4):
 
 
 def is_division(algebra, trials=8, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
-    gen = rng(seed)
-    for _ in range(trials):
-        a = gen.standard_normal(algebra.dim)
-        a /= np.linalg.norm(a)
-        for m in (algebra.left_mul(a), algebra.right_mul(a)):
-            sign, logabs = np.linalg.slogdet(m)
-            if sign == 0 or np.exp(logabs) <= tol.zero_tol:
-                return False
+    """True unless L_a or R_a is near singular at one of trials random unit a."""
+    try:
+        _det_sign_samples(algebra, trials, tol, seed)
+    except NearSingular:
+        return False
     return True
 
 

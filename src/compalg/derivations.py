@@ -76,40 +76,33 @@ def derivation_basis(algebra, tol=DEFAULT_TOL):
     """Orthonormal basis (under the trace form) of the derivation algebra."""
     n = algebra.dim
     kernel = nullspace(leibniz_matrix(algebra), tol)
-    mats = [kernel[:, a].reshape(n, n) for a in range(kernel.shape[1])]
-    return _structure(mats, tol)
+    return _structure(np.ascontiguousarray(kernel.T).reshape(-1, n, n), tol)
 
 
-def _structure(mats, tol):
-    d = len(mats)
-    struct = np.zeros((d, d, d))
-    for a in range(d):
-        for b in range(a + 1, d):
-            comm = mats[a] @ mats[b] - mats[b] @ mats[a]
-            for e in range(d):
-                struct[a, b, e] = np.sum(comm * mats[e])
-            struct[b, a] = -struct[a, b]
+def _structure(stack, tol):
+    """Invariants of the Lie algebra spanned by the d x n x n stack, which is
+    orthonormal under the trace form."""
+    d = stack.shape[0]
     if d == 0:
-        return DerivationAlgebra([], 0, (0, 0, 0), 0, 0, struct)
+        return DerivationAlgebra([], 0, (0, 0, 0), 0, 0, np.zeros((0, 0, 0)))
+    prod = np.einsum("aij,bjk->abik", stack, stack)
+    struct = np.einsum("abik,eik->abe", prod - prod.transpose(1, 0, 2, 3), stack)
 
     # derived algebra: span of the commutators
-    pairs = [struct[a, b] for a in range(d) for b in range(a + 1, d)]
-    derived_dim = rank(np.array(pairs), tol) if pairs else 0
+    derived_dim = rank(struct[np.triu_indices(d, 1)], tol) if d > 1 else 0
 
     # center: x with [x, basis_b] = 0 for all b
     ad = np.einsum("abe->bea", struct)  # ad matrix of x: sum_a x_a struct[a, b, e]
     center_dim = nullspace(ad.reshape(d * d, d), tol).shape[1]
 
     # kappa(x, y) = tr(ad_x ad_y); ad_a[e, b] = struct[a, b, e]
-    ad_mats = [struct[a].T for a in range(d)]
-    killing = np.array([[np.trace(ad_mats[a] @ ad_mats[b]) for b in range(d)]
-                        for a in range(d)])
+    killing = np.einsum("afe,bef->ab", struct, struct)
     eig = np.linalg.eigvalsh(0.5 * (killing + killing.T))
-    scale = max(1.0, float(np.max(np.abs(eig))) if eig.size else 1.0)
+    scale = max(1.0, float(np.max(np.abs(eig))))
     neg = int(np.sum(eig < -CLUSTER_TOL * scale))
     pos = int(np.sum(eig > CLUSTER_TOL * scale))
     zero = d - neg - pos
-    return DerivationAlgebra(mats, d, (neg, zero, pos), derived_dim, center_dim, struct)
+    return DerivationAlgebra(list(stack), d, (neg, zero, pos), derived_dim, center_dim, struct)
 
 
 def lie_type(der):

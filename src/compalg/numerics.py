@@ -64,30 +64,32 @@ def check_matrix(m, square=False):
     return m
 
 
+def _rank_cut(s, tol):
+    """Number of singular values s (descending) above rank_tol relative to
+    the largest; none when the largest is within zero_tol of 0."""
+    smax = s[0]
+    if smax <= tol.zero_tol:
+        return 0
+    return int(np.sum(s > tol.rank_tol * smax))
+
+
 def nullspace(m, tol=DEFAULT_TOL):
     """Orthonormal basis of ker(m), returned as the columns of an array.
 
     The rank cut is rank_tol relative to the largest singular value; an
-    all-zero matrix has a full kernel.
+    all-zero matrix has a full kernel.  U is never returned, so tall and
+    square inputs take the thin SVD, whose V is already the full n x n one;
+    wide inputs need full_matrices for the rows of V that span the kernel.
     """
     m = check_matrix(m)
-    _, s, vt = np.linalg.svd(m)
-    smax = s[0] if s.size else 0.0
-    if smax <= tol.zero_tol:
-        rank = 0
-    else:
-        rank = int(np.sum(s > tol.rank_tol * smax))
-    return vt[rank:].T.copy()
+    _, s, vt = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
+    return vt[_rank_cut(s, tol):].T.copy()
 
 
 def rank(m, tol=DEFAULT_TOL):
     """Numerical rank with the same cut as nullspace()."""
     m = check_matrix(m)
-    s = np.linalg.svd(m, compute_uv=False)
-    smax = s[0] if s.size else 0.0
-    if smax <= tol.zero_tol:
-        return 0
-    return int(np.sum(s > tol.rank_tol * smax))
+    return _rank_cut(np.linalg.svd(m, compute_uv=False), tol)
 
 
 @dataclass(frozen=True)

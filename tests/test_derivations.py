@@ -48,8 +48,17 @@ def test_derivations_satisfy_leibniz_and_skewness(gen):
             assert abs(x @ (delta @ x)) < 1e-8 * (x @ x)
 
 
-def test_derivation_structure_closure(gen):
-    der = dv.derivation_basis(al.okubo_p11())
+@pytest.mark.parametrize("build, signature, derived_dim, center_dim", [
+    pytest.param(al.okubo_p11, (8, 0, 0), 8, 0, id="okubo"),
+    pytest.param(al.octonion_algebra, (14, 0, 0), 14, 0, id="octonions"),
+    pytest.param(lambda: al.j_family(0, 0, U4, U4), (3, 1, 0), 3, 1, id="tau-common-axis"),
+])
+def test_derivation_structure_closure(build, signature, derived_dim, center_dim):
+    der = dv.derivation_basis(build())
+    # invariants as the per-pair loop over brackets and Killing traces gave them
+    assert der.killing_signature == signature
+    assert (der.derived_dim, der.center_dim) == (derived_dim, center_dim)
+    assert np.array_equal(der.structure, -np.swapaxes(der.structure, 0, 1))
     for a in range(der.dim):
         for b in range(a + 1, der.dim):
             comm = der.basis[a] @ der.basis[b] - der.basis[b] @ der.basis[a]

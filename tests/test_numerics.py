@@ -37,6 +37,24 @@ def test_nullspace_leibniz_system_dimension():
     assert np.max(np.abs(m @ basis)) < 10 * DEFAULT_TOL.rank_tol * np.linalg.norm(m)
 
 
+def _wide_and_square_cases(gen):
+    rows = gen.standard_normal((2, 8))
+    return [
+        (np.arange(1.0, 9.0).reshape(1, 8), 7),
+        (np.vstack([rows, rows[0] + 2.0 * rows[1]]), 6),
+        (gen.standard_normal((8, 5)) @ gen.standard_normal((5, 8)), 3),
+    ]
+
+
+def test_nullspace_wide_and_square_inputs(gen):
+    # fewer rows than columns: the kernel lies in rows of V that a thin SVD omits
+    for m, kernel_dim in _wide_and_square_cases(gen):
+        basis = nullspace(m)
+        assert basis.shape == (8, kernel_dim)
+        assert np.max(np.abs(basis.T @ basis - np.eye(kernel_dim))) < DEFAULT_TOL.eq_tol
+        assert np.max(np.abs(m @ basis)) < 10 * DEFAULT_TOL.rank_tol * np.linalg.norm(m)
+
+
 def test_sym_eigen_clusters():
     res = sym_eigen(np.diag([1.0, 1.0, 2.0]))
     assert [len(c) for c in res.clusters] == [2, 1]
