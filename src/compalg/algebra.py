@@ -67,6 +67,8 @@ class Algebra:
             raise ValueError(f"structure tensor must be cubic, got {sc.shape}")
         if sc.shape[0] not in (1, 2, 4, 8):
             raise ValueError(f"dimension must be 1, 2, 4 or 8, got {sc.shape[0]}")
+        if not np.isfinite(sc).all():
+            raise ValueError("structure tensor has non-finite entries")
         self.dim = sc.shape[0]
         self.sc = sc
         self.family = family
@@ -367,14 +369,14 @@ def from_family(name, params):
 def from_json(obj):
     """Rebuild an Algebra from its JSON form; parametric families recover
     their isotope pair, raw tensors stay raw."""
-    sc = np.asarray(obj["sc"], dtype=float)
+    raw = Algebra(obj["sc"])
     fam = obj.get("family")
     if fam:
         rebuilt = from_family(fam["name"], fam["params"])
-        if np.max(np.abs(rebuilt.sc - sc)) > 1e-12:
+        if np.max(np.abs(rebuilt.sc - raw.sc)) > 1e-12:
             raise BadParameter("family label does not reproduce the stored tensor")
         return rebuilt
-    return Algebra(sc)
+    return raw
 
 
 # ---------------------------------------------------------------------------

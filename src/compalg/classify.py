@@ -27,6 +27,9 @@ from .numerics import DEFAULT_SEED, DEFAULT_TOL
 
 PARAMETER_FREE_KINDS = frozenset({"D17", "D8", "D35", "D4"})
 
+#: Every block kind enumerate_block accepts.
+BLOCK_KINDS = ("D17", "D8", "D35", "D4", "D134s", "D134a", "D116", "D1124", "D11114", "D1133")
+
 _PARTITION_TO_KIND = {
     (1, 7): "D17",
     (8,): "D8",

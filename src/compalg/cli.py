@@ -214,8 +214,7 @@ def build_parser():
     p.set_defaults(func=_cmd_iso)
 
     p = sub.add_parser("enumerate", help="stream canonical representatives of a block")
-    p.add_argument("--block", required=True,
-                   help="D17 | D8 | D35 | D4 | D134s | D134a | D116 | D1124 | D11114 | D1133")
+    p.add_argument("--block", required=True, choices=cl.BLOCK_KINDS)
     p.add_argument("--grid", type=_positive_int, default=3,
                    help="grid resolution for moduli (at least 1)")
     p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -65,10 +65,11 @@ def leibniz_matrix(algebra):
     """The dim^3 x dim^2 system whose kernel is Der(A), acting on vec(D)."""
     s = algebra.sc
     n = algebra.dim
-    eye = np.eye(n)
-    coeff = np.einsum("ijc,kr->ijkrc", s, eye)
-    coeff = coeff - np.einsum("rjk,ci->ijkrc", s, eye)
-    coeff = coeff - np.einsum("irk,cj->ijkrc", s, eye)
+    idx = np.arange(n)
+    coeff = np.zeros((n,) * 5)  # coeff[i, j, k, r, c]
+    coeff[:, :, idx, idx, :] = s[:, :, None, :]              # s[i,j,c] if k == r
+    coeff[idx, :, :, :, idx] -= s.transpose(1, 2, 0)[None]   # s[r,j,k] if c == i
+    coeff[:, idx, :, :, idx] -= s.transpose(0, 2, 1)[None]   # s[i,r,k] if c == j
     return coeff.reshape(n ** 3, n ** 2)
 
 
@@ -145,14 +146,19 @@ def trivial_submodule(algebra, der=None, tol=DEFAULT_TOL):
 
 
 def _restrict(der, basis):
-    return [basis.T @ delta @ basis for delta in der.basis]
+    d = basis.shape[1]
+    return np.reshape([basis.T @ delta @ basis for delta in der.basis], (-1, d, d))
 
 
 def commutant_basis(restricted, d, tol=DEFAULT_TOL):
-    """Basis of {Y : Y delta = delta Y for all restricted derivations}."""
+    """Basis of {Y : Y delta = delta Y for all restricted derivations}.
+
+    The system stacks kron(I, delta^T) - kron(delta, I) over the deltas,
+    built in one broadcast."""
     eye = np.eye(d)
-    blocks = [np.kron(eye, delta.T) - np.kron(delta, eye) for delta in restricted]
-    kernel = nullspace(np.vstack(blocks), tol)
+    system = (np.einsum("ij,kba->kiajb", eye, restricted)
+              - np.einsum("kij,ab->kiajb", restricted, eye))
+    kernel = nullspace(system.reshape(-1, d * d), tol)
     return [kernel[:, c].reshape(d, d) for c in range(kernel.shape[1])]
 
 
@@ -164,6 +170,30 @@ def _random_symmetric_commutant(comm, gen, d):
         if norm > 1e-8:
             return y / norm
     return None
+
+
+def _krylov_dims(restricted, vectors):
+    """Dimension of the span each start vector generates under the restricted
+    derivations: each step appends delta @ span for every delta and keeps the
+    columns of Q whose R diagonal exceeds 1e-9, until the width stops growing.
+    Spans of equal width step together in one batched product and stacked QR."""
+    dims = [0] * len(vectors)
+    active = [(k, v.reshape(-1, 1)) for k, v in enumerate(vectors)]
+    while active:
+        width = active[0][1].shape[1]
+        group = [item for item in active if item[1].shape[1] == width]
+        active = [item for item in active if item[1].shape[1] != width]
+        stack = np.stack([span for _, span in group])[:, None]
+        grown = np.concatenate([stack, restricted @ stack], axis=1)
+        m, _, d, _ = grown.shape
+        q, r = np.linalg.qr(grown.transpose(0, 2, 1, 3).reshape(m, d, -1))
+        keep = np.abs(np.diagonal(r, axis1=1, axis2=2)) > 1e-9
+        for (k, _), q_k, keep_k in zip(group, q, keep):
+            if np.count_nonzero(keep_k) == width:
+                dims[k] = width
+            else:
+                active.append((k, q_k[:, keep_k]))
+    return dims
 
 
 def is_irreducible(subspace, der, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
@@ -179,31 +209,19 @@ def is_irreducible(subspace, der, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
         subspace = subspace.reshape(-1, 1)
     if subspace.ndim != 2:
         raise ValueError("subspace must be given by basis columns")
-    d = subspace.shape[1]
-    proj_out = np.eye(subspace.shape[0]) - subspace @ subspace.T
-    for delta in der.basis:
-        if np.max(np.abs(proj_out @ delta @ subspace)) >= INVARIANCE_TOL:
-            raise NotInvariant("subspace is not invariant under the derivations")
+    n, d = subspace.shape
+    proj_out = np.eye(n) - subspace @ subspace.T
+    moved = proj_out @ np.reshape(der.basis, (len(der.basis), n, n)) @ subspace
+    if np.max(np.abs(moved), initial=0.0) >= INVARIANCE_TOL:
+        raise NotInvariant("subspace is not invariant under the derivations")
     if d == 1:
         return True
     gen = rng(seed)
+    vectors = [gen.standard_normal(d) for _ in range(5)]
+    vectors = [v / np.linalg.norm(v) for v in vectors]
     restricted = _restrict(der, subspace)
-    for _ in range(5):
-        v = gen.standard_normal(d)
-        v /= np.linalg.norm(v)
-        span = v.reshape(-1, 1)
-        while True:
-            grown = [span]
-            for delta in restricted:
-                grown.append(delta @ span)
-            q, r = np.linalg.qr(np.hstack(grown))
-            keep = np.abs(np.diag(r)) > 1e-9
-            new_span = q[:, keep]
-            if new_span.shape[1] == span.shape[1]:
-                break
-            span = new_span
-        if span.shape[1] != d:
-            return False
+    if any(dim != d for dim in _krylov_dims(restricted, vectors)):
+        return False
     comm = commutant_basis(restricted, d, tol)
     y = _random_symmetric_commutant(comm, gen, d)
     if y is None:

@@ -77,11 +77,14 @@ def nullspace(m, tol=DEFAULT_TOL):
     """Orthonormal basis of ker(m), returned as the columns of an array.
 
     The rank cut is rank_tol relative to the largest singular value; an
-    all-zero matrix has a full kernel.  U is never returned, so tall and
-    square inputs take the thin SVD, whose V is already the full n x n one;
-    wide inputs need full_matrices for the rows of V that span the kernel.
+    all-zero matrix has a full kernel.  U is never used: a tall input is
+    reduced to the square R factor of its QR first (same s and V; LAPACK's
+    SVD takes that step itself when rows far outnumber columns); a square
+    thin SVD has the full V, and wide inputs need full_matrices for it.
     """
     m = check_matrix(m)
+    if m.shape[0] > m.shape[1]:
+        m = np.linalg.qr(m, mode="r")
     _, s, vt = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     return vt[_rank_cut(s, tol):].T.copy()
 

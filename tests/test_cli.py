@@ -170,3 +170,26 @@ def test_non_cubic_tensor_exit_code(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_tensor_exit_code(tmp_path, capsys, bad):
+    source = tmp_path / "p11.json"
+    run(["build", "--family", "okubo", "-o", str(source)], capsys)
+    labelled = json.loads(source.read_text())
+    labelled["sc"][1][2][3] = bad
+    raw = dict(labelled, family=None)
+    for blob in (raw, labelled):
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(blob))  # json writes NaN / Infinity tokens
+        code, _, err = run(["analyze", str(target)], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_unknown_block_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["enumerate", "--block", "D99"])
+    assert exc.value.code == 2
+    assert "--block" in capsys.readouterr().err

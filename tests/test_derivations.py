@@ -5,6 +5,7 @@ from compalg import algebra as al
 from compalg import derivations as dv
 from compalg import octonion as oc
 from compalg.errors import AbelianDerivations, NotInvariant
+from compalg.numerics import nullspace
 
 from conftest import unit
 
@@ -136,12 +137,66 @@ def test_is_irreducible():
         dv.is_irreducible(np.eye(8)[:, :3], der)
 
 
+def test_is_irreducible_without_derivations(gen):
+    # with Der(A) = 0 every subspace is invariant and only lines are irreducible
+    der = dv.derivation_basis(al.Algebra(gen.standard_normal((8, 8, 8))))
+    assert der.dim == 0
+    assert dv.is_irreducible(np.eye(8)[:, :1], der)
+    assert not dv.is_irreducible(np.eye(8)[:, :2], der)
+
+
 def test_is_irreducible_detects_split():
     # H inside the (u, v) tau-family point splits as 1 + 3
     a = al.j_family(0, 0, U4, V4)
     der = dv.derivation_basis(a)
     quat_block = np.eye(8)[:, :4]
     assert not dv.is_irreducible(quat_block, der)
+
+
+def _kron_commutant(restricted, d):
+    eye = np.eye(d)
+    system = np.vstack([np.kron(eye, delta.T) - np.kron(delta, eye) for delta in restricted])
+    kernel = nullspace(system)
+    return [kernel[:, c].reshape(d, d) for c in range(kernel.shape[1])]
+
+
+@pytest.mark.parametrize("build, sub, comm_dim", [
+    (al.octonion_algebra, np.eye(8)[:, 1:], 1),
+    (lambda: al.j_family(0, 0, U4, V4), np.eye(8)[:, :4], 2),
+], ids=["octonions-imaginary", "tau-common-axis-quaternions"])
+def test_commutant_basis_matches_kron_system(build, sub, comm_dim):
+    der = dv.derivation_basis(build())
+    restricted = dv._restrict(der, sub)
+    comm = dv.commutant_basis(restricted, sub.shape[1])
+    ref = _kron_commutant(restricted, sub.shape[1])
+    assert len(comm) == len(ref) == comm_dim
+    assert all(np.array_equal(y, y_ref) for y, y_ref in zip(comm, ref))
+
+
+def _krylov_widths(restricted, v):
+    """Widths of the span of one start vector, step by step, one QR each."""
+    span = v.reshape(-1, 1)
+    widths = [1]
+    while True:
+        q, r = np.linalg.qr(np.hstack([span] + [delta @ span for delta in restricted]))
+        new_span = q[:, np.abs(np.diag(r)) > 1e-9]
+        if new_span.shape[1] == span.shape[1]:
+            return widths
+        span = new_span
+        widths.append(span.shape[1])
+
+
+def test_krylov_dims_with_diverging_widths(gen):
+    # tau(u, v) at a common axis: 1 + 3 + 4; inside the 3 + 4 complement a
+    # vector of the 3-piece and a generic vector grow to different widths
+    a = al.j_family(0, 0, U4, V4)
+    der = dv.derivation_basis(a)
+    pieces = [p for p in dv.decompose(a, der=der).subspaces if p.shape[1] > 1]
+    restricted = dv._restrict(der, np.hstack(pieces))
+    vectors = [np.eye(7)[0], unit(gen, 7), np.eye(7)[0]]
+    widths = [_krylov_widths(restricted, v) for v in vectors]
+    assert widths[0][-1] == 3 and widths[1][1] > widths[0][1]
+    assert dv._krylov_dims(restricted, vectors) == [w[-1] for w in widths]
 
 
 def test_partition_table_random_families(gen):

@@ -55,6 +55,28 @@ def test_nullspace_wide_and_square_inputs(gen):
         assert np.max(np.abs(m @ basis)) < 10 * DEFAULT_TOL.rank_tol * np.linalg.norm(m)
 
 
+def _tall_rank_deficient_cases(gen):
+    octonions = al.octonion_algebra()
+    der = derivation_basis(octonions)
+    g2_on_imaginary = [delta[1:, 1:] for delta in der.basis]
+    eye = np.eye(7)
+    commutant_system = np.vstack([np.kron(eye, d.T) - np.kron(d, eye) for d in g2_on_imaginary])
+    low_rank = gen.standard_normal((512, 50)) @ gen.standard_normal((50, 64))
+    return [(leibniz_matrix(octonions), 14), (commutant_system, 1), (low_rank, 14)]
+
+
+def test_nullspace_tall_inputs_match_full_svd(gen):
+    # tall inputs go through their R factor; the kernel must be the one the
+    # full SVD gives, compared as orthogonal projectors
+    for m, kernel_dim in _tall_rank_deficient_cases(gen):
+        assert m.shape in ((512, 64), (686, 49))
+        basis = nullspace(m)
+        assert basis.shape == (m.shape[1], kernel_dim)
+        _, s, vt = np.linalg.svd(m, full_matrices=True)
+        ref = vt[int(np.sum(s > DEFAULT_TOL.rank_tol * s[0])):].T
+        assert np.max(np.abs(basis @ basis.T - ref @ ref.T)) < 1e-12
+
+
 def test_sym_eigen_clusters():
     res = sym_eigen(np.diag([1.0, 1.0, 2.0]))
     assert [len(c) for c in res.clusters] == [2, 1]
