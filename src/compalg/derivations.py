@@ -1,15 +1,16 @@
 """Derivation Lie algebras and module decompositions.
 
-derivation_basis solves the Leibniz system on basis pairs as one big linear
-kernel problem; lie_type reads the label off structural invariants (derived
-algebra, center, Killing signature), which separate the five types that can
-occur here.  decompose splits the algebra into irreducible invariant
-subspaces by peeling off the common kernel and then eigen-splitting random
-symmetric elements of the commutant until irreducibility certifies.
+derivation_basis solves the Leibniz system as one kernel problem, in so(n)
+when the product is norm multiplicative and in gl(n) otherwise; lie_type
+reads the label off invariants (derived algebra, center, Killing signature)
+that separate the five types occurring here.  decompose peels off the common
+kernel and eigen-splits the rest along symmetric commutant elements; by Schur
+a piece is irreducible exactly when its symmetric commutant is the scalars.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -73,10 +74,32 @@ def leibniz_matrix(algebra):
     return coeff.reshape(n ** 3, n ** 2)
 
 
+def _norm_multiplicative(sc, tol):
+    """|xy| = |x||y| for the standard inner product, polarized: entrywise
+    <e_i e_j, e_l e_m> + <e_i e_m, e_l e_j> = 2 d_il d_jm within eq_tol."""
+    n = sc.shape[0]
+    gram = (sc.reshape(n * n, n) @ sc.reshape(n * n, n).T).reshape(n, n, n, n)
+    target = 2.0 * np.eye(n * n).reshape(n, n, n, n)
+    return bool(np.max(np.abs(gram + gram.transpose(0, 3, 2, 1) - target)) < tol.eq_tol)
+
+
+@functools.lru_cache(maxsize=None)
+def _so_basis(n):
+    """Orthonormal basis vec((E_ij - E_ji)/sqrt(2)), i < j, of so(n); read-only."""
+    units = np.eye(n * n).reshape(n, n, n * n)
+    basis = np.sqrt(0.5) * (units - units.transpose(1, 0, 2))[~np.tri(n, dtype=bool)].T
+    basis.flags.writeable = False
+    return basis
+
+
 def derivation_basis(algebra, tol=DEFAULT_TOL):
-    """Orthonormal basis (under the trace form) of the derivation algebra."""
+    """Orthonormal basis (under the trace form) of the derivation algebra.
+
+    A norm-multiplicative product has only skew derivations, so the Leibniz
+    system is solved over so(n); any other tensor falls back to gl(n)."""
     n = algebra.dim
-    kernel = nullspace(leibniz_matrix(algebra), tol)
+    coords = _so_basis(n) if n > 1 and _norm_multiplicative(algebra.sc, tol) else np.eye(n * n)
+    kernel = coords @ nullspace(leibniz_matrix(algebra) @ coords, tol)
     return _structure(np.ascontiguousarray(kernel.T).reshape(-1, n, n), tol)
 
 
@@ -162,7 +185,7 @@ def commutant_basis(restricted, d, tol=DEFAULT_TOL):
     return [kernel[:, c].reshape(d, d) for c in range(kernel.shape[1])]
 
 
-def _random_symmetric_commutant(comm, gen, d):
+def _random_symmetric_commutant(comm, gen):
     for _ in range(16):
         y = sum(float(c) * m for c, m in zip(gen.standard_normal(len(comm)), comm))
         y = 0.5 * (y + y.T)
@@ -172,69 +195,46 @@ def _random_symmetric_commutant(comm, gen, d):
     return None
 
 
-def _krylov_dims(restricted, vectors):
-    """Dimension of the span each start vector generates under the restricted
-    derivations: each step appends delta @ span for every delta and keeps the
-    columns of Q whose R diagonal exceeds 1e-9, until the width stops growing.
-    Spans of equal width step together in one batched product and stacked QR."""
-    dims = [0] * len(vectors)
-    active = [(k, v.reshape(-1, 1)) for k, v in enumerate(vectors)]
-    while active:
-        width = active[0][1].shape[1]
-        group = [item for item in active if item[1].shape[1] == width]
-        active = [item for item in active if item[1].shape[1] != width]
-        stack = np.stack([span for _, span in group])[:, None]
-        grown = np.concatenate([stack, restricted @ stack], axis=1)
-        m, _, d, _ = grown.shape
-        q, r = np.linalg.qr(grown.transpose(0, 2, 1, 3).reshape(m, d, -1))
-        keep = np.abs(np.diagonal(r, axis1=1, axis2=2)) > 1e-9
-        for (k, _), q_k, keep_k in zip(group, q, keep):
-            if np.count_nonzero(keep_k) == width:
-                dims[k] = width
-            else:
-                active.append((k, q_k[:, keep_k]))
-    return dims
+def _commutant(subspace, der, tol):
+    """Check that the subspace is invariant under the derivations, then return
+    the commutant basis of their restriction and the rank of its symmetric
+    part: 1 exactly when an orthogonal module is irreducible (Schur)."""
+    n, d = subspace.shape
+    proj_out = np.eye(n) - subspace @ subspace.T
+    moved = proj_out @ np.reshape(der.basis, (len(der.basis), n, n)) @ subspace
+    if np.max(np.abs(moved), initial=0.0) >= INVARIANCE_TOL:
+        raise NotInvariant("subspace is not invariant under the derivations")
+    comm = commutant_basis(_restrict(der, subspace), d, tol)
+    return comm, rank(np.reshape([y + y.T for y in comm], (len(comm), d * d)), tol)
 
 
 def is_irreducible(subspace, der, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     """Certify irreducibility of an invariant subspace.
 
-    Two generic checks: random vectors must generate the whole subspace
-    under repeated application of the derivations, and a random symmetric
-    commutant element of the restricted action must have a single
-    eigenvalue cluster (otherwise its eigenspaces split the subspace).
+    Derivations of a composition algebra are skew, so by Schur the subspace
+    is irreducible exactly when the symmetric part of the commutant of the
+    restricted derivations is the scalars: one commutant solve and one rank
+    decide it.  With Der(A) = 0 only lines are irreducible.  The result does
+    not depend on seed, which is kept for callers.
     """
     subspace = np.asarray(subspace, dtype=float)
     if subspace.ndim == 1:
         subspace = subspace.reshape(-1, 1)
     if subspace.ndim != 2:
         raise ValueError("subspace must be given by basis columns")
-    n, d = subspace.shape
-    proj_out = np.eye(n) - subspace @ subspace.T
-    moved = proj_out @ np.reshape(der.basis, (len(der.basis), n, n)) @ subspace
-    if np.max(np.abs(moved), initial=0.0) >= INVARIANCE_TOL:
-        raise NotInvariant("subspace is not invariant under the derivations")
-    if d == 1:
-        return True
-    gen = rng(seed)
-    vectors = [gen.standard_normal(d) for _ in range(5)]
-    vectors = [v / np.linalg.norm(v) for v in vectors]
-    restricted = _restrict(der, subspace)
-    if any(dim != d for dim in _krylov_dims(restricted, vectors)):
-        return False
-    comm = commutant_basis(restricted, d, tol)
-    y = _random_symmetric_commutant(comm, gen, d)
-    if y is None:
-        return True
-    return len(sym_eigen(y, tol).clusters) == 1
+    if der.dim == 0:
+        return subspace.shape[1] == 1
+    return _commutant(subspace, der, tol)[1] == 1
 
 
 def decompose(algebra, tol=DEFAULT_TOL, seed=DEFAULT_SEED, der=None):
     """Decompose A into irreducible submodules of its derivation algebra.
 
     Splits off the common kernel first (as one-dimensional trivial pieces),
-    then recursively eigen-splits the invariant complement along random
-    symmetric commutant elements until every piece certifies irreducible.
+    then solves each invariant piece for its commutant once: the piece is
+    accepted when the symmetric part of the commutant is the scalars (Schur,
+    for the orthogonal module of a composition algebra) and otherwise split
+    along the eigenspaces of random symmetric commutant elements.
     Raises AbelianDerivations when there is nothing to decompose against.
     """
     if der is None:
@@ -246,22 +246,16 @@ def decompose(algebra, tol=DEFAULT_TOL, seed=DEFAULT_SEED, der=None):
     triv = trivial_submodule(algebra, der, tol)
     pieces = [triv[:, [k]] for k in range(triv.shape[1])]
     if triv.shape[1] < n:
-        if triv.shape[1]:
-            complement = nullspace(triv.T, tol)
-        else:
-            complement = np.eye(n)
-        queue = [complement]
+        queue = [nullspace(triv.T, tol) if triv.shape[1] else np.eye(n)]
         while queue:
             sub = queue.pop()
-            d = sub.shape[1]
-            if d == 1 or is_irreducible(sub, der, tol, seed=int(gen.integers(2 ** 31))):
+            comm, sym_rank = _commutant(sub, der, tol)
+            if sym_rank == 1:
                 pieces.append(sub)
                 continue
-            restricted = _restrict(der, sub)
-            comm = commutant_basis(restricted, d, tol)
             split_done = False
             for _ in range(16):
-                y = _random_symmetric_commutant(comm, gen, d)
+                y = _random_symmetric_commutant(comm, gen)
                 if y is None:
                     break
                 eig = sym_eigen(y, tol)

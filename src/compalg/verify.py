@@ -20,7 +20,7 @@ from . import maps as mp
 from . import normal_form as nf
 from . import octonion as oc
 from . import triality as tr
-from .numerics import DEFAULT_SEED, DEFAULT_TOL, rng
+from .numerics import DEFAULT_SEED, DEFAULT_TOL, nullspace, rng
 
 TOL = DEFAULT_TOL
 
@@ -282,14 +282,20 @@ def check_derivation_partitions(gen, fast):
 
 
 def check_derivation_skewness(gen, fast):
-    for a in [al.okubo_p11(), al.j_family(0, 1, _unit(gen, 4), _unit(gen, 4))]:
+    # the full gl(n) kernel is skew, and derivation_basis (solved in so(n) for
+    # norm-multiplicative products; 2 * O falls back to gl(n)) spans all of it
+    for a, dim in [(al.okubo_p11(), 8), (al.j_family(0, 1, _unit(gen, 4), _unit(gen, 4)), 3),
+                   (al.Algebra(2 * al.octonion_algebra().sc), 14)]:
+        full = nullspace(dv.leibniz_matrix(a), TOL).T.reshape(-1, a.dim, a.dim)
+        if np.max(np.abs(full + full.transpose(0, 2, 1)), initial=0.0) > 1e-8:
+            return False, "derivation not skew"
         der = dv.derivation_basis(a, TOL)
+        if not der.dim == len(full) == dim:
+            return False, f"derivation dimension {der.dim}, gl(n) kernel {len(full)}"
         for delta in der.basis:
-            if np.max(np.abs(delta + delta.T)) > 1e-8:
-                return False, "derivation not skew"
             if dv.leibniz_residual(a, delta) > 1e-8:
                 return False, "leibniz residual"
-    return True, "skewness and leibniz residuals"
+    return True, "skew gl(n) kernels of dimension 8, 3, 14 and leibniz residuals"
 
 
 def check_trivial_submodule_subalgebra(gen, fast):

@@ -5,9 +5,10 @@ from compalg import algebra as al
 from compalg import derivations as dv
 from compalg import octonion as oc
 from compalg.errors import AbelianDerivations, NotInvariant
-from compalg.numerics import nullspace
+from compalg.numerics import nullspace, rank
 
 from conftest import unit
+from test_triality import random_g2
 
 U4 = np.array([0.0, 1, 0, 0])
 V4 = np.array([0.0, 0, 1, 0])
@@ -196,7 +197,110 @@ def test_krylov_dims_with_diverging_widths(gen):
     vectors = [np.eye(7)[0], unit(gen, 7), np.eye(7)[0]]
     widths = [_krylov_widths(restricted, v) for v in vectors]
     assert widths[0][-1] == 3 and widths[1][1] > widths[0][1]
-    assert dv._krylov_dims(restricted, vectors) == [w[-1] for w in widths]
+    assert [p.shape[1] for p in pieces] == [3, 4]
+    assert all(dv.is_irreducible(p, der) for p in pieces)
+    assert not dv.is_irreducible(np.hstack(pieces), der)
+
+
+A_AXIS = np.array([np.cos(0.7), np.sin(0.7), 0, 0])
+B_SPREAD = np.array([np.cos(0.9), 0, np.sin(0.9), 0])
+
+#: One algebra of every family constructor, with every decompose block.
+FAMILY_FIXTURES = {
+    "octonions": al.octonion_algebra,
+    "standard-11": lambda: al.standard_isotope(1, 1),
+    "quat4-10": lambda: al.quat4(1, 0),
+    "tau-generic": lambda: al.j_family(0, 0, U4, V4),
+    "tau-common-axis": lambda: al.j_family(0, 0, U4, U4),
+    "tau-sign": lambda: al.j_family(0, 0, -ONE4, -ONE4),
+    "t-one-axis": lambda: al.k_family(0, 1, A_AXIS, A_AXIS, U4, U4),
+    "t-spread": lambda: al.k_family(0, 1, A_AXIS, -A_AXIS, U4, B_SPREAD),
+    "t-aligned": lambda: al.k_family(0, 1, A_AXIS, -A_AXIS, U4, U4),
+    "lambda": lambda: al.lambda_family(0, 1, np.array([0.6, 0.8]), np.array([0.0, 1.0])),
+    "okubo": al.okubo_p11,
+    "p35-00": lambda: al.p35(0, 0),
+    "p35-01": lambda: al.p35(0, 1),
+    "g": lambda: al.g_family(1, 1, 0, 1, 0.6, 1.1),
+}
+
+
+def _span_projector(a, basis):
+    flat = np.reshape(basis, (len(basis), a.dim ** 2)).T
+    return flat @ flat.T
+
+
+def _conjugate(a, p):
+    """The tensor of x * y = p((p^-1 x)(p^-1 y)), for any invertible p."""
+    inv = np.linalg.inv(p)
+    return al.Algebra(np.einsum("ai,bj,abc,kc->ijk", inv, inv, a.sc, p))
+
+
+def _skew_solve_inputs():
+    gen = np.random.default_rng(7)
+    cases = [(name, build()) for name, build in FAMILY_FIXTURES.items()]
+    for name in ("octonions", "okubo", "p35-00", "tau-generic", "g"):
+        cases.append((f"raw-{name}", _conjugate(FAMILY_FIXTURES[name](), random_g2(gen).mat)))
+    for dim, name in ((1, "reals"), (2, "complexes")):
+        cases.append((name, al.Algebra(oc.STRUCTURE[:dim, :dim, :dim].astype(float))))
+    o = al.octonion_algebra()
+    cases.append(("doubled-octonions", al.Algebra(2 * o.sc)))
+    cases.append(("octonions-non-orthogonal",
+                  _conjugate(o, np.eye(8) + 0.3 * np.eye(8, k=1))))
+    tau = al.j_family(0, 0, U4, V4)
+    for scale in (1e-12, 1e-10, 1e-9):
+        cases.append((f"tau-noise-{scale:g}",
+                      al.Algebra(tau.sc + scale * gen.standard_normal(tau.sc.shape))))
+    return [pytest.param(name, a, id=name) for name, a in cases]
+
+
+@pytest.mark.parametrize("name, a", _skew_solve_inputs())
+def test_skew_solve_matches_gl_kernel(name, a):
+    # the so(n) solve (or its gl(n) fallback) spans the full Leibniz kernel
+    kernel = nullspace(dv.leibniz_matrix(a)).T.reshape(-1, a.dim, a.dim)
+    der = dv.derivation_basis(a)
+    assert der.dim == len(kernel)
+    assert np.max(np.abs(_span_projector(a, der.basis) - _span_projector(a, kernel)),
+                  initial=0.0) < 1e-10
+    if name in ("doubled-octonions", "octonions-non-orthogonal"):
+        assert not dv._norm_multiplicative(a.sc, dv.DEFAULT_TOL) and der.dim == 14
+    if name == "octonions-non-orthogonal":
+        assert max(np.max(np.abs(delta + delta.T)) for delta in der.basis) > 1e-3
+
+
+def _symmetric_commutant_singular_values(sub, der):
+    d = sub.shape[1]
+    comm = dv.commutant_basis(dv._restrict(der, sub), d)
+    sym = np.reshape([y + y.T for y in comm], (len(comm), d * d))
+    return np.linalg.svd(sym, compute_uv=False), rank(sym)
+
+
+@pytest.mark.parametrize("build", FAMILY_FIXTURES.values(), ids=FAMILY_FIXTURES.keys())
+def test_symmetric_commutant_rank_margin(build):
+    # the Schur decision in decompose: kept singular values >= 1e-3, dropped
+    # ones <= 1e-12, on every returned piece and on the complement of the
+    # trivial submodule that decompose starts from
+    a = build()
+    der = dv.derivation_basis(a)
+    dec = dv.decompose(a, der=der)
+    triv = dv.trivial_submodule(a, der)
+    complement = nullspace(triv.T) if triv.shape[1] else np.eye(a.dim)
+    subs = [p for p in dec.subspaces if p.shape[1] > 1] + [complement]
+    for sub in subs:
+        s, r = _symmetric_commutant_singular_values(sub, der)
+        assert np.min(s[:r]) >= 1e-3
+        assert np.max(s[r:], initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("build", [
+    lambda: al.p35(0, 0), al.okubo_p11, al.octonion_algebra,
+    lambda: al.k_family(0, 1, A_AXIS, -A_AXIS, U4, U4),
+], ids=["p35", "okubo", "octonions", "t-aligned-D116"])
+def test_is_irreducible_on_decompose_pieces(build):
+    # every piece decompose returns is irreducible; the Krylov test this
+    # replaced rejected the 5-piece of p35, the Okubo 8 and the G2 7
+    a = build()
+    der = dv.derivation_basis(a)
+    assert all(dv.is_irreducible(p, der) for p in dv.decompose(a, der=der).subspaces)
 
 
 def test_partition_table_random_families(gen):
