@@ -98,8 +98,7 @@ def octonion_algebra():
 
 def from_isotope(f, g, family=None, dim=8):
     """The isotope with product x . y = f(x) g(y) of O (or of H for dim 4)."""
-    fm = f.mat if isinstance(f, mp.OrthoMap8) else np.asarray(f, dtype=float)
-    gm = g.mat if isinstance(g, mp.OrthoMap8) else np.asarray(g, dtype=float)
+    fm, gm = mp.as_matrix(f), mp.as_matrix(g)
     if not (is_orthogonal(fm) and is_orthogonal(gm)):
         raise NotOrthogonal("isotope factors must be orthogonal")
     if fm.shape != (dim, dim) or gm.shape != (dim, dim):
@@ -120,16 +119,12 @@ def transport(phi, algebra):
     """
     if algebra.isotope is None:
         raise NoIsotopeProvenance("transport needs an isotope presentation")
-    phi_m = phi.mat if isinstance(phi, mp.OrthoMap8) else np.asarray(phi, dtype=float)
+    phi_m = mp.as_matrix(phi)
     f, g = algebra.isotope
     new_f = phi_m @ f @ phi_m.T
     new_g = phi_m @ g @ phi_m.T
     family = _transport_label(phi if isinstance(phi, mp.OrthoMap8) else None, algebra.family)
     return from_isotope(new_f, new_g, family=family, dim=algebra.dim)
-
-
-def _conj_by(q, x):
-    return oc.quat_mul(oc.quat_mul(q, x), oc.quat_conj(q))
 
 
 def _transport_label(phi, family):
@@ -142,32 +137,19 @@ def _transport_label(phi, family):
         return family
     if name == "quat4" and plabel.family == "kappa_hat":
         return family
-    if name == "tau_family":
+    if name in ("tau_family", "t_family") and plabel.family in ("kappa_hat", "tau", "eps"):
+        # each of these maps conjugates the quaternion parameters by some q
         if plabel.family == "kappa_hat":
             q = plabel.params["q"]
-            params["a"] = _conj_by(q, params["a"])
-            params["b"] = _conj_by(q, params["b"])
-            return FamilyLabel(name, params)
-        if plabel.family == "tau":
-            p = oc.quat_conj(plabel.params["p"])
-            params["a"] = _conj_by(p, params["a"])
-            params["b"] = _conj_by(p, params["b"])
-            return FamilyLabel(name, params)
-        if plabel.family == "eps":
-            if plabel.params["eps"] == 0:
-                return family
-            v = oc.V.coords[:4]
-            params["a"] = _conj_by(v, params["a"])
-            params["b"] = _conj_by(v, params["b"])
-            return FamilyLabel(name, params)
-    if name == "t_family":
-        if plabel.family == "kappa_hat" or (plabel.family == "eps" and plabel.params["eps"] == 1):
-            q = plabel.params["q"] if plabel.family == "kappa_hat" else oc.V.coords[:4]
-            for key in ("a1", "b1", "a2", "b2"):
-                params[key] = _conj_by(q, params[key])
-            return FamilyLabel(name, params)
-        if plabel.family == "tau" or (plabel.family == "eps" and plabel.params["eps"] == 0):
+        elif plabel.family == "eps":
+            q = oc.V.coords[:4] if plabel.params["eps"] else None
+        else:  # tau_p fixes H pointwise but moves the tau-family pair by conj(p)
+            q = oc.quat_conj(plabel.params["p"]) if name == "tau_family" else None
+        if q is None:
             return family
+        for key in ("a", "b") if name == "tau_family" else ("a1", "b1", "a2", "b2"):
+            params[key] = oc.quat_kappa(q, params[key])
+        return FamilyLabel(name, params)
     if name == "lambda_family" and plabel.family == "eps":
         if plabel.params["eps"] == 1:
             params["a"] = np.array([params["a"][0], -params["a"][1]])
@@ -243,8 +225,7 @@ def standard_isotope(i, j):
     """O with product K^j(x) K^i(y)."""
     i, j = _index_pair(i, j)
     k = mp.conj_map()
-    return from_isotope(k.power(j) if j else mp.identity_map(),
-                        k.power(i) if i else mp.identity_map(),
+    return from_isotope(k if j else mp.identity_map(), k if i else mp.identity_map(),
                         family=FamilyLabel("standard_isotope", {"i": i, "j": j}))
 
 

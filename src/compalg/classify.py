@@ -199,7 +199,7 @@ def _lambda_to_t(i, j, a2, b2):
     return a1, b1, a2t, b2t
 
 
-def canonical(algebra, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
+def canonical(algebra, tol=DEFAULT_TOL):
     """Canonical form of a provenance-carrying algebra.
 
     tau family points reduce through the pair transversal, T and lambda
@@ -266,15 +266,14 @@ def _params_close(kind, left, right, tol=1e-8):
         return (left[0].close_to(right[0], tol)
                 and nf.BracketTT.of(*left[1]).close_to(nf.BracketTT.of(*right[1]), tol))
     if kind == "D1133":
-        da = min((left[0] - right[0]) % np.pi, (right[0] - left[0]) % np.pi)
-        db = min((left[1] - right[1]) % np.pi, (right[1] - left[1]) % np.pi)
-        return da < tol and db < tol
+        return (d33.circle_distance(left[0], right[0]) < tol
+                and d33.circle_distance(left[1], right[1]) < tol)
     return False
 
 
 def witness_residual(phi, source, target):
     """Max basis-pair deviation of phi from being a homomorphism source -> target."""
-    m = phi.mat if isinstance(phi, mp.OrthoMap8) else np.asarray(phi, float)
+    m = mp.as_matrix(phi)
     return oc.homomorphism_residual(m, m, m, source.sc, target.sc)
 
 
@@ -300,8 +299,8 @@ def isomorphic(a, b, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     if str(ra.block) != str(rb.block):
         return IsoVerdict("no", reason=f"blocks differ: {ra.block} vs {rb.block}")
     try:
-        ca = canonical(a, tol, seed)
-        cb = canonical(b, tol, seed)
+        ca = canonical(a, tol)
+        cb = canonical(b, tol)
     except RawTensorNotSupported:
         return IsoVerdict("unknown",
                           reason="equal invariants, but canonical parameters need provenance")
@@ -333,7 +332,7 @@ def _cx(angle):
     return np.array([np.cos(angle), np.sin(angle), 0.0, 0.0])
 
 
-def enumerate_block(kind, grid=3, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
+def enumerate_block(kind, grid=3, tol=DEFAULT_TOL):
     """Stream canonical representatives of a block (all double signs).
 
     Parameter-free blocks yield their finitely many classes; blocks with
@@ -344,25 +343,25 @@ def enumerate_block(kind, grid=3, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
         raise ValueError("grid resolution must be at least 1")
     if kind == "D17":
         for i, j in _sign_pairs():
-            yield canonical(al.standard_isotope(i, j), tol, seed)
+            yield canonical(al.standard_isotope(i, j), tol)
         return
     if kind == "D8":
-        yield canonical(al.okubo_p11(), tol, seed)
+        yield canonical(al.okubo_p11(), tol)
         return
     if kind == "D35":
         for i, j in _sign_pairs():
             if (i, j) != (1, 1):
-                yield canonical(al.p35(i, j), tol, seed)
+                yield canonical(al.p35(i, j), tol)
         return
     if kind == "D4":
         for i, j in _sign_pairs():
-            yield canonical(al.quat4(i, j), tol, seed)
+            yield canonical(al.quat4(i, j), tol)
         return
     if kind == "D134s":
         signs = [(1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
         for i, j in _sign_pairs():
             for sa, sb in signs:
-                yield canonical(al.j_family(i, j, sa * nf.ONE4, sb * nf.ONE4), tol, seed)
+                yield canonical(al.j_family(i, j, sa * nf.ONE4, sb * nf.ONE4), tol)
         return
     if kind == "D134a":
         for i, j in _sign_pairs():
@@ -377,10 +376,10 @@ def enumerate_block(kind, grid=3, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
                             continue
                         if _tau_trichotomy(i, j, a, b, tol) != "D134a":
                             continue
-                        yield canonical(al.j_family(i, j, a, b), tol, seed)
+                        yield canonical(al.j_family(i, j, a, b), tol)
         return
     if kind in ("D116", "D1124", "D11114"):
-        yield from _enumerate_bracket_block(kind, grid, tol, seed)
+        yield from _enumerate_bracket_block(kind, grid, tol)
         return
     if kind == "D1133":
         for i1, j1 in _sign_pairs():
@@ -395,18 +394,18 @@ def enumerate_block(kind, grid=3, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
                         cp, _ = d33.canonical_1133(gp, tol)
                         if (cp.alpha, cp.beta) != (gp.alpha, gp.beta):
                             continue
-                        yield canonical(al.g_family(i1, j1, i2, j2, alpha, beta), tol, seed)
+                        yield canonical(al.g_family(i1, j1, i2, j2, alpha, beta), tol)
         return
     raise NotInBlock(f"unknown or unenumerable block kind {kind!r}")
 
 
-def _enumerate_bracket_block(kind, grid, tol, seed):
+def _enumerate_bracket_block(kind, grid, tol):
     for i, j in _sign_pairs():
         seen = []
         for qs in _bracket_param_grid(kind, i, j, grid):
             if _t_dichotomy(i, j, qs, tol) != kind:
                 continue
-            form = canonical(al.k_family(i, j, *qs), tol, seed)
+            form = canonical(al.k_family(i, j, *qs), tol)
             if any(_params_close(kind, form.params, other, 1e-6) for other in seen):
                 continue
             seen.append(form.params)

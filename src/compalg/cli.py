@@ -2,7 +2,8 @@
 and enumerate algebras, plus a deterministic verification suite.
 
 Exit codes: 0 on success, 1 on verification failure (or an operation that
-could not complete), 2 on bad usage.
+could not complete, such as `canon` on a raw tensor), 2 on bad usage and bad
+input, including every `build` family or parameter the library rejects.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def _cmd_build(args):
                 if key in params:
                     params[key] = float(params[key]) * np.pi / 180.0
         algebra = al.from_family(args.family, params)
-    except (TypeError, ValueError) as err:
+    except (CompalgError, TypeError, ValueError) as err:
         raise BadInput(f"bad parameters for {args.family!r} ({err})") from None
     _dump(algebra.to_json(), args.output)
     return 0
@@ -90,7 +91,7 @@ def _cmd_classify(args):
     report = cl.analyze(algebra, tol, args.seed)
     out = report.to_json()
     try:
-        form = cl.canonical(algebra, tol, args.seed)
+        form = cl.canonical(algebra, tol)
         out["canonical"] = form.to_json()
     except CompalgError as err:
         out["canonical"] = None
@@ -102,7 +103,7 @@ def _cmd_classify(args):
 def _cmd_canon(args):
     algebra = _load_algebra(args.file)
     try:
-        form = cl.canonical(algebra, _tolerance(args), args.seed)
+        form = cl.canonical(algebra, _tolerance(args))
     except CompalgError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -127,7 +128,7 @@ def _cmd_iso(args):
 
 def _cmd_enumerate(args):
     tol = _tolerance(args)
-    rows = [form.to_json() for form in cl.enumerate_block(args.block, args.grid, tol, args.seed)]
+    rows = [form.to_json() for form in cl.enumerate_block(args.block, args.grid, tol)]
     if args.format == "csv":
         cols = sorted({key for row in rows for key in row if not isinstance(row[key], (dict, list))})
         lines = [",".join(cols)]

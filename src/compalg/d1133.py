@@ -93,12 +93,6 @@ def _xi_eta(i2, j2, theta, zeta, gamma):
     return x / 2.0, y / 2.0
 
 
-def _complex8(t):
-    v = np.zeros(8)
-    v[0], v[1] = np.cos(t), np.sin(t)
-    return oc.Octonion(v)
-
-
 @dataclass
 class GtoFWitness:
     theta: float
@@ -122,7 +116,7 @@ def g_to_f(params: GParams, gamma=0.0, tol=DEFAULT_TOL):
     c = oc.Octonion(c)
     rho = mp.g2_from_triples(oc.CayleyTriple.fixed(),
                              oc.CayleyTriple(oc.U, c * oc.V, c * oc.Z, tol=tol), tol)
-    phi = mp.left_right_mul_map(_complex8(theta), _complex8(zeta), rho, tol)
+    phi = mp.left_right_mul_map(oc.complex_unit(theta), oc.complex_unit(zeta), rho, tol)
     return (FParams(i1, j1, i2, j2, xi, eta), GtoFWitness(theta, zeta, phi))
 
 
@@ -164,14 +158,18 @@ def excluded_point(i1, j1, i2, j2):
     return alpha, beta
 
 
+def circle_distance(x, y):
+    """Distance of two angles on the circle R / pi Z."""
+    return min((x - y) % PI, (y - x) % PI)
+
+
 def in_d1133(params: GParams, tol=DEFAULT_TOL):
     """Exclusion test: (cos 2a, cos 2b) != ((-1)^(j1+j2), (-1)^(i1+i2))."""
     # the excluded equation is quadratic in the angle near its root, so take
     # the deadband on the angle distance rather than on the cosine residual
     alpha0, beta0 = excluded_point(*params.indices)
-    da = min((params.alpha - alpha0) % PI, (alpha0 - params.alpha) % PI)
-    db = min((params.beta - beta0) % PI, (beta0 - params.beta) % PI)
-    return not (da < tol.zero_tol and db < tol.zero_tol)
+    return not (circle_distance(params.alpha, alpha0) < tol.zero_tol
+                and circle_distance(params.beta, beta0) < tol.zero_tol)
 
 
 def _fold(x):
@@ -222,9 +220,8 @@ def iso_1133(p: GParams, q: GParams, tol=1e-8):
         return False
     cp, _ = canonical_1133(p)
     cq, _ = canonical_1133(q)
-    da = min((cp.alpha - cq.alpha) % PI, (cq.alpha - cp.alpha) % PI)
-    db = min((cp.beta - cq.beta) % PI, (cq.beta - cp.beta) % PI)
-    return bool(da < tol and db < tol)
+    return bool(circle_distance(cp.alpha, cq.alpha) < tol
+                and circle_distance(cp.beta, cq.beta) < tol)
 
 
 def _angle_mod(x, modulus, tol):

@@ -208,14 +208,13 @@ def _commutant(subspace, der, tol):
     return comm, rank(np.reshape([y + y.T for y in comm], (len(comm), d * d)), tol)
 
 
-def is_irreducible(subspace, der, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
+def is_irreducible(subspace, der, tol=DEFAULT_TOL):
     """Certify irreducibility of an invariant subspace.
 
     Derivations of a composition algebra are skew, so by Schur the subspace
     is irreducible exactly when the symmetric part of the commutant of the
     restricted derivations is the scalars: one commutant solve and one rank
-    decide it.  With Der(A) = 0 only lines are irreducible.  The result does
-    not depend on seed, which is kept for callers.
+    decide it.  With Der(A) = 0 only lines are irreducible.
     """
     subspace = np.asarray(subspace, dtype=float)
     if subspace.ndim == 1:

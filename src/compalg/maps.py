@@ -71,10 +71,6 @@ class OrthoMap8:
             return oc.Octonion(self.mat @ x.coords)
         return self.mat @ np.asarray(x, dtype=float)
 
-    def power(self, k):
-        out = np.linalg.matrix_power(self.mat, k)
-        return OrthoMap8(out, self.label if k == 1 else None, check=False)
-
     def is_g2_labelled(self):
         return self.label is not None and self.label.family in G2_FAMILIES
 
@@ -85,6 +81,11 @@ class OrthoMap8:
     def to_json(self):
         return {"matrix": self.mat.tolist(),
                 "label": self.label.to_json() if self.label else None}
+
+
+def as_matrix(phi):
+    """The matrix of an OrthoMap8, or an array-like as a float array."""
+    return phi.mat if isinstance(phi, OrthoMap8) else np.asarray(phi, dtype=float)
 
 
 def identity_map(dim=8):
@@ -141,13 +142,7 @@ def tau_map(p, tol=DEFAULT_TOL):
 def kappa4(q, tol=DEFAULT_TOL):
     """4x4 matrix of x -> q x conj(q) on H."""
     q4 = oc.as_unit_quaternion(q, tol, "kappa parameter")
-    cols = [oc.quat_mul(oc.quat_mul(q4, e), oc.quat_conj(q4)) for e in np.eye(4)]
-    return np.column_stack(cols)
-
-
-def kappa3(q, tol=DEFAULT_TOL):
-    """The rotation of Im(H) induced by conjugation by q."""
-    return kappa4(q, tol)[1:, 1:].copy()
+    return np.column_stack([oc.quat_kappa(q4, e) for e in np.eye(4)])
 
 
 def kappa_hat_map(q, tol=DEFAULT_TOL):
@@ -186,10 +181,7 @@ def T_map(a, b, k, tol=DEFAULT_TOL):
 
 def sigma_map(vectors, tol=DEFAULT_TOL):
     """Reflection: -1 on the span of the given orthonormal vectors, +1 elsewhere."""
-    cols = []
-    for w in vectors:
-        w = w.coords if isinstance(w, oc.Octonion) else np.asarray(w, dtype=float)
-        cols.append(w)
+    cols = [oc.as_coords(w) for w in vectors]
     if not cols:
         return identity_map()
     basis = np.column_stack(cols)
@@ -220,11 +212,6 @@ def sigma_uw():
     return sigma_map([oc.UV, oc.UZ, oc.UVZ])
 
 
-def big_sigma():
-    """sigma_u composed with sigma_uw: equals eps_hat(1)."""
-    return OrthoMap8(sigma_u().mat @ sigma_uw().mat, MapLabel("eps", {"eps": 1}), check=False)
-
-
 def _as_unit_octonion(a, tol, what):
     if not isinstance(a, oc.Octonion):
         arr = np.asarray(a, dtype=float)
@@ -248,17 +235,13 @@ def C_map(a, tol=DEFAULT_TOL):
     return OrthoMap8(mat, MapLabel("C", {"a": a.coords.copy()}), check=False)
 
 
-def _complex_unit(theta):
-    return oc.Octonion(np.array([np.cos(theta), np.sin(theta), 0, 0, 0, 0, 0, 0.0]))
-
-
 def G_map(theta, gamma, k1, k2, tol=DEFAULT_TOL):
     """B_{cos theta + u sin theta} sigma_u^{k1} (sigma_uv sigma_uz sigma_w(gamma))^{k2}.
 
     w(gamma) = vz sin(gamma) - (uv)z cos(gamma).  theta enters with period pi.
     """
     k1, k2 = int(k1) % 2, int(k2) % 2
-    mat = B_map(_complex_unit(theta), tol).mat
+    mat = B_map(oc.complex_unit(theta), tol).mat
     if k1:
         mat = mat @ sigma_u().mat
     if k2:
@@ -275,7 +258,7 @@ def G_map(theta, gamma, k1, k2, tol=DEFAULT_TOL):
 def F_map(theta, k1, k2, tol=DEFAULT_TOL):
     """C_{cos theta + u sin theta} sigma_u^{k1} sigma_uw^{k2}."""
     k1, k2 = int(k1) % 2, int(k2) % 2
-    mat = C_map(_complex_unit(theta), tol).mat
+    mat = C_map(oc.complex_unit(theta), tol).mat
     if k1:
         mat = mat @ sigma_u().mat
     if k2:
@@ -311,7 +294,7 @@ def left_right_mul_map(t, s, rho, tol=DEFAULT_TOL):
     s = s if isinstance(s, oc.Octonion) else oc.Octonion(s)
     if abs(t.norm() - 1) >= tol.eq_tol or abs(s.norm() - 1) >= tol.eq_tol:
         raise NotUnitNorm("isotopy factors must be unit norm")
-    rho_mat = rho.mat if isinstance(rho, OrthoMap8) else np.asarray(rho, dtype=float)
+    rho_mat = as_matrix(rho)
     mat = oc.left_mul_matrix(t) @ oc.right_mul_matrix(s) @ rho_mat
     return OrthoMap8(mat, MapLabel("lr_mul", {"t": t.coords.copy(), "s": s.coords.copy(),
                                               "rho": rho_mat.copy()}), check=False)
@@ -322,7 +305,7 @@ def bimul_map(c, rho, tol=DEFAULT_TOL):
     c = c if isinstance(c, oc.Octonion) else oc.Octonion(c)
     if abs(c.norm() - 1) >= tol.eq_tol:
         raise NotUnitNorm("bimultiplication factor must be unit norm")
-    rho_mat = rho.mat if isinstance(rho, OrthoMap8) else np.asarray(rho, dtype=float)
+    rho_mat = as_matrix(rho)
     mat = oc.left_mul_matrix(c) @ oc.right_mul_matrix(c) @ rho_mat
     return OrthoMap8(mat, MapLabel("bimul", {"c": c.coords.copy(), "rho": rho_mat.copy()}),
                      check=False)
@@ -330,7 +313,7 @@ def bimul_map(c, rho, tol=DEFAULT_TOL):
 
 def is_automorphism(phi, tol=DEFAULT_TOL):
     """True iff phi(e_i e_j) = phi(e_i) phi(e_j) on all 64 basis pairs and det = +1."""
-    mat = phi.mat if isinstance(phi, OrthoMap8) else np.asarray(phi, dtype=float)
+    mat = as_matrix(phi)
     if mat.shape != (8, 8):
         return False
     if oc.homomorphism_residual(mat, mat, mat) >= tol.eq_tol:
@@ -340,11 +323,3 @@ def is_automorphism(phi, tol=DEFAULT_TOL):
     except Exception:
         return False
 
-
-def map_from_json(obj):
-    label = None
-    if obj.get("label"):
-        params = {k: (np.asarray(v, dtype=float) if isinstance(v, list) else v)
-                  for k, v in obj["label"]["params"].items()}
-        label = MapLabel(obj["label"]["family"], params)
-    return OrthoMap8(np.asarray(obj["matrix"], dtype=float), label)

@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import NotCanonical
 from .numerics import DEFAULT_TOL
-from .octonion import quat_conj, quat_mul, rotation_quaternion
+from .octonion import quat_kappa as kappa
+from .octonion import quat_mul, rotation_quaternion
 
 ONE4 = np.array([1.0, 0.0, 0.0, 0.0])
 U4 = np.array([0.0, 1.0, 0.0, 0.0])
@@ -118,10 +119,6 @@ class NFResult:
 # ---------------------------------------------------------------------------
 # Actions
 # ---------------------------------------------------------------------------
-
-def kappa(q, x):
-    return quat_mul(quat_mul(q, x), quat_conj(q))
-
 
 def act_TxT(q, pair):
     q = np.asarray(q, dtype=float)
@@ -404,26 +401,21 @@ def nf_M1(bracket, tol=DEFAULT_TOL):
     """Reduce a sign class into M1: run nf_TxT on both sign representatives
     and keep the one landing in M1 (ties give the same canonical point)."""
     pair = bracket.pair() if isinstance(bracket, BracketTT) else bracket
-    chosen = None
+    tried = []
     for eps in (0, 1):
         rep = pair if eps == 0 else PairTT(-pair.a, -pair.b)
         res = nf_TxT(rep, tol)
         ok, tag = in_M1(res.canonical, tol)
         if ok:
-            chosen = NFResult(canonical=res.canonical, witness_q=res.witness_q,
-                              witness_eps=eps, tag=tag,
-                              boundary_flag=res.boundary_flag)
-            break
-    if chosen is None:
-        # Both representatives sit on a deadband boundary; take the larger key.
-        res0 = nf_TxT(pair, tol)
-        res1 = nf_TxT(PairTT(-pair.a, -pair.b), tol)
-        pick, eps = max([(res0, 0), (res1, 1)],
-                        key=lambda t: (t[0].canonical.a[0], t[0].canonical.b[0]))
-        chosen = NFResult(canonical=pick.canonical, witness_q=pick.witness_q,
-                          witness_eps=eps, tag="boundary",
-                          boundary_flag=True)
-    return chosen
+            return NFResult(canonical=res.canonical, witness_q=res.witness_q,
+                            witness_eps=eps, tag=tag,
+                            boundary_flag=res.boundary_flag)
+        tried.append((res, eps))
+    # Both representatives sit on a deadband boundary; take the larger key.
+    pick, eps = max(tried, key=lambda t: (t[0].canonical.a[0], t[0].canonical.b[0]))
+    return NFResult(canonical=pick.canonical, witness_q=pick.witness_q,
+                    witness_eps=eps, tag="boundary",
+                    boundary_flag=True)
 
 
 def _placements(pair, tol):
@@ -519,17 +511,6 @@ def nf_pair(brackets, tol=DEFAULT_TOL):
     return NFResult(canonical=canonical, witness_q=witness, witness_eps=eps2,
                     tag=(case, tag2),
                     boundary_flag=_boundary_flag(canonical, tol))
-
-
-def is_excluded_N_point(brackets, tol=DEFAULT_TOL):
-    """The four points ([1, +-1], [1, +-1]) removed from the transversal to
-    classify the tuples not fixed by the whole rotation group."""
-    first, second = brackets
-    for pair in (first, second):
-        a, b = pair
-        if not (is_pm_one(a, tol) and is_pm_one(b, tol)):
-            return False
-    return True
 
 
 def pair_angles(pair, tol=DEFAULT_TOL):

@@ -26,7 +26,12 @@ from .numerics import DEFAULT_TOL
 
 
 def quat_mul(a, b):
-    """Hamilton product on 4-vectors (1, i, j, k) = (1, u, v, uv)."""
+    """Hamilton product on 4-vectors (1, i, j, k) = (1, u, v, uv).
+
+    The four components sit on the first axis and any trailing axes
+    broadcast, so (4, N) batches multiply column by column; integer input
+    stays integer.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
     w1, x1, y1, z1 = a
@@ -42,6 +47,12 @@ def quat_mul(a, b):
 def quat_conj(a):
     a = np.asarray(a)
     return np.array([a[0], -a[1], -a[2], -a[3]])
+
+
+def quat_kappa(q, x):
+    """The conjugation action x -> q x conj(q), components on the first axis
+    as in quat_mul."""
+    return quat_mul(quat_mul(q, x), quat_conj(q))
 
 
 def _build_structure_tensor():
@@ -108,7 +119,7 @@ class Octonion:
 
     def __mul__(self, other):
         if isinstance(other, Octonion):
-            return Octonion(np.einsum("i,j,ijk->k", self.coords, other.coords, _STRUCTURE_F))
+            return Octonion(mul(self.coords, other.coords))
         return Octonion(self.coords * float(other))
 
     __rmul__ = __mul__
@@ -135,9 +146,6 @@ class Octonion:
     def norm(self):
         return float(np.linalg.norm(self.coords))
 
-    def norm2(self):
-        return float(self.coords @ self.coords)
-
     def re(self):
         return float(self.coords[0])
 
@@ -145,15 +153,6 @@ class Octonion:
         out = self.coords.copy()
         out[0] = 0.0
         return Octonion(out)
-
-    def quaternion_part(self):
-        return self.coords[:4].copy()
-
-    def is_quaternion(self, tol=DEFAULT_TOL):
-        return bool(np.max(np.abs(self.coords[4:])) < tol.eq_tol)
-
-    def is_complex(self, tol=DEFAULT_TOL):
-        return bool(np.max(np.abs(self.coords[2:])) < tol.eq_tol)
 
 
 ONE = Octonion.basis(0)
@@ -167,11 +166,19 @@ UVZ = Octonion.basis(7)
 
 
 def mul(x, y):
-    return x * y
+    """Octonion product of coordinate arrays, broadcast over leading axes:
+    (N, 8) batches multiply row by row."""
+    return np.einsum("...i,...j,ijk->...k", x, y, _STRUCTURE_F)
 
 
-def conj(x):
-    return x.conj()
+def as_coords(x):
+    """Coordinates of an Octonion, or an array-like as a float array."""
+    return x.coords if isinstance(x, Octonion) else np.asarray(x, dtype=float)
+
+
+def complex_unit(theta):
+    """The unit complex octonion cos(theta) + u sin(theta)."""
+    return Octonion(np.array([np.cos(theta), np.sin(theta), 0, 0, 0, 0, 0, 0.0]))
 
 
 def conj_matrix():
@@ -181,14 +188,12 @@ def conj_matrix():
 
 def left_mul_matrix(a):
     """Matrix of x -> a x; columns are the products a e_j."""
-    a = a.coords if isinstance(a, Octonion) else np.asarray(a, dtype=float)
-    return np.einsum("i,ijk->kj", a, _STRUCTURE_F)
+    return np.einsum("i,ijk->kj", as_coords(a), _STRUCTURE_F)
 
 
 def right_mul_matrix(a):
     """Matrix of x -> x a."""
-    a = a.coords if isinstance(a, Octonion) else np.asarray(a, dtype=float)
-    return np.einsum("j,ijk->ki", a, _STRUCTURE_F)
+    return np.einsum("j,ijk->ki", as_coords(a), _STRUCTURE_F)
 
 
 def homomorphism_residual(phi, phi1, phi2, source=_STRUCTURE_F, target=_STRUCTURE_F):
@@ -245,9 +250,8 @@ def rotation_quaternion(w_from, w_to, tol=DEFAULT_TOL):
     short arc.  The two-step route keeps the result well-conditioned near
     exact antipodes, where the one-step formula would cancel.
     """
-    wf = w_from.coords if isinstance(w_from, Octonion) else np.asarray(w_from, dtype=float)
-    wt = w_to.coords if isinstance(w_to, Octonion) else np.asarray(w_to, dtype=float)
-    wf4, wt4 = _as_imaginary_unit(wf, tol), _as_imaginary_unit(wt, tol)
+    wf4 = _as_imaginary_unit(as_coords(w_from), tol)
+    wt4 = _as_imaginary_unit(as_coords(w_to), tol)
     if np.linalg.norm(wf4 - wt4) < tol.zero_tol:
         return np.array([1.0, 0, 0, 0])
     pre = np.array([1.0, 0, 0, 0])
@@ -262,7 +266,7 @@ def rotation_quaternion(w_from, w_to, tol=DEFAULT_TOL):
                 break
         else:  # unreachable for unit input
             raise NotImaginaryUnit("no axis orthogonal to w_to")
-        wf4 = quat_mul(quat_mul(pre, wf4), quat_conj(pre))
+        wf4 = quat_kappa(pre, wf4)
         if np.linalg.norm(wf4 - wt4) < tol.zero_tol:
             return pre
     q = np.array([1.0, 0, 0, 0]) - quat_mul(wt4, wf4)
@@ -271,7 +275,6 @@ def rotation_quaternion(w_from, w_to, tol=DEFAULT_TOL):
 
 
 def _as_imaginary_unit(w, tol):
-    w = np.asarray(w, dtype=float)
     if w.shape == (8,):
         if np.max(np.abs(w[4:])) >= tol.eq_tol:
             raise NotImaginaryUnit("coordinates outside H are nonzero")
@@ -291,7 +294,7 @@ def as_unit_quaternion(p, tol=DEFAULT_TOL, what="parameter"):
     """Coerce an Octonion / 4-vector / 8-vector to a unit quaternion 4-vector."""
     from .errors import NotUnitQuaternion
 
-    p = p.coords if isinstance(p, Octonion) else np.asarray(p, dtype=float)
+    p = as_coords(p)
     if p.shape == (8,):
         if np.max(np.abs(p[4:])) >= tol.eq_tol:
             raise NotUnitQuaternion(f"{what}: coordinates outside H are nonzero")
@@ -307,7 +310,7 @@ def as_unit_complex(t, tol=DEFAULT_TOL, what="parameter"):
     """Coerce to a unit element of C = span(1, u), returned as a 2-vector."""
     from .errors import NotUnitComplex
 
-    t = t.coords if isinstance(t, Octonion) else np.asarray(t, dtype=float)
+    t = as_coords(t)
     if t.shape in ((8,), (4,)):
         if np.max(np.abs(t[2:])) >= tol.eq_tol:
             raise NotUnitComplex(f"{what}: coordinates outside C are nonzero")

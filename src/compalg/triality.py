@@ -23,7 +23,7 @@ import numpy as np
 from . import maps as mp
 from . import octonion as oc
 from .errors import NoIsotopeProvenance, NotSpecialOrthogonal, PreconditionViolated
-from .numerics import DEFAULT_SEED, DEFAULT_TOL, det_sign, is_orthogonal
+from .numerics import DEFAULT_TOL, det_sign, is_orthogonal
 
 PAIR_TOL = 1e-8
 
@@ -35,13 +35,9 @@ class TrialityPair:
     residual: float
 
 
-def _as_matrix(phi):
-    return phi.mat if isinstance(phi, mp.OrthoMap8) else np.asarray(phi, dtype=float)
-
-
 def is_triality_pair(phi, phi1, phi2, tol=DEFAULT_TOL):
     """Check phi(e_i e_j) = phi1(e_i) phi2(e_j) over all 64 basis pairs."""
-    m, m1, m2 = _as_matrix(phi), _as_matrix(phi1), _as_matrix(phi2)
+    m, m1, m2 = mp.as_matrix(phi), mp.as_matrix(phi1), mp.as_matrix(phi2)
     for x in (m, m1, m2):
         if not is_orthogonal(x, tol):
             return False
@@ -100,25 +96,24 @@ def _closed_form_pair(m):
     return phi1, phi2
 
 
-def solve_triality_components(m, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
+def solve_triality_components(m, tol=DEFAULT_TOL):
     """s = phi2(1) of the triality pair of m, with the squared pair residual.
 
-    The pair is the closed form of triality_pair; the result does not
-    depend on seed.
+    The pair is the closed form of triality_pair.
     """
-    pair = triality_pair(m, tol, seed)
+    pair = triality_pair(m, tol)
     return pair.phi2[:, 0].copy(), pair.residual ** 2
 
 
-def triality_pair(phi, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
+def triality_pair(phi, tol=DEFAULT_TOL):
     """A triality pair of phi in SO(8), sign-normalized deterministically
     (first significant coordinate of phi2(1) positive).
 
-    Computed in closed form from a reflection factorization of phi; the
-    result does not depend on seed.  NotSpecialOrthogonal unless phi is an
-    orthogonal 8x8 matrix of determinant +1.
+    Computed in closed form from a reflection factorization of phi.
+    NotSpecialOrthogonal unless phi is an orthogonal 8x8 matrix of
+    determinant +1.
     """
-    m = _as_matrix(phi)
+    m = mp.as_matrix(phi)
     if m.shape != (8, 8) or not is_orthogonal(m, tol) or det_sign(m, tol) != 1:
         raise NotSpecialOrthogonal("triality pairs exist only for maps in SO(8)")
     phi1, phi2 = _normalize_sign(*_closed_form_pair(m), tol.zero_tol)
@@ -128,18 +123,17 @@ def triality_pair(phi, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     return TrialityPair(phi1=phi1, phi2=phi2, residual=res)
 
 
-def iso_isotopes(a, b, phi, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
+def iso_isotopes(a, b, phi, tol=DEFAULT_TOL):
     """Is phi an isomorphism between the isotopes a and b?
 
     True iff phi is special orthogonal and, for a triality pair of phi (or
-    its negative), phi1 f phi^-1 and phi2 g phi^-1 give b's pair.  The
-    result does not depend on seed.
+    its negative), phi1 f phi^-1 and phi2 g phi^-1 give b's pair.
     """
     if a.isotope is None or b.isotope is None:
         raise NoIsotopeProvenance("isotope presentations required")
-    m = _as_matrix(phi)
+    m = mp.as_matrix(phi)
     try:
-        pair = triality_pair(m, tol, seed)
+        pair = triality_pair(m, tol)
     except (NotSpecialOrthogonal, ValueError):
         return False
     f, g = a.isotope
@@ -167,7 +161,7 @@ def g2_iso_fixed_subspace(a, b, subspace, phi, tol=DEFAULT_TOL):
     for mat in (*a.isotope, *b.isotope):
         if np.max(np.abs(mat @ basis - basis)) >= 1e-9:
             raise PreconditionViolated("isotope factors must fix the subspace pointwise")
-    m = _as_matrix(phi)
+    m = mp.as_matrix(phi)
     if not mp.is_automorphism(m, tol):
         return False
     image = m @ basis

@@ -134,7 +134,7 @@ def test_bad_usage_exit_code(tmp_path, capsys):
 
 def test_bad_family_exit_code(capsys):
     code, _, err = run(["build", "--family", "nonsense"], capsys)
-    assert code == 1
+    assert code == 2
     assert "unknown family" in err
 
 
@@ -154,10 +154,11 @@ def test_zero_grid_exit_code(capsys):
 
 def test_bad_family_parameters_exit_code(capsys):
     code, _, err = run(["build", "--family", "tau_family", "--params", "{}"], capsys)
-    assert code == 1
+    assert code == 2
     assert "'i'" in err
     assert "Traceback" not in err
-    for params in ("[0, 0]", '{"i": "x", "j": 0, "a": [0, 1, 0, 0], "b": [0, 0, 1, 0]}'):
+    for params in ("[0, 0]", '{"i": "x", "j": 0, "a": [0, 1, 0, 0], "b": [0, 0, 1, 0]}',
+                   '{"i": 5, "j": 0, "a": [0, 1, 0, 0], "b": [0, 0, 1, 0]}'):
         code, _, err = run(["build", "--family", "tau_family", "--params", params], capsys)
         assert code == 2
         assert err.startswith("error:")

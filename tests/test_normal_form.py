@@ -135,7 +135,7 @@ def test_nf_pair_fixed_point():
     assert r.tag[0] is nf.StabilizerCase.FULL
     assert r.canonical[0].close_to(nf.make_pair(ONE4, ONE4), 1e-12)
     assert r.canonical[1].close_to(nf.make_pair(ONE4, ONE4), 1e-12)
-    assert nf.is_excluded_N_point(r.canonical)
+    assert all(nf.is_pm_one(q) for pair in r.canonical for q in pair)
 
 
 def test_nf_pair_two_circle_case(gen):
@@ -235,4 +235,4 @@ def test_nf_pair_of_moving_tuples_avoids_excluded_points(gen):
         x = (nf.BracketTT.of(a1, unit(gen, 4)),
              nf.BracketTT.of(unit(gen, 4), unit(gen, 4)))
         r = nf.nf_pair(x)
-        assert not nf.is_excluded_N_point(r.canonical)
+        assert not all(nf.is_pm_one(q) for pair in r.canonical for q in pair)

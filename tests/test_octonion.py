@@ -21,6 +21,28 @@ def test_quaternion_block_matches_hamilton(gen):
         assert np.allclose(lhs[:4], oc.quat_mul(a4, b4))
 
 
+def test_quat_mul_broadcasts(gen):
+    # components on the first axis, trailing axes broadcast column by column
+    a, b = gen.standard_normal((4, 50)), gen.standard_normal((4, 50))
+    batch = oc.quat_mul(a, b)
+    assert batch.shape == (4, 50)
+    assert np.array_equal(batch, np.column_stack([oc.quat_mul(a[:, k], b[:, k])
+                                                  for k in range(50)]))
+    assert np.array_equal(oc.quat_kappa(a, b[:, :1]),
+                          np.column_stack([oc.quat_kappa(a[:, k], b[:, 0]) for k in range(50)]))
+    ints = oc.quat_mul(np.eye(4, dtype=np.int64), np.eye(4, dtype=np.int64)[:, ::-1])
+    assert ints.dtype == np.int64
+    assert oc.STRUCTURE.dtype == np.int64
+
+
+def test_octonion_mul_broadcasts(gen):
+    x, y = gen.standard_normal((30, 8)), gen.standard_normal((30, 8))
+    batch = oc.mul(x, y)
+    assert batch.shape == (30, 8)
+    assert np.array_equal(batch, np.array([(oc.Octonion(p) * oc.Octonion(q)).coords
+                                           for p, q in zip(x, y)]))
+
+
 def test_trick_identity_exact_on_basis():
     for i in range(4):
         for j in range(4):

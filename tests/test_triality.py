@@ -43,9 +43,9 @@ def test_triality_pair_of_automorphisms(gen):
 
 
 def test_solver_recovers_automorphism_pairs(gen):
-    for k in range(10):
+    for _ in range(10):
         phi = random_g2(gen)
-        s, val = tr.solve_triality_components(phi.mat, seed=k)
+        s, val = tr.solve_triality_components(phi.mat)
         assert val < 1e-16
         phi1, phi2 = tr._pair_from_s(phi.mat, s)
         assert min(np.max(np.abs(phi1 - phi.mat)), np.max(np.abs(phi1 + phi.mat))) < 1e-8
@@ -80,9 +80,9 @@ def test_closed_form_bimultiplication(gen):
 
 
 def test_reconstruction_identities(gen):
-    for k in range(10):
+    for _ in range(10):
         phi = random_so8(gen)
-        pair = tr.triality_pair(phi, seed=k)
+        pair = tr.triality_pair(phi)
         m = phi.mat
         lhs1 = oc.right_mul_matrix(oc.Octonion(pair.phi2[:, 0]).conj()) @ m
         lhs2 = oc.left_mul_matrix(oc.Octonion(pair.phi1[:, 0]).conj()) @ m
@@ -97,8 +97,8 @@ def test_triality_pair_rejects_reflections():
 
 def test_sign_normalization_deterministic(gen):
     phi = random_so8(gen)
-    p1 = tr.triality_pair(phi, seed=1)
-    p2 = tr.triality_pair(phi, seed=2)
+    p1 = tr.triality_pair(phi)
+    p2 = tr.triality_pair(phi)
     assert np.max(np.abs(p1.phi1 - p2.phi1)) < 1e-7
     assert np.max(np.abs(p1.phi2 - p2.phi2)) < 1e-7
 
@@ -166,9 +166,9 @@ def test_g2_iso_fixing_unit_line(gen):
 
 def test_random_so8_pairs(gen):
     worst = 0.0
-    for k in range(10):
+    for _ in range(10):
         phi = random_so8(gen)
-        pair = tr.triality_pair(phi, seed=k)
+        pair = tr.triality_pair(phi)
         worst = max(worst, pair.residual)
     assert worst < 1e-8
 
