@@ -6,15 +6,19 @@ presentations used by the classification: standard isotopes of O and H,
 tau-twisted and T-twisted isotopes, the Okubo model, its special-subspace
 isotopes, the two-parameter block-diagonal family, and the lambda family.
 Provenance is metadata only; analysis always works on the raw tensor.
+
+tau_block and t_block decide which block a tau- or T-family parameter point
+lands in; the membership predicates in_TxT_ij and in_S_ij read them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import d1133 as d33
 from . import maps as mp
 from . import octonion as oc
 from .errors import (BadParameter, InconsistentSigns, NearSingular, NoIsotopeProvenance,
@@ -175,39 +179,42 @@ def _det_sign_samples(algebra, count, tol, seed):
     return signs
 
 
-def double_sign(algebra, tol=DEFAULT_TOL, seed=DEFAULT_SEED, samples=4):
+#: Random unit vectors at which double_sign and is_division take determinants.
+DOUBLE_SIGN_SAMPLES = 4
+DIVISION_TRIALS = 8
+
+
+def double_sign(algebra, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     """The pair (sgn det L_a, sgn det R_a), sampled at several random a.
 
     Disagreement between samples means the input is not a division algebra.
     """
     if algebra.dim < 2:
         raise BadParameter("double sign needs dimension at least 2")
-    signs = set(_det_sign_samples(algebra, samples, tol, seed))
+    signs = set(_det_sign_samples(algebra, DOUBLE_SIGN_SAMPLES, tol, seed))
     if len(signs) != 1:
         raise InconsistentSigns(f"det signs varied across samples: {sorted(signs)}")
     sl, sr = signs.pop()
     return DoubleSign(i=0 if sl > 0 else 1, j=0 if sr > 0 else 1)
 
 
-def is_division(algebra, trials=8, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
-    """True unless L_a or R_a is near singular at one of trials random unit a."""
+def is_division(algebra, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
+    """True unless L_a or R_a is near singular at one of DIVISION_TRIALS random unit a."""
     try:
-        _det_sign_samples(algebra, trials, tol, seed)
+        _det_sign_samples(algebra, DIVISION_TRIALS, tol, seed)
     except NearSingular:
         return False
     return True
 
 
-def norm_multiplicative(algebra, trials=64, tol=1e-9, seed=DEFAULT_SEED):
-    gen = rng(seed)
-    for _ in range(trials):
-        a = gen.standard_normal(algebra.dim)
-        b = gen.standard_normal(algebra.dim)
-        a /= np.linalg.norm(a)
-        b /= np.linalg.norm(b)
-        if abs(np.linalg.norm(algebra.product(a, b)) - 1.0) >= tol:
-            return False
-    return True
+def norm_multiplicative(algebra, tol=DEFAULT_TOL):
+    """|xy| = |x||y| for the standard inner product, polarized: entrywise
+    <e_i e_j, e_l e_m> + <e_i e_m, e_l e_j> = 2 d_il d_jm within eq_tol."""
+    n = algebra.dim
+    flat = algebra.sc.reshape(n * n, n)
+    gram = (flat @ flat.T).reshape(n, n, n, n)
+    target = 2.0 * np.eye(n * n).reshape(n, n, n, n)
+    return bool(np.max(np.abs(gram + gram.transpose(0, 3, 2, 1) - target)) < tol.eq_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +285,16 @@ def lambda_family(i, j, a, b, tol=DEFAULT_TOL):
 OKUBO_TWIST = np.array([-0.5, np.sqrt(3.0) / 2.0, 0.0, 0.0])
 
 
-def okubo_twist_map(tol=DEFAULT_TOL):
-    return mp.tau_map(OKUBO_TWIST, tol)
+def _okubo_pair(tol):
+    """The pair (K tau, K tau^-1) of the cube-root twist tau."""
+    k = oc.conj_matrix()
+    return (k @ mp.tau_map(OKUBO_TWIST, tol).mat,
+            k @ mp.tau_map(oc.quat_mul(OKUBO_TWIST, OKUBO_TWIST), tol).mat)
 
 
 def okubo_p11(tol=DEFAULT_TOL):
     """The division Okubo model: pair (K tau, K tau^-1) with the cube-root twist."""
-    k = oc.conj_matrix()
-    tau = okubo_twist_map(tol)
-    tau_inv = mp.tau_map(oc.quat_mul(OKUBO_TWIST, OKUBO_TWIST), tol)
-    return from_isotope(k @ tau.mat, k @ tau_inv.mat, family=FamilyLabel("okubo", {}))
+    return from_isotope(*_okubo_pair(tol), family=FamilyLabel("okubo", {}))
 
 
 def p35(i, j, tol=DEFAULT_TOL):
@@ -296,13 +303,11 @@ def p35(i, j, tol=DEFAULT_TOL):
     i, j = _index_pair(i, j)
     if (i, j) == (1, 1):
         raise BadParameter("the (1, 1) component of the {3,5} block is empty")
-    k = oc.conj_matrix()
-    tau = okubo_twist_map(tol)
-    tau_inv = mp.tau_map(oc.quat_mul(OKUBO_TWIST, OKUBO_TWIST), tol)
+    f, g = _okubo_pair(tol)
     sw = mp.sigma_w_special().mat
-    f = k @ tau.mat @ np.linalg.matrix_power(sw, 1 - j)
-    g = k @ tau_inv.mat @ np.linalg.matrix_power(sw, 1 - i)
-    return from_isotope(f, g, family=FamilyLabel("p35", {"i": i, "j": j}))
+    return from_isotope(f @ np.linalg.matrix_power(sw, 1 - j),
+                        g @ np.linalg.matrix_power(sw, 1 - i),
+                        family=FamilyLabel("p35", {"i": i, "j": j}))
 
 
 def g_family(i1, j1, i2, j2, alpha, beta, tol=DEFAULT_TOL):
@@ -310,17 +315,10 @@ def g_family(i1, j1, i2, j2, alpha, beta, tol=DEFAULT_TOL):
 
     Requires i2 = 1 or j2 = 1; angles are folded into [0, pi).
     """
-    i1, j1 = _index_pair(i1, j1)
-    i2, j2 = _index_pair(i2, j2)
-    if i2 != 1 and j2 != 1:
-        raise BadParameter("need i2 = 1 or j2 = 1")
-    alpha = float(alpha) % np.pi
-    beta = float(beta) % np.pi
-    f = mp.G_map(alpha, 0.0, j1, j2, tol)
-    g = mp.G_map(beta, 0.0, i1, i2, tol)
-    return from_isotope(f, g, family=FamilyLabel(
-        "g_family", {"i1": i1, "j1": j1, "i2": i2, "j2": j2,
-                     "alpha": alpha, "beta": beta}))
+    gp = d33.GParams(i1, j1, i2, j2, alpha, beta)
+    f = mp.G_map(gp.alpha, 0.0, gp.j1, gp.j2, tol)
+    g = mp.G_map(gp.beta, 0.0, gp.i1, gp.i2, tol)
+    return from_isotope(f, g, family=FamilyLabel("g_family", asdict(gp)))
 
 
 _BUILDERS = {
@@ -361,34 +359,42 @@ def from_json(obj):
 
 
 # ---------------------------------------------------------------------------
-# Membership predicates for the parameter sets of the classification
+# Blocks and membership predicates for the parameter sets of the classification
 # ---------------------------------------------------------------------------
 
-def in_TxT_ij(i, j, a, b, tol=DEFAULT_TOL):
-    """Membership of (a, b) in the tau-family parameter set for double sign (i, j).
+def _close(x, y, tol):
+    return np.max(np.abs(x - y)) < tol.eq_tol
 
-    Excludes (1, 1) always, and for (i, j) = (1, 1) also the curve
-    (a, a^2) with a^2 + a + 1 = 0 (the Okubo points)."""
-    i, j = _index_pair(i, j)
-    a4 = oc.as_unit_quaternion(a, tol, "a")
-    b4 = oc.as_unit_quaternion(b, tol, "b")
+
+def _is_pm_one(q, tol):
+    return np.max(np.abs(q[1:])) < tol.eq_tol
+
+
+def tau_block(i, j, a, b, tol=DEFAULT_TOL):
+    """D17, D8, D134s or D134a: the block of the tau-family point (a, b) of
+    double sign (i, j), for unit quaternion 4-vectors taken as they are."""
     one = np.array([1.0, 0, 0, 0])
-    if np.max(np.abs(a4 - one)) < tol.eq_tol and np.max(np.abs(b4 - one)) < tol.eq_tol:
-        return False
-    if (i, j) == (1, 1):
-        cube = oc.quat_mul(a4, a4) + a4 + one
-        if np.max(np.abs(cube)) < tol.eq_tol and np.max(np.abs(b4 - oc.quat_mul(a4, a4))) < tol.eq_tol:
-            return False
-    return True
+    if _close(a, one, tol) and _close(b, one, tol):
+        return "D17"
+    a2 = oc.quat_mul(a, a)
+    if (i, j) == (1, 1) and _close(a2 + a + one, 0.0, tol) and _close(b, a2, tol):
+        return "D8"  # the Okubo curve (a, a^2) with a^2 + a + 1 = 0
+    return "D134s" if _is_pm_one(a, tol) and _is_pm_one(b, tol) else "D134a"
 
 
-def in_S(a1, b1, a2, b2, tol=DEFAULT_TOL):
-    """True iff not all four unit quaternions lie in {1, -1}."""
-    for x in (a1, b1, a2, b2):
-        x4 = oc.as_unit_quaternion(x, tol, "parameter")
-        if np.max(np.abs(x4[1:])) >= tol.eq_tol:
-            return True
-    return False
+def t_block(i, j, a1, b1, a2, b2, tol=DEFAULT_TOL):
+    """None when all four lie in {1, -1}, else the block of the T-family point:
+    D116 under the one-axis alignment b1 = (-1)^j a1, b2 = (-1)^i a2, else
+    D1124 or D11114 as the imaginary parts span a line or more."""
+    i, j = _index_pair(i, j)
+    qs = [oc.as_unit_quaternion(x, tol, "parameter") for x in (a1, b1, a2, b2)]
+    if all(_is_pm_one(x, tol) for x in qs):
+        return None
+    span = _imaginary_span_dim(qs, tol)
+    if (span == 1 and _close(qs[1], (-1.0) ** j * qs[0], tol)
+            and _close(qs[3], (-1.0) ** i * qs[2], tol)):
+        return "D116"
+    return "D1124" if span == 1 else "D11114"
 
 
 def _imaginary_span_dim(quats, tol=DEFAULT_TOL):
@@ -399,15 +405,25 @@ def _imaginary_span_dim(quats, tol=DEFAULT_TOL):
     return int(np.sum(s > tol.rank_tol * max(s[0], 1.0)))
 
 
+def in_TxT_ij(i, j, a, b, tol=DEFAULT_TOL):
+    """Membership of (a, b) in the tau-family parameter set for double sign (i, j).
+
+    Excludes (1, 1) always, and for (i, j) = (1, 1) also the curve
+    (a, a^2) with a^2 + a + 1 = 0 (the Okubo points)."""
+    i, j = _index_pair(i, j)
+    a4 = oc.as_unit_quaternion(a, tol, "a")
+    b4 = oc.as_unit_quaternion(b, tol, "b")
+    return tau_block(i, j, a4, b4, tol) not in ("D17", "D8")
+
+
+def in_S(a1, b1, a2, b2, tol=DEFAULT_TOL):
+    """True iff not all four unit quaternions lie in {1, -1}."""
+    return not all(_is_pm_one(oc.as_unit_quaternion(x, tol, "parameter"), tol)
+                   for x in (a1, b1, a2, b2))
+
+
 def in_S_ij(i, j, a1, b1, a2, b2, tol=DEFAULT_TOL):
     """Membership in the T-family parameter set for double sign (i, j):
     tuples not all in {1, -1} that do not satisfy the one-axis alignment
     with b1 = (-1)^j a1 and b2 = (-1)^i a2."""
-    i, j = _index_pair(i, j)
-    qs = [oc.as_unit_quaternion(x, tol, "parameter") for x in (a1, b1, a2, b2)]
-    if not in_S(*qs, tol=tol):
-        return False
-    aligned = (_imaginary_span_dim(qs, tol) == 1
-               and np.max(np.abs(qs[1] - (-1.0) ** j * qs[0])) < tol.eq_tol
-               and np.max(np.abs(qs[3] - (-1.0) ** i * qs[2])) < tol.eq_tol)
-    return not aligned
+    return t_block(i, j, a1, b1, a2, b2, tol) not in (None, "D116")

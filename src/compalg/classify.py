@@ -4,9 +4,12 @@ analyze() works on raw structure-constant tensors: double sign, derivation
 algebra, trivial submodule and module partition determine the block.
 canonical() additionally needs constructor provenance and reduces the
 parameters into the block's transversal, returning a witness map onto the
-canonical representative.  isomorphic() composes these: definite No on
-differing invariants, definite Yes (with a verified witness) on equal
-canonical forms, Unknown for raw tensors in continuous-moduli blocks.
+canonical representative; the block of a tau- or T-family point comes from
+algebra.tau_block or algebra.t_block, and one table holds the four
+parameter-free blocks for canonical, canonical_algebra and enumerate_block.
+isomorphic() composes these: definite No on differing invariants, definite
+Yes (with a verified witness) on equal canonical forms, Unknown for raw
+tensors in continuous-moduli blocks.
 """
 
 from __future__ import annotations
@@ -25,7 +28,19 @@ from . import octonion as oc
 from .errors import NotInBlock, RawTensorNotSupported
 from .numerics import DEFAULT_SEED, DEFAULT_TOL
 
-PARAMETER_FREE_KINDS = frozenset({"D17", "D8", "D35", "D4"})
+_SIGN_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+#: Block -> (family, constructor of (i, j), double signs) for the blocks
+#: without moduli; the Okubo model is the one (-, -) algebra of D8.
+_PARAMETER_FREE = {
+    "D17": ("standard_isotope", al.standard_isotope, _SIGN_PAIRS),
+    "D8": ("okubo", lambda i, j: al.okubo_p11(), ((1, 1),)),
+    "D35": ("p35", al.p35, _SIGN_PAIRS[:3]),
+    "D4": ("quat4", al.quat4, _SIGN_PAIRS),
+}
+_PARAMETER_FREE_FAMILIES = {family: kind for kind, (family, _, _) in _PARAMETER_FREE.items()}
+
+PARAMETER_FREE_KINDS = frozenset(_PARAMETER_FREE)
 
 #: Every block kind enumerate_block accepts.
 BLOCK_KINDS = ("D17", "D8", "D35", "D4", "D134s", "D134a", "D116", "D1124", "D11114", "D1133")
@@ -143,14 +158,8 @@ def canonical_algebra(form):
     """Rebuild the canonical representative algebra of a canonical form."""
     kind = form.block.kind
     sign = form.block.sign
-    if kind == "D17":
-        return al.standard_isotope(sign.i, sign.j)
-    if kind == "D8":
-        return al.okubo_p11()
-    if kind == "D35":
-        return al.p35(sign.i, sign.j)
-    if kind == "D4":
-        return al.quat4(sign.i, sign.j)
+    if kind in _PARAMETER_FREE:
+        return _PARAMETER_FREE[kind][1](sign.i, sign.j)
     if kind in ("D134s", "D134a"):
         point = form.params
         return al.j_family(sign.i, sign.j, point.a, point.b)
@@ -162,28 +171,6 @@ def canonical_algebra(form):
         alpha, beta = form.params
         return al.g_family(i1, j1, i2, j2, alpha, beta)
     raise NotInBlock(f"no canonical representative for block {form.block}")
-
-
-def _tau_trichotomy(i, j, a, b, tol):
-    """Which block a tau-family parameter point lands in."""
-    one = np.array([1.0, 0, 0, 0])
-    if np.max(np.abs(a - one)) < tol.eq_tol and np.max(np.abs(b - one)) < tol.eq_tol:
-        return "D17"
-    cube = oc.quat_mul(a, a) + a + one
-    if ((i, j) == (1, 1) and np.max(np.abs(cube)) < tol.eq_tol
-            and np.max(np.abs(b - oc.quat_mul(a, a))) < tol.eq_tol):
-        return "D8"
-    in_pm1 = (np.max(np.abs(a[1:])) < tol.eq_tol and np.max(np.abs(b[1:])) < tol.eq_tol)
-    return "D134s" if in_pm1 else "D134a"
-
-
-def _t_dichotomy(i, j, qs, tol):
-    if not al.in_S(*qs, tol=tol):
-        return None
-    if al.in_S_ij(i, j, *qs, tol=tol):
-        span = al._imaginary_span_dim(qs, tol)
-        return "D1124" if span == 1 else "D11114"
-    return "D116"
 
 
 def _lambda_to_t(i, j, a2, b2):
@@ -212,22 +199,15 @@ def canonical(algebra, tol=DEFAULT_TOL):
         raise RawTensorNotSupported("canonical forms need constructor provenance")
     name = algebra.family.name
     p = algebra.family.params
-    if name == "standard_isotope":
-        return CanonicalForm(BlockLabel("D17", al.DoubleSign(p["i"], p["j"])), None,
-                             mp.identity_map())
-    if name == "quat4":
-        return CanonicalForm(BlockLabel("D4", al.DoubleSign(p["i"], p["j"])), None,
-                             mp.identity_map(4))
-    if name == "okubo":
-        return CanonicalForm(BlockLabel("D8", al.DoubleSign(1, 1)), None, mp.identity_map())
-    if name == "p35":
-        return CanonicalForm(BlockLabel("D35", al.DoubleSign(p["i"], p["j"])), None,
-                             mp.identity_map())
+    if name in _PARAMETER_FREE_FAMILIES:
+        kind = _PARAMETER_FREE_FAMILIES[name]
+        sign = al.DoubleSign(p["i"], p["j"]) if p else al.DoubleSign(*_PARAMETER_FREE[kind][2][0])
+        return CanonicalForm(BlockLabel(kind, sign), None, mp.identity_map(algebra.dim))
     if name == "tau_family":
         i, j = p["i"], p["j"]
         a, b = np.asarray(p["a"], float), np.asarray(p["b"], float)
         res = nf.nf_TxT(nf.make_pair(a, b), tol)
-        kind = _tau_trichotomy(i, j, res.canonical.a, res.canonical.b, tol)
+        kind = al.tau_block(i, j, res.canonical.a, res.canonical.b, tol)
         witness = mp.kappa_hat_map(res.witness_q, tol)
         # the canonical pair is kept even for the parameter-free kinds (it is
         # then the fixed point of the block); equality ignores it there
@@ -239,7 +219,7 @@ def canonical(algebra, tol=DEFAULT_TOL):
             qs = _lambda_to_t(i, j, np.asarray(p["a"], float), np.asarray(p["b"], float))
         else:
             qs = tuple(np.asarray(p[k], float) for k in ("a1", "b1", "a2", "b2"))
-        kind = _t_dichotomy(i, j, qs, tol)
+        kind = al.t_block(i, j, *qs, tol)
         if kind is None:
             raise NotInBlock("all four parameters in {1,-1}: outside the bracket-pair blocks")
         res = nf.nf_pair((nf.BracketTT.of(qs[0], qs[1], tol),
@@ -320,10 +300,6 @@ def isomorphic(a, b, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
 # Enumeration of canonical representatives
 # ---------------------------------------------------------------------------
 
-def _sign_pairs():
-    return [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-
 def _grid_open(n, lo=0.0, hi=np.pi):
     return [(lo + (hi - lo) * (k + 1) / (n + 1)) for k in range(n)]
 
@@ -341,30 +317,19 @@ def enumerate_block(kind, grid=3, tol=DEFAULT_TOL):
     """
     if grid < 1:
         raise ValueError("grid resolution must be at least 1")
-    if kind == "D17":
-        for i, j in _sign_pairs():
-            yield canonical(al.standard_isotope(i, j), tol)
-        return
-    if kind == "D8":
-        yield canonical(al.okubo_p11(), tol)
-        return
-    if kind == "D35":
-        for i, j in _sign_pairs():
-            if (i, j) != (1, 1):
-                yield canonical(al.p35(i, j), tol)
-        return
-    if kind == "D4":
-        for i, j in _sign_pairs():
-            yield canonical(al.quat4(i, j), tol)
+    if kind in _PARAMETER_FREE:
+        _, build, signs = _PARAMETER_FREE[kind]
+        for i, j in signs:
+            yield canonical(build(i, j), tol)
         return
     if kind == "D134s":
         signs = [(1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
-        for i, j in _sign_pairs():
+        for i, j in _SIGN_PAIRS:
             for sa, sb in signs:
                 yield canonical(al.j_family(i, j, sa * nf.ONE4, sb * nf.ONE4), tol)
         return
     if kind == "D134a":
-        for i, j in _sign_pairs():
+        for i, j in _SIGN_PAIRS:
             for alpha in _grid_open(grid):
                 a = _cx(alpha)
                 for alpha2 in _grid_open(grid):
@@ -372,9 +337,7 @@ def enumerate_block(kind, grid=3, tol=DEFAULT_TOL):
                         b = np.array([np.cos(alpha2),
                                       np.sin(alpha2) * np.cos(beta),
                                       np.sin(alpha2) * np.sin(beta), 0.0])
-                        if not al.in_TxT_ij(i, j, a, b, tol):
-                            continue
-                        if _tau_trichotomy(i, j, a, b, tol) != "D134a":
+                        if al.tau_block(i, j, a, b, tol) != "D134a":
                             continue
                         yield canonical(al.j_family(i, j, a, b), tol)
         return
@@ -382,8 +345,8 @@ def enumerate_block(kind, grid=3, tol=DEFAULT_TOL):
         yield from _enumerate_bracket_block(kind, grid, tol)
         return
     if kind == "D1133":
-        for i1, j1 in _sign_pairs():
-            for i2, j2 in _sign_pairs():
+        for i1, j1 in _SIGN_PAIRS:
+            for i2, j2 in _SIGN_PAIRS:
                 if i2 != 1 and j2 != 1:
                     continue
                 for alpha in _grid_open(grid, 0.0, np.pi / 2):
@@ -400,10 +363,10 @@ def enumerate_block(kind, grid=3, tol=DEFAULT_TOL):
 
 
 def _enumerate_bracket_block(kind, grid, tol):
-    for i, j in _sign_pairs():
+    for i, j in _SIGN_PAIRS:
         seen = []
         for qs in _bracket_param_grid(kind, i, j, grid):
-            if _t_dichotomy(i, j, qs, tol) != kind:
+            if al.t_block(i, j, *qs, tol) != kind:
                 continue
             form = canonical(al.k_family(i, j, *qs), tol)
             if any(_params_close(kind, form.params, other, 1e-6) for other in seen):

@@ -3,7 +3,7 @@ and enumerate algebras, plus a deterministic verification suite.
 
 Exit codes: 0 on success, 1 on verification failure (or an operation that
 could not complete, such as `canon` on a raw tensor), 2 on bad usage and bad
-input, including every `build` family or parameter the library rejects.
+input, including every family label the library rejects, built or loaded.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _load_algebra(path):
         obj = json.load(fh)
     try:
         return al.from_json(obj)
-    except (KeyError, TypeError, ValueError) as err:
+    except (CompalgError, KeyError, TypeError, ValueError) as err:
         raise BadInput(f"{path} is not an algebra file ({err})") from None
 
 

@@ -44,7 +44,8 @@ class GParams:
     beta: float
 
     def __post_init__(self):
-        _check_indices(self.i1, self.j1, self.i2, self.j2)
+        for name, k in zip(("i1", "j1", "i2", "j2"), _check_indices(*self.indices)):
+            object.__setattr__(self, name, k)
         object.__setattr__(self, "alpha", float(self.alpha) % PI)
         object.__setattr__(self, "beta", float(self.beta) % PI)
 

@@ -1,7 +1,7 @@
 """Derivation Lie algebras and module decompositions.
 
 derivation_basis solves the Leibniz system as one kernel problem, in so(n)
-when the product is norm multiplicative and in gl(n) otherwise; lie_type
+when algebra.norm_multiplicative holds and in gl(n) otherwise; lie_type
 reads the label off invariants (derived algebra, center, Killing signature)
 that separate the five types occurring here.  decompose peels off the common
 kernel and eigen-splits the rest along symmetric commutant elements; by Schur
@@ -16,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import algebra as al
 from .errors import AbelianDerivations, NotInvariant
 from .numerics import (CLUSTER_TOL, DEFAULT_SEED, DEFAULT_TOL, nullspace, rank, rng,
                        sym_eigen)
@@ -74,15 +75,6 @@ def leibniz_matrix(algebra):
     return coeff.reshape(n ** 3, n ** 2)
 
 
-def _norm_multiplicative(sc, tol):
-    """|xy| = |x||y| for the standard inner product, polarized: entrywise
-    <e_i e_j, e_l e_m> + <e_i e_m, e_l e_j> = 2 d_il d_jm within eq_tol."""
-    n = sc.shape[0]
-    gram = (sc.reshape(n * n, n) @ sc.reshape(n * n, n).T).reshape(n, n, n, n)
-    target = 2.0 * np.eye(n * n).reshape(n, n, n, n)
-    return bool(np.max(np.abs(gram + gram.transpose(0, 3, 2, 1) - target)) < tol.eq_tol)
-
-
 @functools.lru_cache(maxsize=None)
 def _so_basis(n):
     """Orthonormal basis vec((E_ij - E_ji)/sqrt(2)), i < j, of so(n); read-only."""
@@ -98,7 +90,7 @@ def derivation_basis(algebra, tol=DEFAULT_TOL):
     A norm-multiplicative product has only skew derivations, so the Leibniz
     system is solved over so(n); any other tensor falls back to gl(n)."""
     n = algebra.dim
-    coords = _so_basis(n) if n > 1 and _norm_multiplicative(algebra.sc, tol) else np.eye(n * n)
+    coords = _so_basis(n) if n > 1 and al.norm_multiplicative(algebra, tol) else np.eye(n * n)
     kernel = coords @ nullspace(leibniz_matrix(algebra) @ coords, tol)
     return _structure(np.ascontiguousarray(kernel.T).reshape(-1, n, n), tol)
 

@@ -73,7 +73,7 @@ class PreconditionViolated(CompalgError):
     pass
 
 
-class BadIndices(CompalgError):
+class BadIndices(BadParameter):
     pass
 
 

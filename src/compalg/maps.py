@@ -60,17 +60,6 @@ class OrthoMap8:
             return OrthoMap8(self.mat @ other.mat, label, check=False)
         return NotImplemented
 
-    def inv(self):
-        label = None
-        if self.label and self.label.family in G2_FAMILIES:
-            label = MapLabel("g2_product", {})
-        return OrthoMap8(self.mat.T.copy(), label, check=False)
-
-    def apply(self, x):
-        if isinstance(x, oc.Octonion):
-            return oc.Octonion(self.mat @ x.coords)
-        return self.mat @ np.asarray(x, dtype=float)
-
     def is_g2_labelled(self):
         return self.label is not None and self.label.family in G2_FAMILIES
 
@@ -155,7 +144,7 @@ def kappa_hat_map(q, tol=DEFAULT_TOL):
     return OrthoMap8(mat, MapLabel("kappa_hat", {"q": q4.copy()}), check=False)
 
 
-def eps_hat(eps, tol=DEFAULT_TOL):
+def eps_hat(eps):
     """The automorphism (u, v, z) -> ((-1)^eps u, v, z)."""
     eps = int(eps) % 2
     if eps == 0:

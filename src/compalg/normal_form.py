@@ -17,7 +17,9 @@ u-axis, then rotate about u to push the second component's (v, uv)-part onto
 the +v ray.  Reductions modulo a stabilizer subgroup enumerate its finitely
 many cosets combined with the same closed-form angle placements, and keep
 the candidate that lands in the target transversal; transversality makes
-that candidate unique.
+that candidate unique.  One table maps each stabilizer case of the first
+class of a pair to the second class's transversal and cosets; in_N and
+nf_pair both read it.
 """
 
 from __future__ import annotations
@@ -304,6 +306,18 @@ def stabilizer_case(pair, tol=DEFAULT_TOL):
     return StabilizerCase.TRIVIAL
 
 
+#: Stabilizer case of the first class -> (transversal of the second class,
+#: coset representatives of the stabilizer's finite part, whether it holds
+#: the circle about u).  FULL reduces by nf_M1; TRIVIAL takes any second class.
+_SECOND_CLASS = {
+    StabilizerCase.FULL: (in_M1, None, None),
+    StabilizerCase.CIRCLE_U: (in_M2, (ONE4,), True),
+    StabilizerCase.CIRCLE_U_PLUS_VU: (in_M3, (ONE4, V4), True),
+    StabilizerCase.TWO_ELT: (in_M4, (ONE4, UV4), False),
+    StabilizerCase.TRIVIAL: (None, None, None),
+}
+
+
 def in_N(brackets, tol=DEFAULT_TOL):
     """Membership in the transversal for the action on pairs of sign classes.
 
@@ -314,16 +328,8 @@ def in_N(brackets, tol=DEFAULT_TOL):
     if not ok:
         return False, None
     case = stabilizer_case(first, tol)
-    if case is StabilizerCase.FULL:
-        ok, tag = in_M1(second, tol)
-    elif case is StabilizerCase.CIRCLE_U:
-        ok, tag = in_M2(second, tol)
-    elif case is StabilizerCase.CIRCLE_U_PLUS_VU:
-        ok, tag = in_M3(second, tol)
-    elif case is StabilizerCase.TWO_ELT:
-        ok, tag = in_M4(second, tol)
-    else:
-        ok, tag = True, "any"
+    member = _SECOND_CLASS[case][0]
+    ok, tag = member(second, tol) if member else (True, "any")
     if not ok:
         return False, None
     return True, (case, tag)
@@ -418,21 +424,18 @@ def nf_M1(bracket, tol=DEFAULT_TOL):
                     boundary_flag=True)
 
 
-def _placements(pair, tol):
-    """Closed-form angle placements for rotations about the u-axis."""
-    out = []
-    pa = np.hypot(pair.a[2], pair.a[3])
-    pb = np.hypot(pair.b[2], pair.b[3])
-    if pa >= tol.zero_tol:
-        out.append(-np.arctan2(pair.a[3], pair.a[2]))
-    if pb >= tol.zero_tol:
-        out.append(-np.arctan2(pair.b[3], pair.b[2]))
-    out.append(0.0)
-    return out
+def _u_rotations(pair, tol):
+    """Closed-form rotations about the u-axis placing either component's
+    (v, uv)-part on the +v ray, then the identity."""
+    for q in pair:
+        if np.hypot(q[2], q[3]) >= tol.zero_tol:
+            phi = -np.arctan2(q[3], q[2])
+            yield _u_axis_rotation(phi) if phi != 0.0 else ONE4
+    yield ONE4
 
 
-def _reduce_with_cosets(pair, cosets, member, tol):
-    """Reduce a sign class modulo (finite cosets) x (u-axis circle).
+def _reduce_with_cosets(pair, cosets, member, circle, tol):
+    """Reduce a sign class modulo (finite cosets) x (u-axis circle, if circle).
 
     Enumerates coset representative x sign x angle placement, filters by the
     target transversal; transversality makes any hit canonical."""
@@ -441,32 +444,11 @@ def _reduce_with_cosets(pair, cosets, member, tol):
             if np.max(np.abs(coset - ONE4)) > 0 else pair
         for eps in (0, 1):
             rep = base if eps == 0 else PairTT(-base.a, -base.b)
-            for phi in _placements(rep, tol):
-                qu = _u_axis_rotation(phi) if phi != 0.0 else ONE4
-                cand = PairTT(kappa(qu, rep.a), kappa(qu, rep.b))
+            for qu in _u_rotations(rep, tol) if circle else (None,):
+                cand = rep if qu is None else PairTT(kappa(qu, rep.a), kappa(qu, rep.b))
                 ok, tag = member(cand, tol)
                 if ok:
-                    return cand, quat_mul(qu, coset), eps, tag
-    return None
-
-
-def _reduce_circle_u(pair, tol):
-    return _reduce_with_cosets(pair, [ONE4], in_M2, tol)
-
-
-def _reduce_two_circles(pair, tol):
-    return _reduce_with_cosets(pair, [ONE4, V4], in_M3, tol)
-
-
-def _reduce_two_elt(pair, tol):
-    for coset in (ONE4, UV4):
-        base = PairTT(kappa(coset, pair.a), kappa(coset, pair.b)) \
-            if np.max(np.abs(coset - ONE4)) > 0 else pair
-        for eps in (0, 1):
-            rep = base if eps == 0 else PairTT(-base.a, -base.b)
-            ok, tag = in_M4(rep, tol)
-            if ok:
-                return rep, coset, eps, tag
+                    return cand, coset if qu is None else quat_mul(qu, coset), eps, tag
     return None
 
 
@@ -488,24 +470,14 @@ def nf_pair(brackets, tol=DEFAULT_TOL):
         second = nf_M1(moved, tol)
         q2, c2, tag2, eps2 = (second.witness_q, second.canonical,
                               second.tag, second.witness_eps)
-    elif case is StabilizerCase.CIRCLE_U:
-        hit = _reduce_circle_u(moved, tol)
-        if hit is None:
-            raise NotCanonical("no candidate landed in the circle transversal")
-        c2, q2, eps2, tag2 = hit
-    elif case is StabilizerCase.CIRCLE_U_PLUS_VU:
-        hit = _reduce_two_circles(moved, tol)
-        if hit is None:
-            raise NotCanonical("no candidate landed in the two-circle transversal")
-        c2, q2, eps2, tag2 = hit
-    elif case is StabilizerCase.TWO_ELT:
-        hit = _reduce_two_elt(moved, tol)
-        if hit is None:
-            raise NotCanonical("no candidate landed in the two-element transversal")
-        c2, q2, eps2, tag2 = hit
+    elif case is StabilizerCase.TRIVIAL:
+        q2, c2, tag2, eps2 = ONE4, _sign_normalize(moved, tol), "any", 0
     else:
-        normalized = _sign_normalize(moved, tol)
-        q2, c2, tag2, eps2 = ONE4, normalized, "any", 0
+        member, cosets, circle = _SECOND_CLASS[case]
+        hit = _reduce_with_cosets(moved, cosets, member, circle, tol)
+        if hit is None:
+            raise NotCanonical(f"no candidate landed in the {case.value} transversal")
+        c2, q2, eps2, tag2 = hit
     witness = quat_mul(q2, q1)
     canonical = (first.canonical, c2)
     return NFResult(canonical=canonical, witness_q=witness, witness_eps=eps2,

@@ -108,7 +108,7 @@ class SymEigen:
     clusters: list
 
 
-def sym_eigen(m, tol=DEFAULT_TOL, cluster_tol=CLUSTER_TOL):
+def sym_eigen(m, tol=DEFAULT_TOL):
     m = check_matrix(m, square=True)
     if m.size and np.max(np.abs(m - m.T)) >= tol.eq_tol:
         raise NotSymmetric(f"asymmetry {np.max(np.abs(m - m.T)):g} exceeds eq_tol")
@@ -116,7 +116,7 @@ def sym_eigen(m, tol=DEFAULT_TOL, cluster_tol=CLUSTER_TOL):
     clusters = []
     start = 0
     for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > cluster_tol:
+        if i == len(w) or w[i] - w[i - 1] > CLUSTER_TOL:
             clusters.append(list(range(start, i)))
             start = i
     return SymEigen(values=w, vectors=v, clusters=clusters)

@@ -97,12 +97,6 @@ class Octonion:
         return cls(e)
 
     @classmethod
-    def from_real(cls, r):
-        e = np.zeros(8)
-        e[0] = float(r)
-        return cls(e)
-
-    @classmethod
     def from_quaternion(cls, q):
         q = np.asarray(q, dtype=float)
         e = np.zeros(8)
@@ -145,9 +139,6 @@ class Octonion:
 
     def norm(self):
         return float(np.linalg.norm(self.coords))
-
-    def re(self):
-        return float(self.coords[0])
 
     def im(self):
         out = self.coords.copy()
@@ -320,16 +311,3 @@ def as_unit_complex(t, tol=DEFAULT_TOL, what="parameter"):
     if abs(t @ t - 1.0) >= tol.eq_tol:
         raise NotUnitComplex(f"{what}: not unit norm")
     return t.astype(float)
-
-
-def random_octonion(gen, unit=False):
-    x = gen.standard_normal(8)
-    if unit:
-        x /= np.linalg.norm(x)
-    return Octonion(x)
-
-
-def random_imaginary_unit_quaternion(gen):
-    q = gen.standard_normal(4)
-    q[0] = 0.0
-    return q / np.linalg.norm(q)

@@ -230,7 +230,7 @@ def check_algebra_division_norm(gen, fast):
         seed = int(gen.integers(2 ** 31))
         if not al.is_division(a, seed=seed):
             return False, "division failed"
-        if not al.norm_multiplicative(a, seed=seed):
+        if not al.norm_multiplicative(a, TOL):
             return False, "norm multiplicativity failed"
     return True, "random family draws"
 
@@ -499,12 +499,12 @@ def check_classify_blocks(gen, fast):
             i, j = int(gen.integers(0, 2)), int(gen.integers(0, 2))
             a4, b4 = _unit(gen, 4), _unit(gen, 4)
             algebra = al.j_family(i, j, a4, b4)
-            expected = cl._tau_trichotomy(i, j, a4, b4, TOL)
+            expected = al.tau_block(i, j, a4, b4, TOL)
         elif which == 1:
             i, j = int(gen.integers(0, 2)), int(gen.integers(0, 2))
             qs = tuple(_unit(gen, 4) for _ in range(4))
             algebra = al.k_family(i, j, *qs)
-            expected = cl._t_dichotomy(i, j, qs, TOL)
+            expected = al.t_block(i, j, *qs, TOL)
         else:
             i1, j1, i2, j2 = _random_valid_g_indices(gen)
             gp = d33.GParams(i1, j1, i2, j2, gen.uniform(0, np.pi), gen.uniform(0, np.pi))

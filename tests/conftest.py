@@ -17,3 +17,9 @@ def tol():
 def unit(gen, n):
     v = gen.standard_normal(n)
     return v / np.linalg.norm(v)
+
+
+def imaginary_unit_quaternion(gen):
+    q = gen.standard_normal(4)
+    q[0] = 0.0
+    return q / np.linalg.norm(q)

@@ -337,16 +337,16 @@ def test_criterion_10_end_to_end_block_detection():
     while total < 60:
         i, j = int(gen.integers(0, 2)), int(gen.integers(0, 2))
         a4, b4 = _unit(gen, 4), _unit(gen, 4)
-        check(al.j_family(i, j, a4, b4), cl._tau_trichotomy(i, j, a4, b4, cl.DEFAULT_TOL))
+        check(al.j_family(i, j, a4, b4), al.tau_block(i, j, a4, b4, cl.DEFAULT_TOL))
     while total < 120:
         i, j = int(gen.integers(0, 2)), int(gen.integers(0, 2))
         qs = tuple(_unit(gen, 4) for _ in range(4))
-        check(al.k_family(i, j, *qs), cl._t_dichotomy(i, j, qs, cl.DEFAULT_TOL))
+        check(al.k_family(i, j, *qs), al.t_block(i, j, *qs, cl.DEFAULT_TOL))
     while total < 150:
         i, j = int(gen.integers(0, 2)), int(gen.integers(0, 2))
         t1, t2 = _unit(gen, 2), _unit(gen, 2)
         qs = cl._lambda_to_t(i, j, t1, t2)
-        expected = cl._t_dichotomy(i, j, qs, cl.DEFAULT_TOL)
+        expected = al.t_block(i, j, *qs, cl.DEFAULT_TOL)
         if expected is None:
             continue
         check(al.lambda_family(i, j, t1, t2), expected)

@@ -165,6 +165,39 @@ def test_membership_predicates():
     assert al.in_S_ij(0, 1, a, a, u, u)
 
 
+def test_block_functions_pin_membership_predicates():
+    one = np.array([1.0, 0, 0, 0])
+    t = al.OKUBO_TWIST
+    c = np.array([np.cos(0.4), np.sin(0.4), 0, 0])
+    d = np.array([np.cos(1.1), np.sin(1.1), 0, 0])
+    v = np.array([np.cos(0.7), 0, np.sin(0.7), 0])
+    # largest imaginary coordinate exactly eq_tol: in S, yet of imaginary span 0
+    edge = np.array([1.0, al.DEFAULT_TOL.eq_tol, 0, 0])
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        tau_points = [
+            ((one, one), "D17"),
+            ((t, oc.quat_mul(t, t)), "D8" if (i, j) == (1, 1) else "D134a"),
+            ((-one, one), "D134s"), ((one, -one), "D134s"), ((-one, -one), "D134s"),
+            ((c, d), "D134a"),
+        ]
+        for (a, b), kind in tau_points:
+            assert al.tau_block(i, j, a, b) == kind, (i, j, kind)
+            assert al.in_TxT_ij(i, j, a, b) == (kind not in ("D17", "D8"))
+        sj, si = (-1.0) ** j, (-1.0) ** i
+        t_points = [
+            ((one, -one, -one, one), None),
+            ((c, sj * c, d, si * d), "D116"),  # aligned one-axis tuple
+            ((c, -sj * c, d, si * d), "D1124"),  # one axis, unaligned signs
+            ((c, d, c, si * c), "D1124"),
+            ((c, sj * c, v, si * v), "D11114"),
+            ((edge, one, one, one), "D11114"),
+        ]
+        for qs, kind in t_points:
+            assert al.t_block(i, j, *qs) == kind, (i, j, kind)
+            assert al.in_S(*qs) == (kind is not None)
+            assert al.in_S_ij(i, j, *qs) == (kind not in (None, "D116"))
+
+
 def test_json_roundtrip_bit_exact(gen):
     a = al.g_family(1, 0, 0, 1, gen.uniform(0, np.pi), gen.uniform(0, np.pi))
     blob = json.dumps(a.to_json())

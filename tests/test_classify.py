@@ -7,7 +7,7 @@ from compalg import maps as mp
 from compalg import octonion as oc
 from compalg.errors import NotInBlock, RawTensorNotSupported
 
-from conftest import unit
+from conftest import imaginary_unit_quaternion, unit
 
 U4 = np.array([0.0, 1, 0, 0])
 V4 = np.array([0.0, 0, 1, 0])
@@ -90,7 +90,7 @@ def test_canonical_trichotomy(gen):
 
 
 def test_canonical_okubo_point_matches_fixed_twist(gen):
-    w = oc.random_imaginary_unit_quaternion(gen)
+    w = imaginary_unit_quaternion(gen)
     a = -0.5 * np.array([1.0, 0, 0, 0]) + (np.sqrt(3) / 2) * w
     b = -0.5 * np.array([1.0, 0, 0, 0]) - (np.sqrt(3) / 2) * w
     alg = al.j_family(1, 1, a, b)
@@ -209,7 +209,7 @@ def test_isomorphic_okubo_classes(gen):
     t = al.OKUBO_TWIST
     points = []
     for _ in range(3):
-        w = oc.random_imaginary_unit_quaternion(gen)
+        w = imaginary_unit_quaternion(gen)
         a = -0.5 * np.array([1.0, 0, 0, 0]) + (np.sqrt(3) / 2) * w
         points.append(al.j_family(1, 1, a, oc.quat_mul(a, a)))
     for alg in points:

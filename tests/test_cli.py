@@ -164,6 +164,28 @@ def test_bad_family_parameters_exit_code(capsys):
         assert err.startswith("error:")
 
 
+def test_bad_family_label_exit_code(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    run(["build", "--family", "tau_family", "-o", str(good), "--params",
+         '{"i": 0, "j": 1, "a": [0, 1, 0, 0], "b": [0, 0, 1, 0]}'], capsys)
+    blob = json.loads(good.read_text())
+    labels = [
+        {"name": "nonsense", "params": {}},
+        dict(blob["family"], params=dict(blob["family"]["params"], a=[0, 1, 0])),
+        {"name": "p35", "params": {"i": 1, "j": 1}},
+        {"name": "okubo", "params": {}},  # does not reproduce the stored tensor
+    ]
+    for k, label in enumerate(labels):
+        target = tmp_path / f"bad{k}.json"
+        target.write_text(json.dumps(dict(blob, family=label)))
+        for argv in (["analyze", str(target)], ["classify", str(target)],
+                     ["canon", str(target)], ["iso", str(target), str(good)]):
+            code, _, err = run(argv, capsys)
+            assert code == 2, (label, argv)
+            assert err.startswith("error:")
+            assert len(err.strip().splitlines()) == 1
+
+
 def test_non_cubic_tensor_exit_code(tmp_path, capsys):
     target = tmp_path / "flat.json"
     target.write_text(json.dumps({"dim": 2, "sc": [[1.0, 0.0], [0.0, 1.0]], "family": None}))

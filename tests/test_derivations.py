@@ -262,7 +262,7 @@ def test_skew_solve_matches_gl_kernel(name, a):
     assert np.max(np.abs(_span_projector(a, der.basis) - _span_projector(a, kernel)),
                   initial=0.0) < 1e-10
     if name in ("doubled-octonions", "octonions-non-orthogonal"):
-        assert not dv._norm_multiplicative(a.sc, dv.DEFAULT_TOL) and der.dim == 14
+        assert not al.norm_multiplicative(a) and der.dim == 14
     if name == "octonions-non-orthogonal":
         assert max(np.max(np.abs(delta + delta.T)) for delta in der.basis) > 1e-3
 

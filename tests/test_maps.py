@@ -24,7 +24,7 @@ def test_lambda_map_identity_and_minus_conj():
 
 def test_lambda_map_evaluation():
     m = mp.lambda_map([0.0, 1.0], 0)
-    assert np.allclose(m.apply(oc.ONE).coords, oc.U.coords)
+    assert np.allclose(m.mat @ oc.ONE.coords, oc.U.coords)
 
 
 def test_lambda_map_rejects_non_complex():
@@ -39,7 +39,7 @@ def test_tau_map_identity_and_okubo_twist():
     t = np.array([-0.5, np.sqrt(3) / 2, 0.0, 0.0])
     tau = mp.tau_map(t)
     assert mp.is_automorphism(tau)
-    assert np.allclose(tau.apply(oc.Z).coords, (oc.Z * oc.Octonion.from_quaternion(t)).coords)
+    assert np.allclose(tau.mat @ oc.Z.coords, (oc.Z * oc.Octonion.from_quaternion(t)).coords)
 
 
 def test_tau_map_block_oracle(gen):
@@ -84,8 +84,8 @@ def test_T_map_properties(gen):
 
 def test_sigma_maps():
     su = mp.sigma_u()
-    assert np.allclose(su.apply(oc.U).coords, -oc.U.coords)
-    assert np.allclose(su.apply(oc.ONE).coords, oc.ONE.coords)
+    assert np.allclose(su.mat @ oc.U.coords, -oc.U.coords)
+    assert np.allclose(su.mat @ oc.ONE.coords, oc.ONE.coords)
     sw = mp.sigma_w_special()
     assert np.allclose(sw.mat @ sw.mat, np.eye(8))
     assert np.allclose(sw.mat, np.diag([1.0, 1, -1, 1, -1, 1, -1, 1]))
@@ -98,8 +98,8 @@ def test_sigma_maps():
 def test_B_C_maps(gen):
     assert np.allclose(mp.B_map(oc.ONE).mat, np.eye(8))
     for _ in range(20):
-        a = oc.random_octonion(gen, unit=True)
-        assert np.allclose(mp.C_map(a).apply(oc.ONE).coords, oc.ONE.coords, atol=1e-12)
+        a = oc.Octonion(unit(gen, 8))
+        assert np.allclose(mp.C_map(a).mat @ oc.ONE.coords, oc.ONE.coords, atol=1e-12)
         assert np.allclose(mp.B_map(a).mat, mp.B_map(oc.Octonion(-a.coords)).mat)
         assert is_orthogonal(mp.B_map(a).mat)
 

@@ -167,16 +167,24 @@ def test_nf_pair_invariance(gen):
 
 
 def test_nf_pair_structured_cases(gen):
-    # first bracket in each stabilizer class, orbit invariance after disguise
+    # first bracket in each stabilizer class, orbit invariance after disguise,
+    # membership of the result in N and a witness that reproduces it
+    S = nf.StabilizerCase
     firsts = [
-        (ONE4, -ONE4),
-        (np.array([np.cos(0.8), np.sin(0.8), 0, 0]), ONE4),
-        (U4, -U4),
-        (U4, np.array([0.0, np.cos(0.4), np.sin(0.4), 0])),
+        (ONE4, -ONE4, S.FULL),
+        (np.array([np.cos(0.8), np.sin(0.8), 0, 0]), ONE4, S.CIRCLE_U),
+        (U4, -U4, S.CIRCLE_U_PLUS_VU),
+        (U4, np.array([0.0, np.cos(0.4), np.sin(0.4), 0]), S.TWO_ELT),
+        (np.array([np.cos(0.3), np.sin(0.3), 0, 0]),
+         np.array([np.cos(0.5), np.sin(0.5) * np.cos(0.7), np.sin(0.5) * np.sin(0.7), 0]),
+         S.TRIVIAL),
     ]
-    for a1, b1 in firsts:
+    for a1, b1, case in firsts:
         x = (nf.BracketTT.of(a1, b1), nf.BracketTT.of(unit(gen, 4), unit(gen, 4)))
         r1 = nf.nf_pair(x)
+        assert r1.tag[0] is case
+        assert nf.in_N(r1.canonical) == (True, r1.tag)
+        assert nf.act_bracket(r1.witness_q, x[1]).close_to(nf.BracketTT.of(*r1.canonical[1]), 1e-8)
         q = unit(gen, 4)
         r2 = nf.nf_pair(nf.act_pair(q, x))
         assert r1.canonical[0].close_to(r2.canonical[0], 1e-8)

@@ -111,7 +111,7 @@ def test_iso_isotopes(gen):
     phi = mp.kappa_hat_map(q)
     b = al.transport(phi, a)
     assert tr.iso_isotopes(a, b, phi)
-    assert tr.iso_isotopes(b, a, phi.inv())
+    assert tr.iso_isotopes(b, a, mp.OrthoMap8(phi.mat.T, check=False))
     assert not tr.iso_isotopes(al.standard_isotope(0, 0), al.standard_isotope(1, 1),
                                mp.identity_map())
     with pytest.raises(NoIsotopeProvenance):
@@ -192,7 +192,7 @@ def test_iso_isotopes_reflexive_and_symmetric_on_families(gen):
         phi = mp.kappa_hat_map(unit(gen, 4))
         b = al.transport(phi, a)
         assert tr.iso_isotopes(a, b, phi)
-        assert tr.iso_isotopes(b, a, phi.inv())
+        assert tr.iso_isotopes(b, a, mp.OrthoMap8(phi.mat.T, check=False))
 
 
 def test_non_orthogonal_maps_are_rejected(gen):
