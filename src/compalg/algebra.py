@@ -6,6 +6,8 @@ presentations used by the classification: standard isotopes of O and H,
 tau-twisted and T-twisted isotopes, the Okubo model, its special-subspace
 isotopes, the two-parameter block-diagonal family, and the lambda family.
 Provenance is metadata only; analysis always works on the raw tensor.
+double_sign and is_division take determinants at fixed sample points, drawn
+once per dimension, so their answers are functions of the tensor alone.
 
 tau_block and t_block decide which block a tau- or T-family parameter point
 lands in; the membership predicates in_TxT_ij and in_S_ij read them.
@@ -13,6 +15,7 @@ lands in; the membership predicates in_TxT_ij and in_S_ij read them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -23,7 +26,7 @@ from . import maps as mp
 from . import octonion as oc
 from .errors import (BadParameter, InconsistentSigns, NearSingular, NoIsotopeProvenance,
                      NotOrthogonal)
-from .numerics import DEFAULT_SEED, DEFAULT_TOL, det_sign, is_orthogonal, rng
+from .numerics import DEFAULT_TOL, det_sign, is_orthogonal, rng
 
 
 @dataclass(frozen=True)
@@ -167,41 +170,45 @@ def _transport_label(phi, family):
     return None
 
 
-def _det_sign_samples(algebra, count, tol, seed):
-    """(sgn det L_a, sgn det R_a) at count unit vectors a drawn in turn from
-    rng(seed); NearSingular at the first determinant within zero_tol of 0."""
-    gen = rng(seed)
-    signs = []
-    for _ in range(count):
-        a = gen.standard_normal(algebra.dim)
-        a /= np.linalg.norm(a)
-        signs.append((det_sign(algebra.left_mul(a), tol), det_sign(algebra.right_mul(a), tol)))
-    return signs
-
-
-#: Random unit vectors at which double_sign and is_division take determinants.
+#: Unit vectors at which double_sign and is_division take determinants.
 DOUBLE_SIGN_SAMPLES = 4
 DIVISION_TRIALS = 8
 
 
-def double_sign(algebra, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
-    """The pair (sgn det L_a, sgn det R_a), sampled at several random a.
+@functools.lru_cache(maxsize=None)
+def _sample_points(dim):
+    """DIVISION_TRIALS fixed unit vectors in R^dim, drawn once per dimension
+    from rng(); read-only."""
+    points = np.array([a / np.linalg.norm(a) for a in rng().standard_normal((DIVISION_TRIALS, dim))])
+    points.flags.writeable = False
+    return points
+
+
+def _det_sign_samples(algebra, count, tol):
+    """(sgn det L_a, sgn det R_a) at the first count sample points a;
+    NearSingular at the first determinant within zero_tol of 0."""
+    return [(det_sign(algebra.left_mul(a), tol), det_sign(algebra.right_mul(a), tol))
+            for a in _sample_points(algebra.dim)[:count]]
+
+
+def double_sign(algebra, tol=DEFAULT_TOL):
+    """The pair (sgn det L_a, sgn det R_a), sampled at several fixed unit a.
 
     Disagreement between samples means the input is not a division algebra.
     """
     if algebra.dim < 2:
         raise BadParameter("double sign needs dimension at least 2")
-    signs = set(_det_sign_samples(algebra, DOUBLE_SIGN_SAMPLES, tol, seed))
+    signs = set(_det_sign_samples(algebra, DOUBLE_SIGN_SAMPLES, tol))
     if len(signs) != 1:
         raise InconsistentSigns(f"det signs varied across samples: {sorted(signs)}")
     sl, sr = signs.pop()
     return DoubleSign(i=0 if sl > 0 else 1, j=0 if sr > 0 else 1)
 
 
-def is_division(algebra, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
-    """True unless L_a or R_a is near singular at one of DIVISION_TRIALS random unit a."""
+def is_division(algebra, tol=DEFAULT_TOL):
+    """True unless L_a or R_a is near singular at one of the DIVISION_TRIALS sample points."""
     try:
-        _det_sign_samples(algebra, DIVISION_TRIALS, tol, seed)
+        _det_sign_samples(algebra, DIVISION_TRIALS, tol)
     except NearSingular:
         return False
     return True

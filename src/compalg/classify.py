@@ -26,7 +26,7 @@ from . import maps as mp
 from . import normal_form as nf
 from . import octonion as oc
 from .errors import NotInBlock, RawTensorNotSupported
-from .numerics import DEFAULT_SEED, DEFAULT_TOL
+from .numerics import DEFAULT_TOL
 
 _SIGN_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -92,19 +92,19 @@ class AnalysisReport:
         }
 
 
-def _a0_double_sign(algebra, a0_basis, tol, seed):
+def _a0_double_sign(algebra, a0_basis, tol):
     """Double sign of the trivial submodule as a 2-dimensional algebra."""
     sub = np.zeros((2, 2, 2))
     for i in range(2):
         for j in range(2):
             prod = algebra.product(a0_basis[:, i], a0_basis[:, j])
             sub[i, j] = a0_basis.T @ prod
-    return al.double_sign(al.Algebra(sub), tol, seed)
+    return al.double_sign(al.Algebra(sub), tol)
 
 
-def analyze(algebra, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
+def analyze(algebra, tol=DEFAULT_TOL):
     """Invariant report: double sign, derivation data, partition and block."""
-    ds = al.double_sign(algebra, tol, seed)
+    ds = al.double_sign(algebra, tol)
     der = dv.derivation_basis(algebra, tol)
     ltype = dv.lie_type(der)
     a0 = dv.trivial_submodule(algebra, der, tol)
@@ -112,7 +112,7 @@ def analyze(algebra, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     if ltype is dv.LieTypeLabel.ABELIAN or der.dim == 0:
         block = BlockLabel("NotInD", ds)
         return AnalysisReport(ds, der.dim, ltype, trivial_dim, None, block)
-    dec = dv.decompose(algebra, tol, seed, der=der)
+    dec = dv.decompose(algebra, tol, der=der)
     partition = dec.partition
     if algebra.dim == 4:
         block = BlockLabel("D4", ds)
@@ -124,7 +124,7 @@ def analyze(algebra, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
             kind = "D134s" if ltype is dv.LieTypeLabel.SU2xSU2 else "D134a"
         indices = None
         if kind == "D1133":
-            sub_sign = _a0_double_sign(algebra, a0, tol, seed)
+            sub_sign = _a0_double_sign(algebra, a0, tol)
             indices = (sub_sign.i, sub_sign.j,
                        (ds.i - sub_sign.i) % 2, (ds.j - sub_sign.j) % 2)
         block = BlockLabel(kind or "NotInD", ds, indices)
@@ -267,13 +267,13 @@ class IsoVerdict:
         return self.verdict == "yes"
 
 
-def isomorphic(a, b, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
+def isomorphic(a, b, tol=DEFAULT_TOL):
     """Decide isomorphism: No on differing invariants, Yes with verified
     witness through canonical forms, Unknown for raw tensors."""
     if a.dim != b.dim:
         return IsoVerdict("no", reason="dimensions differ")
-    ra = analyze(a, tol, seed)
-    rb = analyze(b, tol, seed)
+    ra = analyze(a, tol)
+    rb = analyze(b, tol)
     if (ra.double_sign.i, ra.double_sign.j) != (rb.double_sign.i, rb.double_sign.j):
         return IsoVerdict("no", reason="double signs differ")
     if str(ra.block) != str(rb.block):

@@ -80,7 +80,7 @@ def _cmd_build(args):
 
 def _cmd_analyze(args):
     algebra = _load_algebra(args.file)
-    report = cl.analyze(algebra, _tolerance(args), args.seed)
+    report = cl.analyze(algebra, _tolerance(args))
     _dump(report.to_json(), args.output)
     return 0
 
@@ -88,7 +88,7 @@ def _cmd_analyze(args):
 def _cmd_classify(args):
     algebra = _load_algebra(args.file)
     tol = _tolerance(args)
-    report = cl.analyze(algebra, tol, args.seed)
+    report = cl.analyze(algebra, tol)
     out = report.to_json()
     try:
         form = cl.canonical(algebra, tol)
@@ -114,7 +114,7 @@ def _cmd_canon(args):
 def _cmd_iso(args):
     a = _load_algebra(args.file_a)
     b = _load_algebra(args.file_b)
-    verdict = cl.isomorphic(a, b, _tolerance(args), args.seed)
+    verdict = cl.isomorphic(a, b, _tolerance(args))
     if verdict.verdict == "yes":
         print("isomorphic")
         if args.witness_out and verdict.witness is not None:
@@ -172,8 +172,6 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
-                       help="seed for every randomized step (default 0xC0FFEE)")
         p.add_argument("--tol", type=_tolerance_arg, default=None,
                        help="override all tolerance thresholds with one value in (0, 1e-3)")
 
@@ -225,6 +223,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the deterministic verification suite")
     p.add_argument("--fast", action="store_true", help="reduced trial counts")
+    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
+                   help="seed of the checks' random draws (default 0xC0FFEE)")
     common(p)
     p.set_defaults(func=_cmd_verify)
 

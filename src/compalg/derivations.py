@@ -6,6 +6,7 @@ reads the label off invariants (derived algebra, center, Killing signature)
 that separate the five types occurring here.  decompose peels off the common
 kernel and eigen-splits the rest along symmetric commutant elements; by Schur
 a piece is irreducible exactly when its symmetric commutant is the scalars.
+Nothing here is random: every result is a function of the tensor and tol.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 
 from . import algebra as al
 from .errors import AbelianDerivations, NotInvariant
-from .numerics import (CLUSTER_TOL, DEFAULT_SEED, DEFAULT_TOL, nullspace, rank, rng,
-                       sym_eigen)
+from .numerics import CLUSTER_TOL, DEFAULT_TOL, nullspace, rank, sym_eigen
 
 #: Residual accepted on the Leibniz rule; looser than rank_tol because the
 #: two-parameter family tensors carry trigonometric round-off.
@@ -177,16 +177,6 @@ def commutant_basis(restricted, d, tol=DEFAULT_TOL):
     return [kernel[:, c].reshape(d, d) for c in range(kernel.shape[1])]
 
 
-def _random_symmetric_commutant(comm, gen):
-    for _ in range(16):
-        y = sum(float(c) * m for c, m in zip(gen.standard_normal(len(comm)), comm))
-        y = 0.5 * (y + y.T)
-        norm = np.linalg.norm(y)
-        if norm > 1e-8:
-            return y / norm
-    return None
-
-
 def _commutant(subspace, der, tol):
     """Check that the subspace is invariant under the derivations, then return
     the commutant basis of their restriction and the rank of its symmetric
@@ -218,21 +208,22 @@ def is_irreducible(subspace, der, tol=DEFAULT_TOL):
     return _commutant(subspace, der, tol)[1] == 1
 
 
-def decompose(algebra, tol=DEFAULT_TOL, seed=DEFAULT_SEED, der=None):
+def decompose(algebra, tol=DEFAULT_TOL, der=None):
     """Decompose A into irreducible submodules of its derivation algebra.
 
     Splits off the common kernel first (as one-dimensional trivial pieces),
     then solves each invariant piece for its commutant once: the piece is
     accepted when the symmetric part of the commutant is the scalars (Schur,
     for the orthogonal module of a composition algebra) and otherwise split
-    along the eigenspaces of random symmetric commutant elements.
+    along the eigenspaces of the largest traceless symmetric part among the
+    commutant basis, nonzero when the symmetric rank exceeds 1.  A piece that
+    part leaves as one eigenvalue cluster (round-off) is accepted whole.
     Raises AbelianDerivations when there is nothing to decompose against.
     """
     if der is None:
         der = derivation_basis(algebra, tol)
     if der.derived_dim == 0:
         raise AbelianDerivations("derivation algebra is abelian")
-    gen = rng(seed)
     n = algebra.dim
     triv = trivial_submodule(algebra, der, tol)
     pieces = [triv[:, [k]] for k in range(triv.shape[1])]
@@ -241,23 +232,14 @@ def decompose(algebra, tol=DEFAULT_TOL, seed=DEFAULT_SEED, der=None):
         while queue:
             sub = queue.pop()
             comm, sym_rank = _commutant(sub, der, tol)
-            if sym_rank == 1:
-                pieces.append(sub)
-                continue
-            split_done = False
-            for _ in range(16):
-                y = _random_symmetric_commutant(comm, gen)
-                if y is None:
-                    break
-                eig = sym_eigen(y, tol)
+            if sym_rank > 1:
+                d = sub.shape[1]
+                sym = [0.5 * (y + y.T) - np.trace(y) / d * np.eye(d) for y in comm]
+                eig = sym_eigen(max(sym, key=np.linalg.norm), tol)
                 if len(eig.clusters) > 1:
-                    for cluster in eig.clusters:
-                        queue.append(sub @ eig.vectors[:, cluster])
-                    split_done = True
-                    break
-            if not split_done:
-                # No symmetric commutant element separates it; accept as one piece.
-                pieces.append(sub)
+                    queue.extend(sub @ eig.vectors[:, c] for c in eig.clusters)
+                    continue
+            pieces.append(sub)
     pieces.sort(key=lambda p: (p.shape[1], tuple(np.round(np.abs(p[:, 0]), 6))))
     partition = tuple(sorted(p.shape[1] for p in pieces))
     return ModuleDecomposition(subspaces=pieces, partition=partition,

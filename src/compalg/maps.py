@@ -17,7 +17,7 @@ from .errors import NotOrthonormal, NotUnitNorm
 from .numerics import DEFAULT_TOL, det_sign, is_orthogonal
 
 #: Label families that are automorphisms of O by construction.
-G2_FAMILIES = frozenset({"identity", "tau", "kappa_hat", "eps", "g2", "g2_product"})
+G2_FAMILIES = frozenset({"identity", "tau", "kappa_hat", "eps", "g2"})
 
 
 @dataclass(frozen=True)
@@ -49,16 +49,6 @@ class OrthoMap8:
     @property
     def dim(self):
         return self.mat.shape[0]
-
-    def __matmul__(self, other):
-        if isinstance(other, OrthoMap8):
-            label = None
-            if (self.label and other.label
-                    and self.label.family in G2_FAMILIES
-                    and other.label.family in G2_FAMILIES):
-                label = MapLabel("g2_product", {})
-            return OrthoMap8(self.mat @ other.mat, label, check=False)
-        return NotImplemented
 
     def is_g2_labelled(self):
         return self.label is not None and self.label.family in G2_FAMILIES

@@ -113,7 +113,6 @@ class StabilizerCase(Enum):
 class NFResult:
     canonical: object            # PairTT, or (PairTT, PairTT) for pair reductions
     witness_q: np.ndarray        # rotation with kappa_q(input) ~ canonical
-    witness_eps: int             # sign representative used, where applicable
     tag: object                  # constituent tag(s)
     boundary_flag: bool = False
 
@@ -399,7 +398,7 @@ def nf_TxT(pair, tol=DEFAULT_TOL):
             q = quat_mul(q2, q1)
             canonical = PairTT(kappa(q2, a1), kappa(q2, b1))
     ok, tag = in_M(canonical, tol)
-    return NFResult(canonical=canonical, witness_q=q, witness_eps=0, tag=tag,
+    return NFResult(canonical=canonical, witness_q=q, tag=tag,
                     boundary_flag=_boundary_flag([canonical], tol))
 
 
@@ -408,19 +407,16 @@ def nf_M1(bracket, tol=DEFAULT_TOL):
     and keep the one landing in M1 (ties give the same canonical point)."""
     pair = bracket.pair() if isinstance(bracket, BracketTT) else bracket
     tried = []
-    for eps in (0, 1):
-        rep = pair if eps == 0 else PairTT(-pair.a, -pair.b)
+    for rep in (pair, PairTT(-pair.a, -pair.b)):
         res = nf_TxT(rep, tol)
         ok, tag = in_M1(res.canonical, tol)
         if ok:
-            return NFResult(canonical=res.canonical, witness_q=res.witness_q,
-                            witness_eps=eps, tag=tag,
+            return NFResult(canonical=res.canonical, witness_q=res.witness_q, tag=tag,
                             boundary_flag=res.boundary_flag)
-        tried.append((res, eps))
+        tried.append(res)
     # Both representatives sit on a deadband boundary; take the larger key.
-    pick, eps = max(tried, key=lambda t: (t[0].canonical.a[0], t[0].canonical.b[0]))
-    return NFResult(canonical=pick.canonical, witness_q=pick.witness_q,
-                    witness_eps=eps, tag="boundary",
+    pick = max(tried, key=lambda r: (r.canonical.a[0], r.canonical.b[0]))
+    return NFResult(canonical=pick.canonical, witness_q=pick.witness_q, tag="boundary",
                     boundary_flag=True)
 
 
@@ -442,13 +438,12 @@ def _reduce_with_cosets(pair, cosets, member, circle, tol):
     for coset in cosets:
         base = PairTT(kappa(coset, pair.a), kappa(coset, pair.b)) \
             if np.max(np.abs(coset - ONE4)) > 0 else pair
-        for eps in (0, 1):
-            rep = base if eps == 0 else PairTT(-base.a, -base.b)
+        for rep in (base, PairTT(-base.a, -base.b)):
             for qu in _u_rotations(rep, tol) if circle else (None,):
                 cand = rep if qu is None else PairTT(kappa(qu, rep.a), kappa(qu, rep.b))
                 ok, tag = member(cand, tol)
                 if ok:
-                    return cand, coset if qu is None else quat_mul(qu, coset), eps, tag
+                    return cand, coset if qu is None else quat_mul(qu, coset), tag
     return None
 
 
@@ -468,20 +463,18 @@ def nf_pair(brackets, tol=DEFAULT_TOL):
 
     if case is StabilizerCase.FULL:
         second = nf_M1(moved, tol)
-        q2, c2, tag2, eps2 = (second.witness_q, second.canonical,
-                              second.tag, second.witness_eps)
+        q2, c2, tag2 = second.witness_q, second.canonical, second.tag
     elif case is StabilizerCase.TRIVIAL:
-        q2, c2, tag2, eps2 = ONE4, _sign_normalize(moved, tol), "any", 0
+        q2, c2, tag2 = ONE4, _sign_normalize(moved, tol), "any"
     else:
         member, cosets, circle = _SECOND_CLASS[case]
         hit = _reduce_with_cosets(moved, cosets, member, circle, tol)
         if hit is None:
             raise NotCanonical(f"no candidate landed in the {case.value} transversal")
-        c2, q2, eps2, tag2 = hit
+        c2, q2, tag2 = hit
     witness = quat_mul(q2, q1)
     canonical = (first.canonical, c2)
-    return NFResult(canonical=canonical, witness_q=witness, witness_eps=eps2,
-                    tag=(case, tag2),
+    return NFResult(canonical=canonical, witness_q=witness, tag=(case, tag2),
                     boundary_flag=_boundary_flag(canonical, tol))
 
 

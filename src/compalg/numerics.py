@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NearSingular, NotSymmetric
 
-#: Default seed for every randomized routine in the library.
+#: Default seed of rng(): the fixed sample points of double_sign and verify's draws.
 DEFAULT_SEED = 0xC0FFEE
 
 #: Eigenvalues closer than this are reported as one cluster.

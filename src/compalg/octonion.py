@@ -140,11 +140,6 @@ class Octonion:
     def norm(self):
         return float(np.linalg.norm(self.coords))
 
-    def im(self):
-        out = self.coords.copy()
-        out[0] = 0.0
-        return Octonion(out)
-
 
 ONE = Octonion.basis(0)
 U = Octonion.basis(1)

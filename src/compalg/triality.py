@@ -124,27 +124,18 @@ def triality_pair(phi, tol=DEFAULT_TOL):
 
 
 def iso_isotopes(a, b, phi, tol=DEFAULT_TOL):
-    """Is phi an isomorphism between the isotopes a and b?
+    """Is phi in SO(8) an isomorphism from the 8-dimensional algebra a to b?
 
-    True iff phi is special orthogonal and, for a triality pair of phi (or
-    its negative), phi1 f phi^-1 and phi2 g phi^-1 give b's pair.
+    True iff phi is special orthogonal and phi(x y) = phi(x) phi(y) on basis
+    pairs within PAIR_TOL.  For isotopes (f, g) and (f', g') of O this is the
+    triality criterion: a triality pair of phi, unique up to a simultaneous
+    sign, equals (f' phi f^-1, g' phi g^-1).  Non-finite input gives False.
     """
-    if a.isotope is None or b.isotope is None:
-        raise NoIsotopeProvenance("isotope presentations required")
     m = mp.as_matrix(phi)
-    try:
-        pair = triality_pair(m, tol)
-    except (NotSpecialOrthogonal, ValueError):
+    if (m.shape != (8, 8) or a.dim != 8 or b.dim != 8 or not np.isfinite(m).all()
+            or not is_orthogonal(m, tol) or det_sign(m, tol) != 1):
         return False
-    f, g = a.isotope
-    fp, gp = b.isotope
-    for sign in (1.0, -1.0):
-        lhs_f = sign * pair.phi1 @ f @ m.T
-        lhs_g = sign * pair.phi2 @ g @ m.T
-        if (np.max(np.abs(lhs_f - fp)) < PAIR_TOL
-                and np.max(np.abs(lhs_g - gp)) < PAIR_TOL):
-            return True
-    return False
+    return oc.homomorphism_residual(m, m, m, a.sc, b.sc) < PAIR_TOL
 
 
 def g2_iso_fixed_subspace(a, b, subspace, phi, tol=DEFAULT_TOL):

@@ -205,21 +205,21 @@ def _family_draws(gen, count):
 def check_algebra_double_signs(gen, fast):
     for i in (0, 1):
         for j in (0, 1):
-            ds = al.double_sign(al.standard_isotope(i, j), TOL, int(gen.integers(2 ** 31)))
+            ds = al.double_sign(al.standard_isotope(i, j), TOL)
             if (ds.i, ds.j) != (i, j):
                 return False, f"standard isotope ({i},{j})"
             if (i, j) != (1, 1):
-                dsp = al.double_sign(al.p35(i, j), TOL, int(gen.integers(2 ** 31)))
+                dsp = al.double_sign(al.p35(i, j), TOL)
                 if (dsp.i, dsp.j) != (i, j):
                     return False, f"special-subspace isotope ({i},{j})"
-    ds = al.double_sign(al.okubo_p11(), TOL, int(gen.integers(2 ** 31)))
+    ds = al.double_sign(al.okubo_p11(), TOL)
     if (ds.i, ds.j) != (1, 1):
         return False, "okubo model"
     trials = 10 if fast else 50
     for _ in range(trials):
         i1, j1, i2, j2 = _random_valid_g_indices(gen)
         a = al.g_family(i1, j1, i2, j2, gen.uniform(0, np.pi), gen.uniform(0, np.pi))
-        ds = al.double_sign(a, TOL, int(gen.integers(2 ** 31)))
+        ds = al.double_sign(a, TOL)
         if (ds.i, ds.j) != ((i1 + i2) % 2, (j1 + j2) % 2):
             return False, f"two-parameter family {(i1, j1, i2, j2)}"
     return True, "fixed families plus random two-parameter draws"
@@ -227,8 +227,7 @@ def check_algebra_double_signs(gen, fast):
 
 def check_algebra_division_norm(gen, fast):
     for a in _family_draws(gen, 8 if fast else 20):
-        seed = int(gen.integers(2 ** 31))
-        if not al.is_division(a, seed=seed):
+        if not al.is_division(a, TOL):
             return False, "division failed"
         if not al.norm_multiplicative(a, TOL):
             return False, "norm multiplicativity failed"
@@ -253,7 +252,7 @@ def check_derivation_dimensions(gen, fast):
 
 def check_derivation_partitions(gen, fast):
     def pt(a):
-        return dv.decompose(a, TOL, seed=int(gen.integers(2 ** 31))).partition
+        return dv.decompose(a, TOL).partition
 
     if pt(al.octonion_algebra()) != (1, 7):
         return False, "octonions"
@@ -494,7 +493,6 @@ def check_classify_blocks(gen, fast):
     count = 0
     for _ in range(trials):
         which = int(gen.integers(0, 3))
-        seed = int(gen.integers(2 ** 31))
         if which == 0:
             i, j = int(gen.integers(0, 2)), int(gen.integers(0, 2))
             a4, b4 = _unit(gen, 4), _unit(gen, 4)
@@ -512,7 +510,7 @@ def check_classify_blocks(gen, fast):
                 continue
             algebra = al.g_family(i1, j1, i2, j2, gp.alpha, gp.beta)
             expected = "D1133"
-        got = cl.analyze(algebra, TOL, seed).block.kind
+        got = cl.analyze(algebra, TOL).block.kind
         if got != expected:
             return False, f"expected {expected}, detected {got}"
         count += 1

@@ -109,7 +109,7 @@ def test_criterion_3_partitions():
     mismatches = []
 
     def expect(name, algebra, target):
-        got = dv.decompose(algebra, seed=int(gen.integers(2 ** 31))).partition
+        got = dv.decompose(algebra).partition
         if got != target:
             mismatches.append((name, target, got))
 
@@ -170,7 +170,7 @@ def test_criterion_4_double_signs():
     for _ in range(50):
         i1, j1, i2, j2 = _valid_g_indices(gen)
         a = al.g_family(i1, j1, i2, j2, gen.uniform(0, np.pi), gen.uniform(0, np.pi))
-        ds = al.double_sign(a, seed=int(gen.integers(2 ** 31)))
+        ds = al.double_sign(a)
         if (ds.i, ds.j) != ((i1 + i2) % 2, (j1 + j2) % 2):
             bad.append(("g_family", i1, j1, i2, j2))
     assert report(4, not bad, "standard, okubo, special-subspace, 50 two-parameter draws"), bad
@@ -329,7 +329,7 @@ def test_criterion_10_end_to_end_block_detection():
 
     def check(algebra, expected):
         nonlocal total
-        got = cl.analyze(algebra, seed=int(gen.integers(2 ** 31))).block.kind
+        got = cl.analyze(algebra).block.kind
         if got != expected:
             mismatches.append((expected, got))
         total += 1

@@ -50,6 +50,23 @@ def test_double_sign_table():
         assert al.double_sign(al.p35(i, j)).signs == ((-1) ** i, (-1) ** j)
 
 
+def test_double_sign_matches_random_points(gen):
+    # double_sign reads fixed sample points; random unit a must give the same signs
+    signs = ((0, 0), (0, 1), (1, 0), (1, 1))
+    family = [al.okubo_p11(), al.p35(0, 1), al.g_family(1, 0, 0, 1, 0.7, 2.1)]
+    for i, j in signs:
+        family += [al.standard_isotope(i, j), al.quat4(i, j),
+                   al.j_family(i, j, unit(gen, 4), unit(gen, 4)),
+                   al.k_family(i, j, *(unit(gen, 4) for _ in range(4))),
+                   al.lambda_family(i, j, unit(gen, 2), unit(gen, 2))]
+    for a in family:
+        ds = al.double_sign(a)
+        for _ in range(10):
+            x = unit(gen, a.dim)
+            got = (np.sign(np.linalg.det(a.left_mul(x))), np.sign(np.linalg.det(a.right_mul(x))))
+            assert got == ds.signs, (a, x)
+
+
 def test_double_sign_inconsistent_for_non_division():
     # symmetrized octonion product: commutative, not a division algebra
     from compalg.errors import NearSingular

@@ -127,6 +127,13 @@ def test_bad_usage_exit_code(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["bogus-command"])
     assert exc.value.code == 2
+    # only verify has random draws, so only verify takes a seed
+    for command in (["build", "--family", "okubo"], ["analyze", "a.json"],
+                    ["classify", "a.json"], ["canon", "a.json"], ["iso", "a.json", "b.json"],
+                    ["enumerate", "--block", "D8"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(command + ["--seed", "1"])
+        assert exc.value.code == 2
     code, _, err = run(["analyze", str(tmp_path / "missing.json")], capsys)
     assert code == 2
     assert "error" in err

@@ -203,6 +203,30 @@ def test_in_transversal_dispatch():
         nf.in_transversal(nf.make_pair(U4, V4), "bogus")
 
 
+def _q(*coords):
+    v = np.array(coords, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+#: (transversal, first component, member, near miss one deadband step past a
+#: boundary of the member, constituent tag)
+_CONSTITUENTS = [
+    ("M2", V4, _q(0, 0.6, 0.8, 0), _q(0, -1e-6, 0.8, 0.6), "c2"),
+    ("M3", ONE4, _q(0.5, 0.5, 0.7, 0), _q(0.5, -1e-6, 0.7, 0), "c1"),
+    ("M3", _q(0.8, 0.6, 0, 0), _q(0.6, 0, 0.8, 0), _q(0.6, 0, 0.8, 1e-6), "c2"),
+    ("M3", U4, _q(0.6, 0, 0.8, 0), _q(-1e-6, 0.6, 0.8, 0), "c3"),
+    ("M3", V4, _q(0.6, 0.8, 0, 0), _q(0.6, -1e-6, 0, 0.8), "c4"),
+    ("M3", _q(0, 0.6, 0.8, 0), _q(0.6, 0, 0.8, 0), _q(-1e-6, 0.6, 0.8, 0), "c5"),
+    ("M3", _q(0.6, 0, 0.8, 0), _q(0, 0.6, 0.8, 0), _q(0.6, -1e-6, 0.8, 0), "c6"),
+]
+
+
+@pytest.mark.parametrize("which, a, member, miss, tag", _CONSTITUENTS)
+def test_transversal_constituents(which, a, member, miss, tag):
+    assert nf.in_transversal(nf.make_pair(a, member), which) == (True, tag)
+    assert nf.in_transversal(nf.make_pair(a, miss), which) == (False, None)
+
+
 def test_T12_tie_membership():
     # pure (v, uv) values tie the first two coordinates at zero and stay members
     assert nf.in_T12(V4)

@@ -5,7 +5,7 @@ from compalg import algebra as al
 from compalg import maps as mp
 from compalg import octonion as oc
 from compalg import triality as tr
-from compalg.errors import NoIsotopeProvenance, NotSpecialOrthogonal, PreconditionViolated
+from compalg.errors import NotSpecialOrthogonal, PreconditionViolated
 
 from conftest import unit
 
@@ -114,8 +114,28 @@ def test_iso_isotopes(gen):
     assert tr.iso_isotopes(b, a, mp.OrthoMap8(phi.mat.T, check=False))
     assert not tr.iso_isotopes(al.standard_isotope(0, 0), al.standard_isotope(1, 1),
                                mp.identity_map())
-    with pytest.raises(NoIsotopeProvenance):
-        tr.iso_isotopes(al.Algebra(a.sc.copy()), a, mp.identity_map())
+    # a raw tensor carries no pair; the residual decides all the same
+    assert tr.iso_isotopes(al.Algebra(a.sc.copy()), a, mp.identity_map())
+
+
+def _push(phi, a):
+    """The raw tensor phi_* a, with product phi(phi^T x . phi^T y)."""
+    return al.Algebra(np.einsum("ia,jb,kc,abc->ijk", phi, phi, phi, a.sc))
+
+
+def test_iso_isotopes_raw_twins_and_rejections(gen):
+    a = al.k_family(0, 1, *(unit(gen, 4) for _ in range(4)))
+    phi = random_so8(gen).mat
+    raw = al.Algebra(a.sc.copy())
+    assert tr.iso_isotopes(raw, _push(phi, a), phi)
+    tilt = np.eye(8)
+    tilt[[2, 2, 5, 5], [2, 5, 2, 5]] = np.cos(0.2), -np.sin(0.2), np.sin(0.2), np.cos(0.2)
+    assert not tr.iso_isotopes(raw, _push(phi, a), phi @ tilt)
+    # a det -1 map carries a's product onto its own push, but is not in SO(8)
+    flip = phi @ np.diag([-1.0] + [1.0] * 7)
+    assert not tr.iso_isotopes(raw, _push(flip, a), flip)
+    assert not tr.iso_isotopes(raw, raw, np.eye(4))
+    assert not tr.iso_isotopes(raw, raw, np.full((8, 8), np.nan))
 
 
 def test_iso_isotopes_via_general_solver(gen):
