@@ -185,10 +185,12 @@ def _sample_points(dim):
 
 
 def _det_sign_samples(algebra, count, tol):
-    """(sgn det L_a, sgn det R_a) at the first count sample points a;
-    NearSingular at the first determinant within zero_tol of 0."""
-    return [(det_sign(algebra.left_mul(a), tol), det_sign(algebra.right_mul(a), tol))
-            for a in _sample_points(algebra.dim)[:count]]
+    """Rows (sgn det L_a, sgn det R_a) at the first count sample points a;
+    NearSingular when any of the determinants is within zero_tol of 0."""
+    n, sc = algebra.dim, algebra.sc
+    ops = np.einsum("ci,sijk->cskj", _sample_points(n)[:count],
+                    np.stack([sc, sc.transpose(1, 0, 2)]))  # ops[c] = (L_a, R_a)
+    return det_sign(ops.reshape(-1, n, n), tol).reshape(count, 2)
 
 
 def double_sign(algebra, tol=DEFAULT_TOL):
@@ -198,7 +200,7 @@ def double_sign(algebra, tol=DEFAULT_TOL):
     """
     if algebra.dim < 2:
         raise BadParameter("double sign needs dimension at least 2")
-    signs = set(_det_sign_samples(algebra, DOUBLE_SIGN_SAMPLES, tol))
+    signs = set(map(tuple, _det_sign_samples(algebra, DOUBLE_SIGN_SAMPLES, tol).tolist()))
     if len(signs) != 1:
         raise InconsistentSigns(f"det signs varied across samples: {sorted(signs)}")
     sl, sr = signs.pop()

@@ -94,11 +94,7 @@ class AnalysisReport:
 
 def _a0_double_sign(algebra, a0_basis, tol):
     """Double sign of the trivial submodule as a 2-dimensional algebra."""
-    sub = np.zeros((2, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            prod = algebra.product(a0_basis[:, i], a0_basis[:, j])
-            sub[i, j] = a0_basis.T @ prod
+    sub = np.einsum("ia,jb,ijk,kc->abc", a0_basis, a0_basis, algebra.sc, a0_basis)
     return al.double_sign(al.Algebra(sub), tol)
 
 
@@ -107,10 +103,9 @@ def analyze(algebra, tol=DEFAULT_TOL):
     ds = al.double_sign(algebra, tol)
     der = dv.derivation_basis(algebra, tol)
     ltype = dv.lie_type(der)
-    a0 = dv.trivial_submodule(algebra, der, tol)
-    trivial_dim = a0.shape[1]
     if ltype is dv.LieTypeLabel.ABELIAN or der.dim == 0:
         block = BlockLabel("NotInD", ds)
+        trivial_dim = dv.trivial_submodule(algebra, der, tol).shape[1]
         return AnalysisReport(ds, der.dim, ltype, trivial_dim, None, block)
     dec = dv.decompose(algebra, tol, der=der)
     partition = dec.partition
@@ -124,11 +119,11 @@ def analyze(algebra, tol=DEFAULT_TOL):
             kind = "D134s" if ltype is dv.LieTypeLabel.SU2xSU2 else "D134a"
         indices = None
         if kind == "D1133":
-            sub_sign = _a0_double_sign(algebra, a0, tol)
+            sub_sign = _a0_double_sign(algebra, dec.trivial, tol)
             indices = (sub_sign.i, sub_sign.j,
                        (ds.i - sub_sign.i) % 2, (ds.j - sub_sign.j) % 2)
         block = BlockLabel(kind or "NotInD", ds, indices)
-    return AnalysisReport(ds, der.dim, ltype, trivial_dim, partition, block)
+    return AnalysisReport(ds, der.dim, ltype, dec.trivial_dim, partition, block)
 
 
 @dataclass

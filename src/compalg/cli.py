@@ -18,7 +18,7 @@ from . import algebra as al
 from . import classify as cl
 from . import verify as vf
 from .errors import CompalgError
-from .numerics import DEFAULT_SEED, TolerancePolicy
+from .numerics import DEFAULT_SEED, DEFAULT_TOL, TolerancePolicy
 
 
 class BadInput(Exception):
@@ -38,10 +38,6 @@ def _positive_int(text):
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-def _tolerance(args):
-    return args.tol or TolerancePolicy()
 
 
 def _load_algebra(path):
@@ -80,18 +76,17 @@ def _cmd_build(args):
 
 def _cmd_analyze(args):
     algebra = _load_algebra(args.file)
-    report = cl.analyze(algebra, _tolerance(args))
+    report = cl.analyze(algebra, args.tol)
     _dump(report.to_json(), args.output)
     return 0
 
 
 def _cmd_classify(args):
     algebra = _load_algebra(args.file)
-    tol = _tolerance(args)
-    report = cl.analyze(algebra, tol)
+    report = cl.analyze(algebra, args.tol)
     out = report.to_json()
     try:
-        form = cl.canonical(algebra, tol)
+        form = cl.canonical(algebra, args.tol)
         out["canonical"] = form.to_json()
     except CompalgError as err:
         out["canonical"] = None
@@ -103,7 +98,7 @@ def _cmd_classify(args):
 def _cmd_canon(args):
     algebra = _load_algebra(args.file)
     try:
-        form = cl.canonical(algebra, _tolerance(args))
+        form = cl.canonical(algebra, args.tol)
     except CompalgError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -114,7 +109,7 @@ def _cmd_canon(args):
 def _cmd_iso(args):
     a = _load_algebra(args.file_a)
     b = _load_algebra(args.file_b)
-    verdict = cl.isomorphic(a, b, _tolerance(args))
+    verdict = cl.isomorphic(a, b, args.tol)
     if verdict.verdict == "yes":
         print("isomorphic")
         if args.witness_out and verdict.witness is not None:
@@ -127,8 +122,7 @@ def _cmd_iso(args):
 
 
 def _cmd_enumerate(args):
-    tol = _tolerance(args)
-    rows = [form.to_json() for form in cl.enumerate_block(args.block, args.grid, tol)]
+    rows = [form.to_json() for form in cl.enumerate_block(args.block, args.grid, args.tol)]
     if args.format == "csv":
         cols = sorted({key for row in rows for key in row if not isinstance(row[key], (dict, list))})
         lines = [",".join(cols)]
@@ -172,7 +166,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=_tolerance_arg, default=None,
+        p.add_argument("--tol", type=_tolerance_arg, default=DEFAULT_TOL,
                        help="override all tolerance thresholds with one value in (0, 1e-3)")
 
     p = sub.add_parser("build", help="construct a family algebra and write its JSON")
@@ -183,26 +177,17 @@ def build_parser():
     p.add_argument("--degrees", action="store_true",
                    help="interpret alpha/beta parameters as degrees")
     p.add_argument("-o", "--output", default=None)
-    common(p)
     p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("analyze", help="invariant report for an algebra JSON file")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", default=None)
-    common(p)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("classify", help="analyze plus canonical form when available")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", default=None)
-    common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("canon", help="canonical form of a provenance-carrying algebra")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", default=None)
-    common(p)
-    p.set_defaults(func=_cmd_canon)
+    for name, func, text in (
+            ("analyze", _cmd_analyze, "invariant report for an algebra JSON file"),
+            ("classify", _cmd_classify, "analyze plus canonical form when available"),
+            ("canon", _cmd_canon, "canonical form of a provenance-carrying algebra")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("file")
+        p.add_argument("-o", "--output", default=None)
+        common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("iso", help="decide isomorphism of two algebra files")
     p.add_argument("file_a")
@@ -225,7 +210,6 @@ def build_parser():
     p.add_argument("--fast", action="store_true", help="reduced trial counts")
     p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
                    help="seed of the checks' random draws (default 0xC0FFEE)")
-    common(p)
     p.set_defaults(func=_cmd_verify)
 
     return parser

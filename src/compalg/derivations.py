@@ -4,8 +4,9 @@ derivation_basis solves the Leibniz system as one kernel problem, in so(n)
 when algebra.norm_multiplicative holds and in gl(n) otherwise; lie_type
 reads the label off invariants (derived algebra, center, Killing signature)
 that separate the five types occurring here.  decompose peels off the common
-kernel and eigen-splits the rest along symmetric commutant elements; by Schur
-a piece is irreducible exactly when its symmetric commutant is the scalars.
+kernel and eigen-splits the rest along symmetric commutant elements, solved
+for directly in sym(d); by Schur a piece is irreducible exactly when its
+symmetric commutant is the scalars.
 Nothing here is random: every result is a function of the tensor and tol.
 """
 
@@ -57,14 +58,19 @@ class ModuleDecomposition:
 
     subspaces: list        # list of (dim x d_i) orthonormal bases
     partition: tuple       # sorted multiset of the d_i
-    trivial_dim: int
+    trivial: np.ndarray    # orthonormal basis of the common kernel of Der(A)
+
+    @property
+    def trivial_dim(self):
+        return self.trivial.shape[1]
 
     def to_json(self):
         return {"partition": list(self.partition), "trivial_dim": self.trivial_dim}
 
 
-def leibniz_matrix(algebra):
-    """The dim^3 x dim^2 system whose kernel is Der(A), acting on vec(D)."""
+def leibniz_matrix(algebra, coords=None):
+    """The dim^3 x dim^2 system whose kernel is Der(A), acting on vec(D); with
+    coords, the system on the coefficients c of vec(D) = coords @ c."""
     s = algebra.sc
     n = algebra.dim
     idx = np.arange(n)
@@ -72,7 +78,8 @@ def leibniz_matrix(algebra):
     coeff[:, :, idx, idx, :] = s[:, :, None, :]              # s[i,j,c] if k == r
     coeff[idx, :, :, :, idx] -= s.transpose(1, 2, 0)[None]   # s[r,j,k] if c == i
     coeff[:, idx, :, :, idx] -= s.transpose(0, 2, 1)[None]   # s[i,r,k] if c == j
-    return coeff.reshape(n ** 3, n ** 2)
+    system = coeff.reshape(n ** 3, n ** 2)
+    return system if coords is None else system @ coords
 
 
 @functools.lru_cache(maxsize=None)
@@ -84,6 +91,17 @@ def _so_basis(n):
     return basis
 
 
+@functools.lru_cache(maxsize=None)
+def _sym_basis(d):
+    """Orthonormal basis E_ii, (E_ij + E_ji)/sqrt(2), i < j, of sym(d) as a
+    d(d+1)/2 x d x d stack; read-only."""
+    units = np.eye(d * d).reshape(d * d, d, d)
+    basis = (units + units.transpose(0, 2, 1))[np.triu(np.ones((d, d), bool)).ravel()]
+    basis /= np.linalg.norm(basis, axis=(1, 2))[:, None, None]
+    basis.flags.writeable = False
+    return basis
+
+
 def derivation_basis(algebra, tol=DEFAULT_TOL):
     """Orthonormal basis (under the trace form) of the derivation algebra.
 
@@ -91,7 +109,7 @@ def derivation_basis(algebra, tol=DEFAULT_TOL):
     system is solved over so(n); any other tensor falls back to gl(n)."""
     n = algebra.dim
     coords = _so_basis(n) if n > 1 and al.norm_multiplicative(algebra, tol) else np.eye(n * n)
-    kernel = coords @ nullspace(leibniz_matrix(algebra) @ coords, tol)
+    kernel = coords @ nullspace(leibniz_matrix(algebra, coords), tol)
     return _structure(np.ascontiguousarray(kernel.T).reshape(-1, n, n), tol)
 
 
@@ -156,46 +174,46 @@ def trivial_submodule(algebra, der=None, tol=DEFAULT_TOL):
         der = derivation_basis(algebra, tol)
     if der.dim == 0:
         return np.eye(algebra.dim)
-    stacked = np.vstack(der.basis)
-    return nullspace(stacked, tol)
-
-
-def _restrict(der, basis):
-    d = basis.shape[1]
-    return np.reshape([basis.T @ delta @ basis for delta in der.basis], (-1, d, d))
+    return nullspace(np.vstack(der.basis), tol)
 
 
 def commutant_basis(restricted, d, tol=DEFAULT_TOL):
-    """Basis of {Y : Y delta = delta Y for all restricted derivations}.
+    """Orthonormal basis (a stack of d x d matrices) of the symmetric commutant:
+    the symmetric parts of all Y with Y delta = delta Y for the restricted deltas.
 
-    The system stacks kron(I, delta^T) - kron(delta, I) over the deltas,
-    built in one broadcast."""
-    eye = np.eye(d)
-    system = (np.einsum("ij,kba->kiajb", eye, restricted)
-              - np.einsum("kij,ab->kiajb", restricted, eye))
-    kernel = nullspace(system.reshape(-1, d * d), tol)
-    return [kernel[:, c].reshape(d, d) for c in range(kernel.shape[1])]
+    Skew deltas have a transpose-closed commutant, so it is solved in sym(d)
+    coordinates with all d^2 entries of delta S - S delta as rows; other deltas
+    fall back to gl(d) coordinates.  One batched matmul and its mirror."""
+    skew = np.max(np.abs(restricted + restricted.transpose(0, 2, 1)), initial=0.0) < tol.eq_tol
+    coords = _sym_basis(d) if skew else np.eye(d * d).reshape(-1, d, d)
+    system = restricted[:, None] @ coords[None] - coords[None] @ restricted[:, None]
+    kernel = nullspace(system.transpose(0, 2, 3, 1).reshape(-1, len(coords)), tol)
+    comm = (kernel.T @ coords.reshape(len(coords), d * d)).reshape(-1, d, d)
+    if skew:
+        return comm
+    sym = (comm + comm.transpose(0, 2, 1)).reshape(len(comm), d * d)
+    return np.linalg.svd(sym, full_matrices=False)[2][:rank(sym, tol)].reshape(-1, d, d)
 
 
 def _commutant(subspace, der, tol):
     """Check that the subspace is invariant under the derivations, then return
-    the commutant basis of their restriction and the rank of its symmetric
-    part: 1 exactly when an orthogonal module is irreducible (Schur)."""
+    the symmetric commutant basis of their restriction and its dimension: 1
+    exactly when an orthogonal module is irreducible (Schur)."""
     n, d = subspace.shape
-    proj_out = np.eye(n) - subspace @ subspace.T
-    moved = proj_out @ np.reshape(der.basis, (len(der.basis), n, n)) @ subspace
-    if np.max(np.abs(moved), initial=0.0) >= INVARIANCE_TOL:
+    image = np.reshape(der.basis, (-1, n, n)) @ subspace
+    restricted = subspace.T @ image
+    if np.max(np.abs(image - subspace @ restricted), initial=0.0) >= INVARIANCE_TOL:
         raise NotInvariant("subspace is not invariant under the derivations")
-    comm = commutant_basis(_restrict(der, subspace), d, tol)
-    return comm, rank(np.reshape([y + y.T for y in comm], (len(comm), d * d)), tol)
+    comm = commutant_basis(restricted, d, tol)
+    return comm, len(comm)
 
 
 def is_irreducible(subspace, der, tol=DEFAULT_TOL):
     """Certify irreducibility of an invariant subspace.
 
     Derivations of a composition algebra are skew, so by Schur the subspace
-    is irreducible exactly when the symmetric part of the commutant of the
-    restricted derivations is the scalars: one commutant solve and one rank
+    is irreducible exactly when the symmetric commutant of the restricted
+    derivations is the scalars: one solve in sym(d) and its kernel dimension
     decide it.  With Der(A) = 0 only lines are irreducible.
     """
     subspace = np.asarray(subspace, dtype=float)
@@ -212,12 +230,12 @@ def decompose(algebra, tol=DEFAULT_TOL, der=None):
     """Decompose A into irreducible submodules of its derivation algebra.
 
     Splits off the common kernel first (as one-dimensional trivial pieces),
-    then solves each invariant piece for its commutant once: the piece is
-    accepted when the symmetric part of the commutant is the scalars (Schur,
-    for the orthogonal module of a composition algebra) and otherwise split
-    along the eigenspaces of the largest traceless symmetric part among the
-    commutant basis, nonzero when the symmetric rank exceeds 1.  A piece that
-    part leaves as one eigenvalue cluster (round-off) is accepted whole.
+    then solves each invariant piece for its symmetric commutant once: the
+    piece is accepted when that is the scalars (Schur, for the orthogonal
+    module of a composition algebra) and otherwise split along the
+    eigenspaces of the largest traceless part among the symmetric commutant
+    basis, nonzero when its dimension exceeds 1.  A piece that part leaves as
+    one eigenvalue cluster (round-off) is accepted whole.
     Raises AbelianDerivations when there is nothing to decompose against.
     """
     if der is None:
@@ -231,16 +249,15 @@ def decompose(algebra, tol=DEFAULT_TOL, der=None):
         queue = [nullspace(triv.T, tol) if triv.shape[1] else np.eye(n)]
         while queue:
             sub = queue.pop()
-            comm, sym_rank = _commutant(sub, der, tol)
-            if sym_rank > 1:
+            comm, sym_dim = _commutant(sub, der, tol)
+            if sym_dim > 1:
                 d = sub.shape[1]
-                sym = [0.5 * (y + y.T) - np.trace(y) / d * np.eye(d) for y in comm]
-                eig = sym_eigen(max(sym, key=np.linalg.norm), tol)
+                traceless = [s - np.trace(s) / d * np.eye(d) for s in comm]
+                eig = sym_eigen(max(traceless, key=np.linalg.norm), tol)
                 if len(eig.clusters) > 1:
                     queue.extend(sub @ eig.vectors[:, c] for c in eig.clusters)
                     continue
             pieces.append(sub)
     pieces.sort(key=lambda p: (p.shape[1], tuple(np.round(np.abs(p[:, 0]), 6))))
     partition = tuple(sorted(p.shape[1] for p in pieces))
-    return ModuleDecomposition(subspaces=pieces, partition=partition,
-                               trivial_dim=triv.shape[1])
+    return ModuleDecomposition(subspaces=pieces, partition=partition, trivial=triv)

@@ -48,16 +48,17 @@ def rng(seed=DEFAULT_SEED):
     return np.random.default_rng(seed)
 
 
-def check_matrix(m, square=False):
-    """Validate shape and finiteness; return the array as float64."""
+def check_matrix(m, square=False, stack=False):
+    """Validate shape and finiteness; return the array as float64.  With
+    stack, a stack of matrices along one leading axis is accepted too."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stack and m.ndim == 3):
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
     # Operators live in dimension <= 64; stacked systems (e.g. the Leibniz
     # system, 512 x 64) may have up to 64 columns but more rows.
-    if not (1 <= m.shape[0] <= 4096 and 1 <= m.shape[1] <= 4096):
+    if not (1 <= m.shape[-2] <= 4096 and 1 <= m.shape[-1] <= 4096):
         raise ValueError(f"matrix dimensions out of range: {m.shape}")
-    if square and m.shape[0] != m.shape[1]:
+    if square and m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
@@ -123,12 +124,13 @@ def sym_eigen(m, tol=DEFAULT_TOL):
 
 
 def det_sign(m, tol=DEFAULT_TOL):
-    """Sign of det(m) as +1 or -1; NearSingular when |det| <= zero_tol."""
-    m = check_matrix(m, square=True)
+    """Sign of det(m) as +1 or -1, or an int array of them for a stack of
+    matrices; NearSingular when any |det| <= zero_tol."""
+    m = check_matrix(m, square=True, stack=True)
     sign, logabs = np.linalg.slogdet(m)
-    if sign == 0 or np.exp(logabs) <= tol.zero_tol:
+    if (np.exp(logabs) <= tol.zero_tol).any():  # a singular matrix has logabs -inf
         raise NearSingular("determinant within zero_tol of 0")
-    return int(sign)
+    return int(sign) if m.ndim == 2 else sign.astype(int)
 
 
 def is_orthogonal(m, tol=DEFAULT_TOL):

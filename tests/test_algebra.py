@@ -9,6 +9,7 @@ from compalg import octonion as oc
 from compalg.errors import (BadParameter, InconsistentSigns, NoIsotopeProvenance,
                             NotOrthogonal)
 
+from compalg.numerics import DEFAULT_TOL, det_sign
 from conftest import unit
 
 
@@ -65,6 +66,15 @@ def test_double_sign_matches_random_points(gen):
             x = unit(gen, a.dim)
             got = (np.sign(np.linalg.det(a.left_mul(x))), np.sign(np.linalg.det(a.right_mul(x))))
             assert got == ds.signs, (a, x)
+
+
+def test_det_sign_samples_match_per_point_signs():
+    # the batched L_a, R_a stack gives the signs of the operators built one by one
+    for a in (al.okubo_p11(), al.standard_isotope(0, 1), al.quat4(1, 0)):
+        rows = al._det_sign_samples(a, al.DIVISION_TRIALS, DEFAULT_TOL)
+        assert rows.shape == (al.DIVISION_TRIALS, 2)
+        for x, row in zip(al._sample_points(a.dim), rows.tolist()):
+            assert row == [det_sign(a.left_mul(x)), det_sign(a.right_mul(x))]
 
 
 def test_double_sign_inconsistent_for_non_division():

@@ -152,6 +152,15 @@ def test_out_of_range_tolerance_exit_code(capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+def test_tol_rejected_where_unused(capsys):
+    # build and verify read no tolerance, so they do not accept --tol
+    for command in (["build", "--family", "okubo"], ["verify", "--fast"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(command + ["--tol", "1e-4"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+
 def test_zero_grid_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["enumerate", "--block", "D35", "--grid", "0"])

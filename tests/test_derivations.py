@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from compalg import algebra as al
+from compalg import classify as cl
 from compalg import derivations as dv
 from compalg import octonion as oc
 from compalg.errors import AbelianDerivations, NotInvariant
-from compalg.numerics import nullspace, rank
+from compalg.numerics import DEFAULT_TOL, nullspace, rank
 
 from conftest import unit
 from test_triality import random_g2
@@ -149,6 +150,10 @@ def test_is_irreducible_detects_split():
     assert not dv.is_irreducible(quat_block, der)
 
 
+def _restricted(der, sub):
+    return sub.T @ np.array(der.basis) @ sub
+
+
 def _kron_commutant(restricted, d):
     eye = np.eye(d)
     system = np.vstack([np.kron(eye, delta.T) - np.kron(delta, eye) for delta in restricted])
@@ -156,17 +161,29 @@ def _kron_commutant(restricted, d):
     return [kernel[:, c].reshape(d, d) for c in range(kernel.shape[1])]
 
 
+def _oblique_p35():
+    """p35(0, 0) transported by a fixed non-orthogonal map: its derivations
+    are not skew and its 3- and 5-pieces are not orthogonal."""
+    return _conjugate(al.p35(0, 0), np.eye(8) + 0.3 * np.random.default_rng(3).standard_normal((8, 8)))
+
+
 @pytest.mark.parametrize("build, sub, comm_dim", [
     (al.octonion_algebra, np.eye(8)[:, 1:], 1),
     (lambda: al.j_family(0, 0, U4, V4), np.eye(8)[:, :4], 2),
-], ids=["octonions-imaginary", "tau-common-axis-quaternions"])
+    (_oblique_p35, np.eye(8), 2),
+], ids=["octonions-imaginary", "tau-common-axis-quaternions", "oblique-p35-non-skew"])
 def test_commutant_basis_matches_kron_system(build, sub, comm_dim):
+    # the symmetric commutant spans the symmetric parts of the gl(d) commutant
     der = dv.derivation_basis(build())
-    restricted = dv._restrict(der, sub)
-    comm = dv.commutant_basis(restricted, sub.shape[1])
-    ref = _kron_commutant(restricted, sub.shape[1])
+    restricted = _restricted(der, sub)
+    d = sub.shape[1]
+    comm = dv.commutant_basis(restricted, d)
+    sym = np.reshape([y + y.T for y in _kron_commutant(restricted, d)], (-1, d * d))
+    ref = np.linalg.svd(sym, full_matrices=False)[2][:rank(sym)]
     assert len(comm) == len(ref) == comm_dim
-    assert all(np.array_equal(y, y_ref) for y, y_ref in zip(comm, ref))
+    flat = comm.reshape(len(comm), d * d)
+    assert np.max(np.abs(flat.T @ flat - ref.T @ ref)) < 1e-12
+    assert np.max(np.abs(comm - comm.transpose(0, 2, 1))) < 1e-14
 
 
 def _krylov_widths(restricted, v):
@@ -188,7 +205,7 @@ def test_krylov_dims_with_diverging_widths(gen):
     a = al.j_family(0, 0, U4, V4)
     der = dv.derivation_basis(a)
     pieces = [p for p in dv.decompose(a, der=der).subspaces if p.shape[1] > 1]
-    restricted = dv._restrict(der, np.hstack(pieces))
+    restricted = _restricted(der, np.hstack(pieces))
     vectors = [np.eye(7)[0], unit(gen, 7), np.eye(7)[0]]
     widths = [_krylov_widths(restricted, v) for v in vectors]
     assert widths[0][-1] == 3 and widths[1][1] > widths[0][1]
@@ -262,28 +279,108 @@ def test_skew_solve_matches_gl_kernel(name, a):
         assert max(np.max(np.abs(delta + delta.T)) for delta in der.basis) > 1e-3
 
 
-def _symmetric_commutant_singular_values(sub, der):
-    d = sub.shape[1]
-    comm = dv.commutant_basis(dv._restrict(der, sub), d)
-    sym = np.reshape([y + y.T for y in comm], (len(comm), d * d))
-    return np.linalg.svd(sym, compute_uv=False), rank(sym)
+def _sym_commutant_system_singular_values(sub, der):
+    """Singular values, relative to the largest, of the system commutant_basis
+    solves: delta S - S delta for every restricted delta and every element S of
+    the orthonormal basis of sym(d), rebuilt entry by entry."""
+    restricted = _restricted(der, sub)
+    columns = [np.concatenate([(delta @ s - s @ delta).ravel() for delta in restricted])
+               for s in dv._sym_basis(sub.shape[1])]
+    s = np.linalg.svd(np.array(columns).T, compute_uv=False)
+    return s / s[0]
 
 
 @pytest.mark.parametrize("build", FAMILY_FIXTURES.values(), ids=FAMILY_FIXTURES.keys())
 def test_symmetric_commutant_rank_margin(build):
-    # the Schur decision in decompose: kept singular values >= 1e-3, dropped
-    # ones <= 1e-12, on every returned piece and on the complement of the
-    # trivial submodule that decompose starts from
+    # the Schur decision in decompose: kept singular values of the sym(d)
+    # system >= 1e-3 of the largest, dropped ones <= 1e-12, on every returned
+    # piece and on the complement of the trivial submodule decompose starts from
     a = build()
     der = dv.derivation_basis(a)
     dec = dv.decompose(a, der=der)
-    triv = dv.trivial_submodule(a, der)
-    complement = nullspace(triv.T) if triv.shape[1] else np.eye(a.dim)
+    complement = nullspace(dec.trivial.T) if dec.trivial_dim else np.eye(a.dim)
     subs = [p for p in dec.subspaces if p.shape[1] > 1] + [complement]
     for sub in subs:
-        s, r = _symmetric_commutant_singular_values(sub, der)
-        assert np.min(s[:r]) >= 1e-3
-        assert np.max(s[r:], initial=0.0) <= 1e-12
+        s = _sym_commutant_system_singular_values(sub, der)
+        kept = len(s) - len(dv.commutant_basis(_restricted(der, sub), sub.shape[1]))
+        assert np.min(s[:kept]) >= 1e-3
+        assert np.max(s[kept:], initial=0.0) <= 1e-12
+
+
+def test_sym_basis_orthonormal():
+    for d in (1, 3, 7):
+        flat = dv._sym_basis(d).reshape(-1, d * d)
+        assert flat.shape[0] == d * (d + 1) // 2
+        assert np.max(np.abs(flat @ flat.T - np.eye(len(flat)))) < 1e-15
+        assert all(np.array_equal(s, s.T) for s in dv._sym_basis(d))
+        assert not dv._sym_basis(d).flags.writeable
+
+
+def test_decompose_non_skew_fallback():
+    # non-orthogonal transports put Der(A) in the gl(n) fallback: diag(1, Q) g
+    # with g in G2 keeps the imaginary part orthogonal to 1, so the 1 + 7
+    # split and block D17 survive; a map that tilts the imaginary part
+    # towards 1, or the 3- and 5-pieces of p35 towards each other, leaves no
+    # invariant orthogonal complement and raises NotInvariant
+    o = al.octonion_algebra()
+    g = random_g2(np.random.default_rng(5)).mat
+    q = np.eye(7) + 0.3 * np.eye(7, k=1)
+    a = _conjugate(o, np.block([[np.eye(1), np.zeros((1, 7))], [np.zeros((7, 1)), q]]) @ g)
+    der = dv.derivation_basis(a)
+    assert not al.norm_multiplicative(a)
+    assert max(np.max(np.abs(delta + delta.T)) for delta in der.basis) > 1e-3
+    dec = dv.decompose(a, der=der)
+    assert dec.partition == (1, 7) and dec.trivial_dim == 1
+    assert all(len(dv._commutant(p, der, DEFAULT_TOL)[0]) == 1 for p in dec.subspaces)
+    assert not dv.is_irreducible(np.eye(8), der)
+    assert str(cl.analyze(a).block) == "D17^(+,+)"
+    tilted = _conjugate(o, (np.eye(8) + 0.3 * np.eye(8, k=1)) @ g)
+    with pytest.raises(NotInvariant):
+        dv.decompose(tilted)
+    oblique = _oblique_p35()
+    assert not dv.is_irreducible(np.eye(8), dv.derivation_basis(oblique))
+    with pytest.raises(NotInvariant):
+        cl.analyze(oblique)
+
+
+def _special_orthogonal(gen, n):
+    q, r = np.linalg.qr(gen.standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    q[:, 0] *= np.sign(np.linalg.det(q))
+    return q
+
+
+#: analyze on every fixture: partition, trivial_dim and block.
+PINNED_REPORTS = {
+    "octonions": ((1, 7), 1, "D17^(+,+)"),
+    "standard-11": ((1, 7), 1, "D17^(-,-)"),
+    "quat4-10": ((1, 3), 1, "D4^(-,+)"),
+    "tau-generic": ((1, 3, 4), 1, "D134a^(+,+)"),
+    "tau-common-axis": ((1, 3, 4), 1, "D134a^(+,+)"),
+    "tau-sign": ((1, 3, 4), 1, "D134s^(+,+)"),
+    "t-one-axis": ((1, 1, 2, 4), 2, "D1124^(+,-)"),
+    "t-spread": ((1, 1, 1, 1, 4), 4, "D11114^(+,-)"),
+    "t-aligned": ((1, 1, 6), 2, "D116^(+,-)"),
+    "lambda": ((1, 1, 6), 2, "D116^(+,-)"),
+    "okubo": ((8,), 0, "D8^(-,-)"),
+    "p35-00": ((3, 5), 0, "D35^(+,+)"),
+    "p35-01": ((3, 5), 0, "D35^(+,-)"),
+    "g": ((1, 1, 3, 3), 2, "D1133[1101]^(-,+)"),
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_FIXTURES)
+def test_pinned_reports_of_raw_transports(name):
+    # raw G2 (in dimension 4: H-automorphism) and SO(n) transports give the
+    # pinned report
+    from compalg.maps import kappa4
+
+    gen = np.random.default_rng(11)
+    a = FAMILY_FIXTURES[name]()
+    automorphism = random_g2(gen).mat if a.dim == 8 else kappa4(unit(gen, 4))
+    for p in (automorphism, _special_orthogonal(gen, a.dim)):
+        report = cl.analyze(_conjugate(a, p))
+        assert (report.partition, report.trivial_dim, str(report.block)) == PINNED_REPORTS[name]
 
 
 @pytest.mark.parametrize("build", [

@@ -116,6 +116,22 @@ def test_det_sign_basic():
         det_sign(np.zeros((2, 2)))
 
 
+def test_det_sign_stack(gen):
+    # a stack gives the int array of the per-matrix signs; one near-singular
+    # member raises for the whole stack
+    stack = gen.standard_normal((6, 5, 5))
+    signs = det_sign(stack)
+    assert signs.dtype.kind == "i" and signs.shape == (6,)
+    assert signs.tolist() == [det_sign(m) for m in stack]
+    assert isinstance(det_sign(stack[0]), int)
+    stack[3] = 0.0
+    with pytest.raises(NearSingular):
+        det_sign(stack)
+    for bad in (np.zeros((2, 3, 4)), np.ones((2, 2, 3, 3)), np.full((2, 3, 3), np.nan)):
+        with pytest.raises(ValueError):
+            det_sign(bad)
+
+
 def _cofactor_det(m):
     if m.shape == (1, 1):
         return m[0, 0]
