@@ -20,7 +20,7 @@ from .normal_form import (BracketTT, NFResult, PairTT, StabilizerCase, act_TxT,
 from .numerics import (DEFAULT_SEED, TolerancePolicy, det_sign, is_orthogonal,
                        nullspace, sym_eigen)
 from .octonion import CayleyTriple, Octonion, is_cayley_triple, rotation_quaternion
-from .triality import TrialityPair, g2_iso_fixed_subspace, is_triality_pair, iso_isotopes, triality_pair
+from .triality import TrialityPair, is_triality_pair, iso_isotopes, triality_pair
 from .verify import verify_suite
 
 __version__ = "0.1.0"

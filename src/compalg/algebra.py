@@ -24,8 +24,7 @@ import numpy as np
 from . import d1133 as d33
 from . import maps as mp
 from . import octonion as oc
-from .errors import (BadParameter, InconsistentSigns, NearSingular, NoIsotopeProvenance,
-                     NotOrthogonal)
+from .errors import BadParameter, InconsistentSigns, NearSingular, NotOrthogonal
 from .numerics import DEFAULT_TOL, det_sign, is_orthogonal, rng
 
 
@@ -61,9 +60,10 @@ class Algebra:
     """A finite-dimensional real algebra given by structure constants.
 
     sc[i, j, :] holds the coordinates of e_i * e_j.  When built as an
-    orthogonal isotope the defining pair (f, g) is kept in memory for
-    transport and isomorphism testing; it is not serialized (parametric
-    families rebuild it from the label).
+    orthogonal isotope the defining pair (f, g) is kept in memory as the
+    constructor's presentation, for callers; no library function reads it,
+    transport drops it, and it is not serialized (parametric families
+    rebuild it from the label).
     """
 
     __slots__ = ("dim", "sc", "family", "isotope")
@@ -103,12 +103,13 @@ def octonion_algebra():
     return Algebra(oc.STRUCTURE.astype(float))
 
 
-def from_isotope(f, g, family=None, dim=8):
-    """The isotope with product x . y = f(x) g(y) of O (or of H for dim 4)."""
+def from_isotope(f, g, family=None):
+    """The isotope x . y = f(x) g(y) of O, or of H, C or R for smaller factors."""
     fm, gm = mp.as_matrix(f), mp.as_matrix(g)
     if not (is_orthogonal(fm) and is_orthogonal(gm)):
         raise NotOrthogonal("isotope factors must be orthogonal")
-    if fm.shape != (dim, dim) or gm.shape != (dim, dim):
+    dim = fm.shape[0]
+    if gm.shape != fm.shape or dim not in (1, 2, 4, 8):
         raise ValueError("isotope factors have the wrong dimension")
     base = oc.STRUCTURE[:dim, :dim, :dim].astype(float)
     sc = np.einsum("ai,bj,abk->ijk", fm, gm, base)
@@ -116,22 +117,22 @@ def from_isotope(f, g, family=None, dim=8):
 
 
 def transport(phi, algebra):
-    """Conjugate the isotope pair: (f, g) -> (phi f phi^-1, phi g phi^-1).
+    """The pushforward phi_* A, with product x .' y = phi(phi^T x . phi^T y).
 
-    The result is isomorphic to the input with witness phi.  Parametric
-    provenance is carried along when the transformation rule for the family
-    under phi's label is known (conjugation by kappa_hat or tau on the
-    tau/T families, the u-flip on the lambda and two-parameter families);
-    otherwise the result keeps the pair but is labelled raw.
+    phi is an isomorphism onto the result for any orthogonal phi of A's
+    dimension (NotOrthogonal otherwise), raw tensors included.  The result
+    has no isotope pair.  Family provenance is carried along when the rule
+    for the family under phi's label is known (kappa_hat, tau or eps on the
+    tau/T families, eps on the lambda and two-parameter families, G2 on the
+    parameter-free ones); otherwise the result is raw.
     """
-    if algebra.isotope is None:
-        raise NoIsotopeProvenance("transport needs an isotope presentation")
-    phi_m = mp.as_matrix(phi)
-    f, g = algebra.isotope
-    new_f = phi_m @ f @ phi_m.T
-    new_g = phi_m @ g @ phi_m.T
+    m = mp.as_matrix(phi)
+    if m.shape != (algebra.dim, algebra.dim) or not np.isfinite(m).all() or not is_orthogonal(m):
+        raise NotOrthogonal(f"transport needs an orthogonal {algebra.dim}x{algebra.dim} map")
+    # sc'[i, j, k] = m_ia m_jb m_kc sc[a, b, c], one batched matmul per index
+    sc = (m @ (m @ (algebra.sc @ m.T)).transpose(1, 0, 2)).transpose(1, 0, 2)
     family = _transport_label(phi if isinstance(phi, mp.OrthoMap8) else None, algebra.family)
-    return from_isotope(new_f, new_g, family=family, dim=algebra.dim)
+    return Algebra(sc, family=family)
 
 
 def _transport_label(phi, family):
@@ -141,8 +142,6 @@ def _transport_label(phi, family):
     if name in ("standard_isotope", "okubo", "p35") and phi.is_g2_labelled():
         # Block and double sign are invariant and these labels carry no
         # continuous parameters, so the provenance survives any G2 transport.
-        return family
-    if name == "quat4" and plabel.family == "kappa_hat":
         return family
     if name in ("tau_family", "t_family") and plabel.family in ("kappa_hat", "tau", "eps"):
         # each of these maps conjugates the quaternion parameters by some q
@@ -251,7 +250,7 @@ def quat4(i, j):
     k4 = mp.conj_map4()
     f = k4 if j else mp.identity_map(4)
     g = k4 if i else mp.identity_map(4)
-    return from_isotope(f, g, family=FamilyLabel("quat4", {"i": i, "j": j}), dim=4)
+    return from_isotope(f, g, family=FamilyLabel("quat4", {"i": i, "j": j}))
 
 
 def j_family(i, j, a, b, tol=DEFAULT_TOL):

@@ -22,10 +22,6 @@ from . import algebra as al
 from .errors import AbelianDerivations, NotInvariant
 from .numerics import CLUSTER_TOL, DEFAULT_TOL, nullspace, rank, sym_eigen
 
-#: Residual accepted on the Leibniz rule; looser than rank_tol because the
-#: two-parameter family tensors carry trigonometric round-off.
-LEIBNIZ_TOL = 1e-8
-
 #: Residual accepted for invariance of subspaces under derivations.
 INVARIANCE_TOL = 1e-7
 

@@ -41,10 +41,6 @@ class NotOrthogonal(CompalgError):
     pass
 
 
-class NoIsotopeProvenance(CompalgError):
-    pass
-
-
 class InconsistentSigns(CompalgError):
     """Sign of det L_a (or R_a) varied between samples: not a division algebra."""
 
@@ -66,10 +62,6 @@ class NotCanonical(CompalgError):
 
 
 class NotSpecialOrthogonal(CompalgError):
-    pass
-
-
-class PreconditionViolated(CompalgError):
     pass
 
 

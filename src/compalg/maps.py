@@ -1,8 +1,10 @@
 """Constructors for the orthogonal operators on O used throughout the library.
 
-Every constructor returns an OrthoMap8 whose matrix is orthogonal; maps carry
-a provenance label (family name + parameters) so that transport can carry
-family parameters through the map.  Triality components never read labels.
+Every constructor returns an OrthoMap8 whose matrix is orthogonal.  The
+automorphisms of O built here (identity, tau, kappa_hat, eps, g2) carry a
+provenance label (family name + parameters) so that transport can carry
+family parameters through the map; the other maps are unlabelled.  Triality
+components never read labels.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import octonion as oc
-from .errors import NotOrthonormal, NotUnitNorm
+from .errors import NearSingular, NotOrthonormal, NotUnitNorm
 from .numerics import DEFAULT_TOL, det_sign, is_orthogonal
 
 #: Label families that are automorphisms of O by construction.
@@ -73,11 +75,11 @@ def identity_map(dim=8):
 
 def conj_map():
     """The standard involution K."""
-    return OrthoMap8(oc.conj_matrix(), MapLabel("conj", {}), check=False)
+    return OrthoMap8(oc.conj_matrix(), check=False)
 
 
 def conj_map4():
-    return OrthoMap8(np.diag([1.0, -1, -1, -1]), MapLabel("conj", {}), check=False)
+    return OrthoMap8(np.diag([1.0, -1, -1, -1]), check=False)
 
 
 def lambda_map(t, k, tol=DEFAULT_TOL):
@@ -89,7 +91,7 @@ def lambda_map(t, k, tol=DEFAULT_TOL):
         block = block @ np.diag([1.0, -1.0])
     mat = np.eye(8)
     mat[:2, :2] = block
-    return OrthoMap8(mat, MapLabel("lambda", {"t": t2.copy(), "k": k}), check=False)
+    return OrthoMap8(mat, check=False)
 
 
 def g2_from_triples(t1, t2, tol=DEFAULT_TOL):
@@ -155,7 +157,7 @@ def T_map(a, b, k, tol=DEFAULT_TOL):
         block[:, j] = oc.quat_mul(oc.quat_mul(a4, x), b4)
     mat = np.eye(8)
     mat[:4, :4] = block
-    return OrthoMap8(mat, MapLabel("T", {"a": a4.copy(), "b": b4.copy(), "k": k}), check=False)
+    return OrthoMap8(mat, check=False)
 
 
 def sigma_map(vectors, tol=DEFAULT_TOL):
@@ -169,7 +171,7 @@ def sigma_map(vectors, tol=DEFAULT_TOL):
         raise NotOrthonormal("reflection vectors must be orthonormal")
     dim = basis.shape[0]
     mat = np.eye(dim) - 2.0 * basis @ basis.T
-    return OrthoMap8(mat, MapLabel("sigma", {"span": basis.copy()}), check=False)
+    return OrthoMap8(mat, check=False)
 
 
 def sigma_u():
@@ -192,26 +194,26 @@ def sigma_uw():
 
 
 def _as_unit_octonion(a, tol, what):
-    if not isinstance(a, oc.Octonion):
-        arr = np.asarray(a, dtype=float)
-        a = oc.Octonion(arr) if arr.shape == (8,) else oc.Octonion.from_quaternion(arr)
-    if abs(a.norm() - 1.0) >= tol.eq_tol:
+    """An Octonion from an Octonion, 8-vector or quaternion 4-vector of unit
+    norm; NotUnitNorm otherwise, non-finite input included."""
+    arr = oc.as_coords(a)
+    if not abs(np.linalg.norm(arr) - 1.0) < tol.eq_tol:
         raise NotUnitNorm(f"{what} needs a unit element")
-    return a
+    return oc.Octonion(arr) if arr.shape == (8,) else oc.Octonion.from_quaternion(arr)
 
 
 def B_map(a, tol=DEFAULT_TOL):
     """Bimultiplication x -> a (x a) for unit a; equals B_{-a}."""
     a = _as_unit_octonion(a, tol, "bimultiplication")
     mat = oc.left_mul_matrix(a) @ oc.right_mul_matrix(a)
-    return OrthoMap8(mat, MapLabel("B", {"a": a.coords.copy()}), check=False)
+    return OrthoMap8(mat, check=False)
 
 
 def C_map(a, tol=DEFAULT_TOL):
     """Conjugation x -> a (x conj(a)) for unit a; fixes 1."""
     a = _as_unit_octonion(a, tol, "conjugation")
     mat = oc.left_mul_matrix(a) @ oc.right_mul_matrix(a.conj())
-    return OrthoMap8(mat, MapLabel("C", {"a": a.coords.copy()}), check=False)
+    return OrthoMap8(mat, check=False)
 
 
 def G_map(theta, gamma, k1, k2, tol=DEFAULT_TOL):
@@ -229,9 +231,7 @@ def G_map(theta, gamma, k1, k2, tol=DEFAULT_TOL):
         w[7] = -np.cos(gamma)
         refl = sigma_map([oc.UV, oc.UZ, oc.Octonion(w)], tol)
         mat = mat @ refl.mat
-    return OrthoMap8(
-        mat, MapLabel("G", {"theta": float(theta), "gamma": float(gamma), "k1": k1, "k2": k2}),
-        check=False)
+    return OrthoMap8(mat, check=False)
 
 
 def F_map(theta, k1, k2, tol=DEFAULT_TOL):
@@ -242,7 +242,7 @@ def F_map(theta, k1, k2, tol=DEFAULT_TOL):
         mat = mat @ sigma_u().mat
     if k2:
         mat = mat @ sigma_uw().mat
-    return OrthoMap8(mat, MapLabel("F", {"theta": float(theta), "k1": k1, "k2": k2}), check=False)
+    return OrthoMap8(mat, check=False)
 
 
 def f_block_matrix(theta, k1, k2):
@@ -269,36 +269,28 @@ def left_right_mul_map(t, s, rho, tol=DEFAULT_TOL):
 
     Its triality components are (B_t R_{conj s} rho, L_{conj t} B_s rho).
     """
-    t = t if isinstance(t, oc.Octonion) else oc.Octonion(t)
-    s = s if isinstance(s, oc.Octonion) else oc.Octonion(s)
-    if abs(t.norm() - 1) >= tol.eq_tol or abs(s.norm() - 1) >= tol.eq_tol:
-        raise NotUnitNorm("isotopy factors must be unit norm")
-    rho_mat = as_matrix(rho)
-    mat = oc.left_mul_matrix(t) @ oc.right_mul_matrix(s) @ rho_mat
-    return OrthoMap8(mat, MapLabel("lr_mul", {"t": t.coords.copy(), "s": s.coords.copy(),
-                                              "rho": rho_mat.copy()}), check=False)
+    t = _as_unit_octonion(t, tol, "isotopy factor t")
+    s = _as_unit_octonion(s, tol, "isotopy factor s")
+    mat = oc.left_mul_matrix(t) @ oc.right_mul_matrix(s) @ as_matrix(rho)
+    return OrthoMap8(mat, check=False)
 
 
 def bimul_map(c, rho, tol=DEFAULT_TOL):
     """B_c rho for unit c and an automorphism rho; triality components (L_c rho, R_c rho)."""
-    c = c if isinstance(c, oc.Octonion) else oc.Octonion(c)
-    if abs(c.norm() - 1) >= tol.eq_tol:
-        raise NotUnitNorm("bimultiplication factor must be unit norm")
-    rho_mat = as_matrix(rho)
-    mat = oc.left_mul_matrix(c) @ oc.right_mul_matrix(c) @ rho_mat
-    return OrthoMap8(mat, MapLabel("bimul", {"c": c.coords.copy(), "rho": rho_mat.copy()}),
-                     check=False)
+    c = _as_unit_octonion(c, tol, "bimultiplication factor")
+    mat = oc.left_mul_matrix(c) @ oc.right_mul_matrix(c) @ as_matrix(rho)
+    return OrthoMap8(mat, check=False)
 
 
 def is_automorphism(phi, tol=DEFAULT_TOL):
     """True iff phi(e_i e_j) = phi(e_i) phi(e_j) on all 64 basis pairs and det = +1."""
     mat = as_matrix(phi)
-    if mat.shape != (8, 8):
+    if mat.shape != (8, 8) or not np.isfinite(mat).all():
         return False
     if oc.homomorphism_residual(mat, mat, mat) >= tol.eq_tol:
         return False
     try:
         return det_sign(mat, tol) == 1
-    except Exception:
+    except NearSingular:
         return False
 

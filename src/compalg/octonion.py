@@ -262,14 +262,14 @@ def rotation_quaternion(w_from, w_to, tol=DEFAULT_TOL):
 
 def _as_imaginary_unit(w, tol):
     if w.shape == (8,):
-        if np.max(np.abs(w[4:])) >= tol.eq_tol:
+        if not np.max(np.abs(w[4:])) < tol.eq_tol:
             raise NotImaginaryUnit("coordinates outside H are nonzero")
         w = w[:4]
     if w.shape != (4,):
         raise NotImaginaryUnit(f"expected a quaternion, got shape {w.shape}")
-    if abs(w[0]) >= tol.eq_tol:
+    if not abs(w[0]) < tol.eq_tol:
         raise NotImaginaryUnit("real part is nonzero")
-    if abs(w @ w - 1.0) >= tol.eq_tol:
+    if not abs(w @ w - 1.0) < tol.eq_tol:
         raise NotImaginaryUnit("not unit norm")
     out = w.copy()
     out[0] = 0.0
@@ -277,17 +277,19 @@ def _as_imaginary_unit(w, tol):
 
 
 def as_unit_quaternion(p, tol=DEFAULT_TOL, what="parameter"):
-    """Coerce an Octonion / 4-vector / 8-vector to a unit quaternion 4-vector."""
+    """Coerce an Octonion / 4-vector / 8-vector to a unit quaternion 4-vector.
+
+    Checks here read `not x < tol`, so that non-finite input fails them."""
     from .errors import NotUnitQuaternion
 
     p = as_coords(p)
     if p.shape == (8,):
-        if np.max(np.abs(p[4:])) >= tol.eq_tol:
+        if not np.max(np.abs(p[4:])) < tol.eq_tol:
             raise NotUnitQuaternion(f"{what}: coordinates outside H are nonzero")
         p = p[:4]
     if p.shape != (4,):
         raise NotUnitQuaternion(f"{what}: expected 4 coordinates, got shape {p.shape}")
-    if abs(p @ p - 1.0) >= tol.eq_tol:
+    if not abs(p @ p - 1.0) < tol.eq_tol:
         raise NotUnitQuaternion(f"{what}: norm differs from 1 by {abs(np.linalg.norm(p) - 1):g}")
     return p.astype(float)
 
@@ -298,11 +300,11 @@ def as_unit_complex(t, tol=DEFAULT_TOL, what="parameter"):
 
     t = as_coords(t)
     if t.shape in ((8,), (4,)):
-        if np.max(np.abs(t[2:])) >= tol.eq_tol:
+        if not np.max(np.abs(t[2:])) < tol.eq_tol:
             raise NotUnitComplex(f"{what}: coordinates outside C are nonzero")
         t = t[:2]
     if t.shape != (2,):
         raise NotUnitComplex(f"{what}: expected 2 coordinates, got shape {t.shape}")
-    if abs(t @ t - 1.0) >= tol.eq_tol:
+    if not abs(t @ t - 1.0) < tol.eq_tol:
         raise NotUnitComplex(f"{what}: not unit norm")
     return t.astype(float)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import maps as mp
 from . import octonion as oc
-from .errors import NoIsotopeProvenance, NotSpecialOrthogonal, PreconditionViolated
+from .errors import NotSpecialOrthogonal
 from .numerics import DEFAULT_TOL, det_sign, is_orthogonal
 
 PAIR_TOL = 1e-8
@@ -137,30 +137,3 @@ def iso_isotopes(a, b, phi, tol=DEFAULT_TOL):
         return False
     return oc.homomorphism_residual(m, m, m, a.sc, b.sc) < PAIR_TOL
 
-
-def g2_iso_fixed_subspace(a, b, subspace, phi, tol=DEFAULT_TOL):
-    """Isomorphism test when all four isotope factors fix a subspace pointwise.
-
-    In that situation every isomorphism is an automorphism of O preserving
-    the subspace and conjugating the pairs onto each other.
-    """
-    if a.isotope is None or b.isotope is None:
-        raise NoIsotopeProvenance("isotope presentations required")
-    basis = np.asarray(subspace, dtype=float)
-    if basis.ndim == 1:
-        basis = basis.reshape(-1, 1)
-    for mat in (*a.isotope, *b.isotope):
-        if np.max(np.abs(mat @ basis - basis)) >= 1e-9:
-            raise PreconditionViolated("isotope factors must fix the subspace pointwise")
-    m = mp.as_matrix(phi)
-    if not mp.is_automorphism(m, tol):
-        return False
-    image = m @ basis
-    # phi(U) = U: image columns must lie in the span of basis
-    proj = basis @ np.linalg.lstsq(basis, image, rcond=None)[0]
-    if np.max(np.abs(image - proj)) >= tol.eq_tol:
-        return False
-    f, g = a.isotope
-    fp, gp = b.isotope
-    return bool(np.max(np.abs(m @ f @ m.T - fp)) < PAIR_TOL
-                and np.max(np.abs(m @ g @ m.T - gp)) < PAIR_TOL)

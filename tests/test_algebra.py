@@ -6,8 +6,7 @@ import pytest
 from compalg import algebra as al
 from compalg import maps as mp
 from compalg import octonion as oc
-from compalg.errors import (BadParameter, InconsistentSigns, NoIsotopeProvenance,
-                            NotOrthogonal)
+from compalg.errors import BadParameter, InconsistentSigns, NotOrthogonal
 
 from compalg.numerics import DEFAULT_TOL, det_sign
 from conftest import unit
@@ -170,10 +169,15 @@ def test_transport_eps_on_lambda(gen):
     assert np.allclose(moved.family.params["a"], [t1[0], -t1[1]])
 
 
-def test_transport_requires_provenance():
-    raw = al.Algebra(oc.STRUCTURE.astype(float))
-    with pytest.raises(NoIsotopeProvenance):
-        al.transport(mp.identity_map(), raw)
+def test_transport_rejects_non_orthogonal_maps():
+    octonions, h = al.octonion_algebra(), al.quat4(0, 1)
+    shear = np.eye(8)
+    shear[0, 1] = 0.3
+    for phi, a in ((shear, octonions), (2.0 * np.eye(8), octonions), (np.eye(4), octonions),
+                   (np.full((8, 8), np.nan), octonions),
+                   (np.eye(8), h), (mp.kappa_hat_map([0.0, 1, 0, 0]), h)):
+        with pytest.raises(NotOrthogonal):
+            al.transport(phi, a)
 
 
 def test_membership_predicates():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from compalg import algebra as al
 from compalg import maps as mp
 from compalg import octonion as oc
-from compalg.errors import (NotCayleyTriple, NotOrthonormal, NotUnitComplex,
-                            NotUnitQuaternion)
+from compalg.errors import (NotCayleyTriple, NotImaginaryUnit, NotOrthonormal, NotUnitComplex,
+                            NotUnitNorm, NotUnitQuaternion)
 from compalg.numerics import is_orthogonal
 
 from conftest import unit
@@ -151,6 +152,40 @@ def test_is_automorphism(gen):
     assert mp.is_automorphism(mp.tau_map(unit(gen, 4)))
     assert mp.is_automorphism(mp.kappa_hat_map(unit(gen, 4)))
     assert mp.is_automorphism(mp.eps_hat(1))
+
+
+def test_is_automorphism_rejects_degenerate_input():
+    for m in (np.zeros((8, 8)), np.full((8, 8), np.nan), np.eye(4)):
+        assert mp.is_automorphism(m) is False
+
+
+NAN4, NAN8, ONE4 = np.full(4, np.nan), np.full(8, np.nan), np.array([1.0, 0, 0, 0])
+OUTSIDE_H = np.r_[0.0, 1.0, 0, 0, np.nan, 0, 0, 0]  # unit in H, NaN outside
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: oc.as_unit_quaternion(NAN4), NotUnitQuaternion),
+    (lambda: oc.as_unit_quaternion(OUTSIDE_H), NotUnitQuaternion),
+    (lambda: oc.as_unit_complex(np.full(2, np.nan)), NotUnitComplex),
+    (lambda: oc.as_unit_complex(OUTSIDE_H), NotUnitComplex),
+    (lambda: oc.rotation_quaternion(NAN4, oc.U), NotImaginaryUnit),
+    (lambda: oc.rotation_quaternion(OUTSIDE_H, oc.U), NotImaginaryUnit),
+    (lambda: al.in_TxT_ij(0, 0, NAN4, ONE4), NotUnitQuaternion),
+    (lambda: al.in_S(NAN4, ONE4, ONE4, ONE4), NotUnitQuaternion),
+    (lambda: al.t_block(0, 0, NAN4, ONE4, ONE4, ONE4), NotUnitQuaternion),
+    (lambda: mp.kappa_hat_map(NAN4), NotUnitQuaternion),
+    (lambda: mp.B_map(NAN8), NotUnitNorm),
+    (lambda: mp.C_map(NAN4), NotUnitNorm),
+    (lambda: mp.left_right_mul_map(NAN8, oc.ONE, np.eye(8)), NotUnitNorm),
+    (lambda: mp.left_right_mul_map(oc.ONE, NAN8, np.eye(8)), NotUnitNorm),
+    (lambda: mp.bimul_map(NAN8, np.eye(8)), NotUnitNorm),
+], ids=["quaternion", "quaternion-outside-H", "complex", "complex-outside-C",
+        "imaginary-unit", "imaginary-unit-outside-H", "in_TxT_ij", "in_S", "t_block",
+        "kappa_hat_map", "B_map", "C_map-quaternion", "left_right_mul_map-t",
+        "left_right_mul_map-s", "bimul_map"])
+def test_non_finite_input_fails_unit_checks(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_delta_semidirect_homomorphism(gen):

@@ -5,7 +5,7 @@ from compalg import algebra as al
 from compalg import maps as mp
 from compalg import octonion as oc
 from compalg import triality as tr
-from compalg.errors import NotSpecialOrthogonal, PreconditionViolated
+from compalg.errors import NotSpecialOrthogonal
 
 from conftest import unit
 
@@ -155,33 +155,48 @@ def test_g2_iso_fixed_subspace(gen):
     q = unit(gen, 4)
     phi = mp.kappa_hat_map(q)
     b = al.transport(phi, a)
-    subspace = np.eye(8)[:, 4:]
-    assert tr.g2_iso_fixed_subspace(a, b, subspace, phi)
-    assert not tr.g2_iso_fixed_subspace(a, b, subspace, mp.conj_map())
+    assert tr.iso_isotopes(a, b, phi)
+    assert not tr.iso_isotopes(a, b, mp.conj_map())
     # the u-flip on a k-point with its own transport, fixing the unit line
     c = al.transport(mp.eps_hat(1), a)
-    assert tr.g2_iso_fixed_subspace(a, c, np.eye(8)[:, 4:], mp.eps_hat(1))
-    with pytest.raises(PreconditionViolated):
-        # the okubo pair moves z, so it does not fix the complement of H
-        okubo = al.okubo_p11()
-        tr.g2_iso_fixed_subspace(okubo, okubo, np.eye(8)[:, 4:], mp.identity_map())
+    assert tr.iso_isotopes(a, c, mp.eps_hat(1))
 
 
 def test_g2_iso_fixing_unit_line(gen):
     # conjugate-paired parameters make the T-type maps fix 1, so the unit
-    # line works as the shared fixed subspace
+    # line is a shared fixed subspace
     a1, a2 = unit(gen, 4), unit(gen, 4)
     a = al.k_family(1, 0, a1, oc.quat_conj(a1), a2, oc.quat_conj(a2))
     for mat in a.isotope:
         assert np.max(np.abs(mat[:, 0] - np.eye(8)[:, 0])) < 1e-12
     phi = mp.eps_hat(1)
     b = al.transport(phi, a)
-    one_line = np.eye(8)[:, :1]
-    assert tr.g2_iso_fixed_subspace(a, b, one_line, phi)
+    assert tr.iso_isotopes(a, b, phi)
     # a different conjugate-paired target is rejected
     a1p = unit(gen, 4)
     c = al.k_family(1, 0, a1p, oc.quat_conj(a1p), a2, oc.quat_conj(a2))
-    assert not tr.g2_iso_fixed_subspace(a, c, one_line, phi)
+    assert not tr.iso_isotopes(a, c, phi)
+
+
+def test_transport_by_non_automorphism_is_witnessed(gen):
+    from compalg.classify import analyze
+
+    a = al.j_family(0, 1, unit(gen, 4), unit(gen, 4))
+    phi = random_so8(gen)
+    assert not mp.is_automorphism(phi)
+    b = al.transport(phi, a)
+    assert b.family is None and b.isotope is None
+    assert tr.iso_isotopes(a, b, phi)
+    assert analyze(b).to_json() == analyze(a).to_json()
+
+
+def test_transport_of_raw_tensor_is_the_pushforward(gen):
+    raw = al.Algebra(al.k_family(1, 0, *(unit(gen, 4) for _ in range(4))).sc.copy())
+    for phi in (random_so8(gen), mp.kappa_hat_map(unit(gen, 4))):
+        moved = al.transport(phi, raw)
+        assert np.max(np.abs(moved.sc - _push(phi.mat, raw).sc)) < 1e-14
+        assert moved.family is None and moved.isotope is None
+        assert repr(moved) == "Algebra(dim=8, family=raw)"
 
 
 def test_random_so8_pairs(gen):
