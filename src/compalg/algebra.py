@@ -127,7 +127,7 @@ def transport(phi, algebra):
     parameter-free ones); otherwise the result is raw.
     """
     m = mp.as_matrix(phi)
-    if m.shape != (algebra.dim, algebra.dim) or not np.isfinite(m).all() or not is_orthogonal(m):
+    if m.shape != (algebra.dim, algebra.dim) or not is_orthogonal(m):
         raise NotOrthogonal(f"transport needs an orthogonal {algebra.dim}x{algebra.dim} map")
     # sc'[i, j, k] = m_ia m_jb m_kc sc[a, b, c], one batched matmul per index
     sc = (m @ (m @ (algebra.sc @ m.T)).transpose(1, 0, 2)).transpose(1, 0, 2)

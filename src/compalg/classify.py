@@ -2,11 +2,12 @@
 
 analyze() works on raw structure-constant tensors: double sign, derivation
 algebra, trivial submodule and module partition determine the block.
-canonical() additionally needs constructor provenance and reduces the
-parameters into the block's transversal, returning a witness map onto the
-canonical representative; the block of a tau- or T-family point comes from
+canonical() needs constructor provenance: one parameter-level core, shared
+with enumerate_block and building no tensor, reduces the family parameters
+into the block's transversal with a witness map onto the canonical
+representative; the block of a tau- or T-family point comes from
 algebra.tau_block or algebra.t_block, and one table holds the four
-parameter-free blocks for canonical, canonical_algebra and enumerate_block.
+parameter-free blocks for the core, canonical_algebra and enumerate_block.
 isomorphic() composes these: definite No on differing invariants, definite
 Yes (with a verified witness) on equal canonical forms, Unknown for raw
 tensors in continuous-moduli blocks.
@@ -15,6 +16,7 @@ tensors in continuous-moduli blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -39,8 +41,6 @@ _PARAMETER_FREE = {
     "D4": ("quat4", al.quat4, _SIGN_PAIRS),
 }
 _PARAMETER_FREE_FAMILIES = {family: kind for kind, (family, _, _) in _PARAMETER_FREE.items()}
-
-PARAMETER_FREE_KINDS = frozenset(_PARAMETER_FREE)
 
 #: Every block kind enumerate_block accepts.
 BLOCK_KINDS = ("D17", "D8", "D35", "D4", "D134s", "D134a", "D116", "D1124", "D11114", "D1133")
@@ -182,46 +182,45 @@ def _lambda_to_t(i, j, a2, b2):
 
 
 def canonical(algebra, tol=DEFAULT_TOL):
-    """Canonical form of a provenance-carrying algebra.
+    """Canonical form of a provenance-carrying algebra: _canonical_params on
+    its family label.  Raises RawTensorNotSupported without provenance."""
+    if algebra.family is None:
+        raise RawTensorNotSupported("canonical forms need constructor provenance")
+    return _canonical_params(algebra.family.name, algebra.family.params, algebra.dim, tol)
+
+
+def _canonical_params(name, p, dim, tol=DEFAULT_TOL):
+    """Canonical form of the point p of the family called name; builds no tensor.
 
     tau family points reduce through the pair transversal, T and lambda
     families through the bracket-pair transversal, the two-parameter family
-    through its angle region; the remaining families are parameter-free.
-    Raises RawTensorNotSupported without provenance and NotInBlock for
-    parameters outside the covered blocks.
+    through its angle region; the remaining families are parameter-free, with
+    the identity of R^dim as witness.  Raises NotInBlock for parameters
+    outside the covered blocks and RawTensorNotSupported for other names.
     """
-    if algebra.family is None:
-        raise RawTensorNotSupported("canonical forms need constructor provenance")
-    name = algebra.family.name
-    p = algebra.family.params
     if name in _PARAMETER_FREE_FAMILIES:
         kind = _PARAMETER_FREE_FAMILIES[name]
         sign = al.DoubleSign(p["i"], p["j"]) if p else al.DoubleSign(*_PARAMETER_FREE[kind][2][0])
-        return CanonicalForm(BlockLabel(kind, sign), None, mp.identity_map(algebra.dim))
-    if name == "tau_family":
+        return CanonicalForm(BlockLabel(kind, sign), None, mp.identity_map(dim))
+    if name in ("tau_family", "t_family", "lambda_family"):
         i, j = p["i"], p["j"]
-        a, b = np.asarray(p["a"], float), np.asarray(p["b"], float)
-        res = nf.nf_TxT(nf.make_pair(a, b), tol)
-        kind = al.tau_block(i, j, res.canonical.a, res.canonical.b, tol)
-        witness = mp.kappa_hat_map(res.witness_q, tol)
-        # the canonical pair is kept even for the parameter-free kinds (it is
-        # then the fixed point of the block); equality ignores it there
-        return CanonicalForm(BlockLabel(kind, al.DoubleSign(i, j)), res.canonical, witness,
-                             res.boundary_flag)
-    if name in ("t_family", "lambda_family"):
-        i, j = p["i"], p["j"]
-        if name == "lambda_family":
-            qs = _lambda_to_t(i, j, np.asarray(p["a"], float), np.asarray(p["b"], float))
+        if name == "tau_family":
+            res = nf.nf_TxT(nf.make_pair(p["a"], p["b"]), tol)
+            # the canonical pair is kept even for the parameter-free kinds (it
+            # is then the fixed point of the block); equality ignores it there
+            kind = al.tau_block(i, j, res.canonical.a, res.canonical.b, tol)
         else:
-            qs = tuple(np.asarray(p[k], float) for k in ("a1", "b1", "a2", "b2"))
-        kind = al.t_block(i, j, *qs, tol)
-        if kind is None:
-            raise NotInBlock("all four parameters in {1,-1}: outside the bracket-pair blocks")
-        res = nf.nf_pair((nf.BracketTT.of(qs[0], qs[1], tol),
-                          nf.BracketTT.of(qs[2], qs[3], tol)), tol)
-        witness = mp.kappa_hat_map(res.witness_q, tol)
-        return CanonicalForm(BlockLabel(kind, al.DoubleSign(i, j)), res.canonical, witness,
-                             res.boundary_flag)
+            if name == "lambda_family":
+                qs = _lambda_to_t(i, j, np.asarray(p["a"], float), np.asarray(p["b"], float))
+            else:
+                qs = tuple(np.asarray(p[k], float) for k in ("a1", "b1", "a2", "b2"))
+            kind = al.t_block(i, j, *qs, tol)
+            if kind is None:
+                raise NotInBlock("all four parameters in {1,-1}: outside the bracket-pair blocks")
+            res = nf.nf_pair((nf.BracketTT.of(qs[0], qs[1], tol),
+                              nf.BracketTT.of(qs[2], qs[3], tol)), tol)
+        return CanonicalForm(BlockLabel(kind, al.DoubleSign(i, j)), res.canonical,
+                             mp.kappa_hat_map(res.witness_q, tol), res.boundary_flag)
     if name == "g_family":
         gp = d33.GParams(p["i1"], p["j1"], p["i2"], p["j2"], p["alpha"], p["beta"])
         cp, eps = d33.canonical_1133(gp, tol)
@@ -233,7 +232,7 @@ def canonical(algebra, tol=DEFAULT_TOL):
 
 
 def _params_close(kind, left, right, tol=1e-8):
-    if kind in PARAMETER_FREE_KINDS:
+    if kind in _PARAMETER_FREE:
         return True
     if kind in ("D134s", "D134a"):
         return left.close_to(right, tol)
@@ -309,83 +308,66 @@ def enumerate_block(kind, grid=3, tol=DEFAULT_TOL):
     Parameter-free blocks yield their finitely many classes; blocks with
     continuous moduli are sampled on a grid of the stated resolution, every
     item passing its transversal membership and pairwise non-isomorphic.
+    Each grid point goes straight to _canonical_params, which decides its
+    block once and builds no tensor.  Bracket-pair forms are deduplicated per
+    double sign as _params_close at 1e-6 would, against all kept ones at once
+    (closeness up to a simultaneous sign ignores sign normalisation).
     """
     if grid < 1:
         raise ValueError("grid resolution must be at least 1")
-    if kind in _PARAMETER_FREE:
-        _, build, signs = _PARAMETER_FREE[kind]
-        for i, j in signs:
-            yield canonical(build(i, j), tol)
-        return
-    if kind == "D134s":
-        signs = [(1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
-        for i, j in _SIGN_PAIRS:
-            for sa, sb in signs:
-                yield canonical(al.j_family(i, j, sa * nf.ONE4, sb * nf.ONE4), tol)
-        return
-    if kind == "D134a":
-        for i, j in _SIGN_PAIRS:
-            for alpha in _grid_open(grid):
-                a = _cx(alpha)
-                for alpha2 in _grid_open(grid):
-                    for beta in np.linspace(0.0, np.pi, grid):
-                        b = np.array([np.cos(alpha2),
-                                      np.sin(alpha2) * np.cos(beta),
-                                      np.sin(alpha2) * np.sin(beta), 0.0])
-                        if al.tau_block(i, j, a, b, tol) != "D134a":
-                            continue
-                        yield canonical(al.j_family(i, j, a, b), tol)
-        return
-    if kind in ("D116", "D1124", "D11114"):
-        yield from _enumerate_bracket_block(kind, grid, tol)
-        return
-    if kind == "D1133":
-        for i1, j1 in _SIGN_PAIRS:
-            for i2, j2 in _SIGN_PAIRS:
-                if i2 != 1 and j2 != 1:
-                    continue
-                for alpha in _grid_open(grid, 0.0, np.pi / 2):
-                    for beta in _grid_open(grid):
-                        gp = d33.GParams(i1, j1, i2, j2, alpha, beta)
-                        if not d33.in_d1133(gp, tol):
-                            continue
-                        cp, _ = d33.canonical_1133(gp, tol)
-                        if (cp.alpha, cp.beta) != (gp.alpha, gp.beta):
-                            continue
-                        yield canonical(al.g_family(i1, j1, i2, j2, alpha, beta), tol)
-        return
-    raise NotInBlock(f"unknown or unenumerable block kind {kind!r}")
-
-
-def _enumerate_bracket_block(kind, grid, tol):
-    for i, j in _SIGN_PAIRS:
-        seen = []
-        for qs in _bracket_param_grid(kind, i, j, grid):
-            if al.t_block(i, j, *qs, tol) != kind:
+    if kind not in BLOCK_KINDS:
+        raise NotInBlock(f"unknown or unenumerable block kind {kind!r}")
+    kept = {}  # double sign -> stacked (first, second) pairs of the bracket forms kept
+    for family, point in _grid_points(kind, grid):
+        try:
+            form = _canonical_params(family, point, 4 if kind == "D4" else 8, tol)
+        except NotInBlock:  # the excluded point of D1133
+            continue
+        if form.block.kind != kind or (kind == "D1133"
+                                       and form.params != (point["alpha"], point["beta"])):
+            continue  # another block, or a D1133 point outside the fold's region
+        if kind in ("D116", "D1124", "D11114"):
+            pairs = np.array([np.concatenate([pair.a, pair.b]) for pair in form.params])
+            rows = kept.get(form.block.sign, np.empty((0, 2, 8)))
+            near_second = np.minimum(np.abs(rows[:, 1] - pairs[1]).max(axis=1),
+                                     np.abs(rows[:, 1] + pairs[1]).max(axis=1)) < 1e-6
+            if (near_second & (np.abs(rows[:, 0] - pairs[0]).max(axis=1) < 1e-6)).any():
                 continue
-            form = canonical(al.k_family(i, j, *qs), tol)
-            if any(_params_close(kind, form.params, other, 1e-6) for other in seen):
-                continue
-            seen.append(form.params)
-            yield form
+            kept[form.block.sign] = np.concatenate([rows, pairs[None]])
+        yield form
 
 
-def _bracket_param_grid(kind, i, j, grid):
+def _grid_points(kind, grid):
+    """(family, parameters) of each point enumerate_block canonicalizes."""
     angles = _grid_open(grid)
-    if kind == "D116":
-        for s1 in angles:
-            for s2 in angles:
-                a1, a2 = _cx(s1), _cx(s2)
-                yield (a1, (-1.0) ** j * a1, a2, (-1.0) ** i * a2)
-    elif kind == "D1124":
-        for s1 in angles:
-            for t1 in angles:
-                for s2 in angles:
-                    a1, b1, a2 = _cx(s1), _cx(t1), _cx(s2)
-                    yield (a1, b1, a2, (-1.0) ** i * a2)
+    if kind in _PARAMETER_FREE:
+        family, _, signs = _PARAMETER_FREE[kind]
+        for i, j in signs:
+            yield family, {"i": i, "j": j}
+    elif kind == "D1133":  # i2 = 1 or j2 = 1; on this grid the angle fold is the identity
+        for (i1, j1), (i2, j2), alpha, beta in product(
+                _SIGN_PAIRS, _SIGN_PAIRS[1:], _grid_open(grid, 0.0, np.pi / 2), angles):
+            yield "g_family", {"i1": i1, "j1": j1, "i2": i2, "j2": j2,
+                               "alpha": alpha, "beta": beta}
+    elif kind == "D134s":
+        for (i, j), (sa, sb) in product(_SIGN_PAIRS, ((1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))):
+            yield "tau_family", {"i": i, "j": j, "a": sa * nf.ONE4, "b": sb * nf.ONE4}
+    elif kind == "D134a":
+        for (i, j), alpha, alpha2, beta in product(_SIGN_PAIRS, angles, angles,
+                                                   np.linspace(0.0, np.pi, grid)):
+            b = np.array([np.cos(alpha2), np.sin(alpha2) * np.cos(beta),
+                          np.sin(alpha2) * np.sin(beta), 0.0])
+            yield "tau_family", {"i": i, "j": j, "a": _cx(alpha), "b": b}
     else:
-        for s1 in angles:
-            for t1 in angles:
-                for s2 in angles:
-                    b2 = np.array([np.cos(s2), 0.0, np.sin(s2), 0.0])
-                    yield (_cx(s1), (-1.0) ** j * _cx(s1), _cx(t1), b2)
+        for (i, j), (s1, t1, s2) in product(_SIGN_PAIRS, product(angles, repeat=3)):
+            a1, a2 = _cx(s1), _cx(s2)
+            if kind == "D116" and t1 == s1:  # b1 aligned with a1: one angle fewer
+                qs = (a1, (-1.0) ** j * a1, a2, (-1.0) ** i * a2)
+            elif kind == "D1124":
+                qs = (a1, _cx(t1), a2, (-1.0) ** i * a2)
+            elif kind == "D11114":
+                qs = (a1, (-1.0) ** j * a1, _cx(t1),
+                      np.array([np.cos(s2), 0.0, np.sin(s2), 0.0]))
+            else:
+                continue
+            yield "t_family", {"i": i, "j": j, **dict(zip(("a1", "b1", "a2", "b2"), qs))}

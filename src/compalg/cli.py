@@ -2,14 +2,16 @@
 and enumerate algebras, plus a deterministic verification suite.
 
 Exit codes: 0 on success, 1 on verification failure (or an operation that
-could not complete, such as `canon` on a raw tensor), 2 on bad usage and bad
-input, including every family label the library rejects, built or loaded.
+could not complete, such as `canon` on a raw tensor or output into a closed
+pipe), 2 on bad usage and bad input, including every family label the library
+rejects, built or loaded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -50,7 +52,8 @@ def _load_algebra(path):
 
 
 def _dump(obj, path):
-    text = json.dumps(obj, indent=2)
+    """Write obj as indented JSON, or a string as it is, to path or stdout."""
+    text = obj if isinstance(obj, str) else json.dumps(obj, indent=2)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -121,27 +124,26 @@ def _cmd_iso(args):
     return 0
 
 
+def _csv_fields(value, name=""):
+    """A form's JSON as scalar fields under joined names: point_alpha and
+    point_a0 to point_b3 for a pair, point0_a0 to point1_beta for two brackets."""
+    if isinstance(value, list):
+        return {k: v for n, x in enumerate(value) for k, v in _csv_fields(x, f"{name}{n}").items()}
+    if isinstance(value, dict):
+        return {k: v for key, x in value.items()
+                for k, v in _csv_fields(x, f"{name}_{key}" if name else key).items()}
+    return {name: value}
+
+
 def _cmd_enumerate(args):
     rows = [form.to_json() for form in cl.enumerate_block(args.block, args.grid, args.tol)]
     if args.format == "csv":
-        cols = sorted({key for row in rows for key in row if not isinstance(row[key], (dict, list))})
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join(str(row.get(c, "")) for c in cols))
-        text = "\n".join(lines)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        rows = [_csv_fields(row) for row in rows]
+        cols = sorted({key for row in rows for key in row})
+        lines = [",".join(cols)] + [",".join(str(row.get(c, "")) for c in cols) for row in rows]
     else:
-        stream = sys.stdout if not args.output else open(args.output, "w")
-        try:
-            for row in rows:
-                stream.write(json.dumps(row) + "\n")
-        finally:
-            if args.output:
-                stream.close()
+        lines = [json.dumps(row) for row in rows]
+    _dump("\n".join(lines), args.output)
     return 0
 
 
@@ -235,7 +237,15 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe: the output cannot complete.  Point
+        # stdout at devnull so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -132,7 +132,7 @@ def iso_isotopes(a, b, phi, tol=DEFAULT_TOL):
     sign, equals (f' phi f^-1, g' phi g^-1).  Non-finite input gives False.
     """
     m = mp.as_matrix(phi)
-    if (m.shape != (8, 8) or a.dim != 8 or b.dim != 8 or not np.isfinite(m).all()
+    if (m.shape != (8, 8) or a.dim != 8 or b.dim != 8
             or not is_orthogonal(m, tol) or det_sign(m, tol) != 1):
         return False
     return oc.homomorphism_residual(m, m, m, a.sc, b.sc) < PAIR_TOL

@@ -39,6 +39,13 @@ def test_from_isotope_rejects_non_orthogonal():
         al.from_isotope(2.0 * np.eye(8), np.eye(8))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_from_isotope_rejects_non_finite_factors(bad):
+    for f, g in ((np.full((8, 8), bad), np.eye(8)), (np.eye(8), np.full((8, 8), bad))):
+        with pytest.raises(NotOrthogonal):
+            al.from_isotope(f, g)
+
+
 def test_double_sign_table():
     assert al.double_sign(al.octonion_algebra()).signs == (1, 1)
     for i in (0, 1):
@@ -174,7 +181,7 @@ def test_transport_rejects_non_orthogonal_maps():
     shear = np.eye(8)
     shear[0, 1] = 0.3
     for phi, a in ((shear, octonions), (2.0 * np.eye(8), octonions), (np.eye(4), octonions),
-                   (np.full((8, 8), np.nan), octonions),
+                   (np.full((8, 8), np.nan), octonions), (np.full((8, 8), np.inf), octonions),
                    (np.eye(8), h), (mp.kappa_hat_map([0.0, 1, 0, 0]), h)):
         with pytest.raises(NotOrthogonal):
             al.transport(phi, a)

@@ -1,0 +1,154 @@
+"""The parameter-level canonical core against the tensor-building path.
+
+canonical() on a constructed algebra and enumerate_block() both run
+classify._canonical_params on family parameters.  These tests pin the core
+to the constructor path family by family, and pin enumerate_block to the
+loop it replaced, which built a tensor at every grid point and canonicalized
+it (kept below as the reference)."""
+
+import numpy as np
+import pytest
+
+from compalg import algebra as al
+from compalg import classify as cl
+from compalg import d1133 as d33
+from compalg import maps as mp
+from compalg import normal_form as nf
+
+from conftest import unit
+
+
+def flat_params(params):
+    if params is None:
+        return np.zeros(0)
+    if isinstance(params, nf.PairTT):
+        return np.concatenate([params.a, params.b])
+    if isinstance(params, tuple):
+        return np.concatenate([flat_params(p) for p in params])
+    return np.atleast_1d(np.asarray(params, dtype=float))
+
+
+def assert_same_form(got, want):
+    assert str(got.block) == str(want.block)
+    assert np.array_equal(flat_params(got.params), flat_params(want.params))
+    assert got.boundary_flag == want.boundary_flag
+    assert np.array_equal(got.witness.mat, want.witness.mat)
+
+
+def family_points(gen):
+    """(family, constructor parameters) covering every family and sign."""
+    signs = [{"i": i, "j": j} for i in (0, 1) for j in (0, 1)]
+    points = [("okubo", {})]
+    points += [(name, s) for name in ("standard_isotope", "quat4") for s in signs]
+    points += [("p35", s) for s in signs[:3]]
+    for s in signs:
+        points.append(("tau_family", {**s, "a": unit(gen, 4), "b": unit(gen, 4)}))
+        points.append(("tau_family", {**s, "a": nf.ONE4, "b": -nf.ONE4}))
+        points.append(("t_family", {**s, **{k: unit(gen, 4) for k in ("a1", "b1", "a2", "b2")}}))
+        points.append(("lambda_family", {**s, "a": unit(gen, 2), "b": unit(gen, 2)}))
+    for i1, j1 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for i2, j2 in ((0, 1), (1, 0), (1, 1)):
+            alpha, beta = gen.uniform(-4.0, 4.0, 2)
+            points.append(("g_family", {"i1": i1, "j1": j1, "i2": i2, "j2": j2,
+                                        "alpha": alpha, "beta": beta}))
+    return points
+
+
+def test_core_matches_canonical_of_the_constructor(gen):
+    for name, params in family_points(gen):
+        algebra = al.from_family(name, params)
+        assert_same_form(cl._canonical_params(name, params, algebra.dim), cl.canonical(algebra))
+    assert cl._canonical_params("quat4", {"i": 0, "j": 1}, 4).witness.mat.shape == (4, 4)
+
+
+# ---------------------------------------------------------------------------
+# The tensor-building enumeration loop, kept as the reference
+# ---------------------------------------------------------------------------
+
+def reference_bracket_grid(kind, i, j, grid):
+    angles = cl._grid_open(grid)
+    if kind == "D116":
+        for s1 in angles:
+            for s2 in angles:
+                a1, a2 = cl._cx(s1), cl._cx(s2)
+                yield (a1, (-1.0) ** j * a1, a2, (-1.0) ** i * a2)
+    elif kind == "D1124":
+        for s1 in angles:
+            for t1 in angles:
+                for s2 in angles:
+                    a1, b1, a2 = cl._cx(s1), cl._cx(t1), cl._cx(s2)
+                    yield (a1, b1, a2, (-1.0) ** i * a2)
+    else:
+        for s1 in angles:
+            for t1 in angles:
+                for s2 in angles:
+                    b2 = np.array([np.cos(s2), 0.0, np.sin(s2), 0.0])
+                    yield (cl._cx(s1), (-1.0) ** j * cl._cx(s1), cl._cx(t1), b2)
+
+
+def reference_enumerate(kind, grid, tol=cl.DEFAULT_TOL):
+    if kind in cl._PARAMETER_FREE:
+        _, build, signs = cl._PARAMETER_FREE[kind]
+        for i, j in signs:
+            yield cl.canonical(build(i, j), tol)
+        return
+    if kind == "D134s":
+        for i, j in cl._SIGN_PAIRS:
+            for sa, sb in [(1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]:
+                yield cl.canonical(al.j_family(i, j, sa * nf.ONE4, sb * nf.ONE4), tol)
+        return
+    if kind == "D134a":
+        for i, j in cl._SIGN_PAIRS:
+            for alpha in cl._grid_open(grid):
+                a = cl._cx(alpha)
+                for alpha2 in cl._grid_open(grid):
+                    for beta in np.linspace(0.0, np.pi, grid):
+                        b = np.array([np.cos(alpha2), np.sin(alpha2) * np.cos(beta),
+                                      np.sin(alpha2) * np.sin(beta), 0.0])
+                        if al.tau_block(i, j, a, b, tol) == "D134a":
+                            yield cl.canonical(al.j_family(i, j, a, b), tol)
+        return
+    if kind in ("D116", "D1124", "D11114"):
+        for i, j in cl._SIGN_PAIRS:
+            seen = []
+            for qs in reference_bracket_grid(kind, i, j, grid):
+                if al.t_block(i, j, *qs, tol) != kind:
+                    continue
+                form = cl.canonical(al.k_family(i, j, *qs), tol)
+                if any(cl._params_close(kind, form.params, other, 1e-6) for other in seen):
+                    continue
+                seen.append(form.params)
+                yield form
+        return
+    for i1, j1 in cl._SIGN_PAIRS:
+        for i2, j2 in cl._SIGN_PAIRS:
+            if i2 != 1 and j2 != 1:
+                continue
+            for alpha in cl._grid_open(grid, 0.0, np.pi / 2):
+                for beta in cl._grid_open(grid):
+                    gp = d33.GParams(i1, j1, i2, j2, alpha, beta)
+                    if not d33.in_d1133(gp, tol):
+                        continue
+                    cp, _ = d33.canonical_1133(gp, tol)
+                    if (cp.alpha, cp.beta) == (gp.alpha, gp.beta):
+                        yield cl.canonical(al.g_family(i1, j1, i2, j2, alpha, beta), tol)
+
+
+@pytest.mark.parametrize("kind", cl.BLOCK_KINDS)
+def test_enumerate_matches_the_tensor_building_loop(kind):
+    got = list(cl.enumerate_block(kind, grid=2))
+    want = list(reference_enumerate(kind, grid=2))
+    assert len(got) == len(want) > 0
+    for g, w in zip(got, want):
+        assert_same_form(g, w)
+
+
+def test_enumerate_builds_no_tensor(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_block built a map or a tensor")
+
+    monkeypatch.setattr(al, "from_isotope", refuse)
+    for name in ("tau_map", "T_map", "G_map", "g2_from_triples"):
+        monkeypatch.setattr(mp, name, refuse)
+    counts = {kind: len(list(cl.enumerate_block(kind, grid=2))) for kind in cl.BLOCK_KINDS}
+    assert all(counts.values())

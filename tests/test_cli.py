@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from compalg import classify as cl
 from compalg import cli
 
 
@@ -107,6 +112,27 @@ def test_enumerate_command(tmp_path, capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 5  # header + 4 classes
+
+
+@pytest.mark.parametrize("block", ["D134a", "D116"])
+def test_enumerate_csv_keeps_the_canonical_point(block, capsys):
+    code, out, _ = run(["enumerate", "--block", block, "--grid", "2", "--format", "csv"], capsys)
+    assert code == 0
+    header, *rows = out.strip().splitlines()
+    assert len(rows) == len(set(rows)) == len(list(cl.enumerate_block(block, 2)))
+    prefixes = ("point_",) if block == "D134a" else ("point0_", "point1_")
+    assert {p + key for p in prefixes for key in ("a0", "b3", "alpha")} <= set(header.split(","))
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
+    with subprocess.Popen([sys.executable, "-m", "compalg.cli", "enumerate", "--block", "D134a",
+                           "--grid", "2"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        proc.stdout.close()  # the reader is gone before the first write
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipe" not in err
 
 
 def test_verify_fast(capsys):

@@ -4,8 +4,8 @@ import pytest
 from compalg import algebra as al
 from compalg import maps as mp
 from compalg import octonion as oc
-from compalg.errors import (NotCayleyTriple, NotImaginaryUnit, NotOrthonormal, NotUnitComplex,
-                            NotUnitNorm, NotUnitQuaternion)
+from compalg.errors import (NotCayleyTriple, NotImaginaryUnit, NotOrthogonal, NotOrthonormal,
+                            NotUnitComplex, NotUnitNorm, NotUnitQuaternion)
 from compalg.numerics import is_orthogonal
 
 from conftest import unit
@@ -152,6 +152,12 @@ def test_is_automorphism(gen):
     assert mp.is_automorphism(mp.tau_map(unit(gen, 4)))
     assert mp.is_automorphism(mp.kappa_hat_map(unit(gen, 4)))
     assert mp.is_automorphism(mp.eps_hat(1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_orthomap_rejects_non_finite_matrix(bad):
+    with pytest.raises(NotOrthogonal):
+        mp.OrthoMap8(np.full((8, 8), bad))
 
 
 def test_is_automorphism_rejects_degenerate_input():

@@ -162,6 +162,13 @@ def test_is_orthogonal():
     assert not is_orthogonal(2.0 * np.eye(4))
 
 
+def test_is_orthogonal_non_finite_is_false():
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.eye(4)
+        m[1, 2] = bad
+        assert is_orthogonal(m) is False
+
+
 def test_is_orthogonal_lambda_direct(gen):
     from compalg.maps import lambda_map
 
