@@ -1,8 +1,10 @@
 """Division composition algebras as structure-constant tensors.
 
 An Algebra is a dense dim x dim x dim tensor plus optional constructor
-provenance (family name + parameters).  Parametric constructors cover the
-presentations used by the classification: standard isotopes of O and H,
+provenance: family name, parameters and an orthogonal frame, the tensor being
+the frame's pushforward of the family point.  transport composes its map onto
+the frame, one rule for every orthogonal map.  Parametric constructors cover
+the presentations used by the classification: standard isotopes of O and H,
 tau-twisted and T-twisted isotopes, the Okubo model, its special-subspace
 isotopes, the two-parameter block-diagonal family, and the lambda family.
 Provenance is metadata only; analysis always works on the raw tensor.
@@ -46,14 +48,20 @@ class DoubleSign:
 
 @dataclass(frozen=True)
 class FamilyLabel:
+    """The tensor is frame_* from_family(name, params); frame None is the identity."""
+
     name: str
     params: dict
+    frame: Optional[np.ndarray] = None
 
     def to_json(self):
         out = {}
         for key, value in self.params.items():
             out[key] = value.tolist() if isinstance(value, np.ndarray) else value
-        return {"name": self.name, "params": out}
+        obj = {"name": self.name, "params": out}
+        if self.frame is not None:
+            obj["frame"] = self.frame.tolist()
+        return obj
 
 
 class Algebra:
@@ -62,8 +70,8 @@ class Algebra:
     sc[i, j, :] holds the coordinates of e_i * e_j.  When built as an
     orthogonal isotope the defining pair (f, g) is kept in memory as the
     constructor's presentation, for callers; no library function reads it,
-    transport drops it, and it is not serialized (parametric families
-    rebuild it from the label).
+    transport drops it, and it is not serialized (a family label without
+    a frame rebuilds it).
     """
 
     __slots__ = ("dim", "sc", "family", "isotope")
@@ -121,52 +129,19 @@ def transport(phi, algebra):
 
     phi is an isomorphism onto the result for any orthogonal phi of A's
     dimension (NotOrthogonal otherwise), raw tensors included.  The result
-    has no isotope pair.  Family provenance is carried along when the rule
-    for the family under phi's label is known (kappa_hat, tau or eps on the
-    tau/T families, eps on the lambda and two-parameter families, G2 on the
-    parameter-free ones); otherwise the result is raw.
+    has no isotope pair; a family label is kept with phi composed onto its
+    frame, and a raw tensor stays raw.
     """
     m = mp.as_matrix(phi)
     if m.shape != (algebra.dim, algebra.dim) or not is_orthogonal(m):
         raise NotOrthogonal(f"transport needs an orthogonal {algebra.dim}x{algebra.dim} map")
     # sc'[i, j, k] = m_ia m_jb m_kc sc[a, b, c], one batched matmul per index
     sc = (m @ (m @ (algebra.sc @ m.T)).transpose(1, 0, 2)).transpose(1, 0, 2)
-    family = _transport_label(phi if isinstance(phi, mp.OrthoMap8) else None, algebra.family)
+    family = algebra.family
+    if family is not None:
+        family = FamilyLabel(family.name, family.params,
+                             m.copy() if family.frame is None else m @ family.frame)
     return Algebra(sc, family=family)
-
-
-def _transport_label(phi, family):
-    if family is None or phi is None or phi.label is None:
-        return None
-    name, params, plabel = family.name, dict(family.params), phi.label
-    if name in ("standard_isotope", "okubo", "p35") and phi.is_g2_labelled():
-        # Block and double sign are invariant and these labels carry no
-        # continuous parameters, so the provenance survives any G2 transport.
-        return family
-    if name in ("tau_family", "t_family") and plabel.family in ("kappa_hat", "tau", "eps"):
-        # each of these maps conjugates the quaternion parameters by some q
-        if plabel.family == "kappa_hat":
-            q = plabel.params["q"]
-        elif plabel.family == "eps":
-            q = oc.V.coords[:4] if plabel.params["eps"] else None
-        else:  # tau_p fixes H pointwise but moves the tau-family pair by conj(p)
-            q = oc.quat_conj(plabel.params["p"]) if name == "tau_family" else None
-        if q is None:
-            return family
-        for key in ("a", "b") if name == "tau_family" else ("a1", "b1", "a2", "b2"):
-            params[key] = oc.quat_kappa(q, params[key])
-        return FamilyLabel(name, params)
-    if name == "lambda_family" and plabel.family == "eps":
-        if plabel.params["eps"] == 1:
-            params["a"] = np.array([params["a"][0], -params["a"][1]])
-            params["b"] = np.array([params["b"][0], -params["b"][1]])
-        return FamilyLabel(name, params)
-    if name == "g_family" and plabel.family == "eps":
-        if plabel.params["eps"] == 1:
-            params["alpha"] = (-params["alpha"]) % np.pi
-            params["beta"] = (-params["beta"]) % np.pi
-        return FamilyLabel(name, params)
-    return None
 
 
 #: Unit vectors at which double_sign and is_division take determinants.
@@ -354,15 +329,18 @@ def from_family(name, params):
 
 
 def from_json(obj):
-    """Rebuild an Algebra from its JSON form; parametric families recover
-    their isotope pair, raw tensors stay raw."""
+    """The stored tensor of a JSON form, bit for bit; a family label is
+    attached once its rebuild agrees with the tensor within 1e-12, with the
+    isotope pair when the label has no frame.  Raw tensors stay raw."""
     raw = Algebra(obj["sc"])
     fam = obj.get("family")
     if fam:
         rebuilt = from_family(fam["name"], fam["params"])
+        if fam.get("frame") is not None:
+            rebuilt = transport(fam["frame"], rebuilt)
         if np.max(np.abs(rebuilt.sc - raw.sc)) > 1e-12:
             raise BadParameter("family label does not reproduce the stored tensor")
-        return rebuilt
+        raw.family, raw.isotope = rebuilt.family, rebuilt.isotope
     return raw
 
 

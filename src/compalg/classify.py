@@ -5,17 +5,18 @@ algebra, trivial submodule and module partition determine the block.
 canonical() needs constructor provenance: one parameter-level core, shared
 with enumerate_block and building no tensor, reduces the family parameters
 into the block's transversal with a witness map onto the canonical
-representative; the block of a tau- or T-family point comes from
+representative, and canonical() composes that witness with the transpose of
+the label's orthogonal frame; the block of a tau- or T-family point comes from
 algebra.tau_block or algebra.t_block, and one table holds the four
 parameter-free blocks for the core, canonical_algebra and enumerate_block.
 isomorphic() composes these: definite No on differing invariants, definite
 Yes (with a verified witness) on equal canonical forms, Unknown for raw
-tensors in continuous-moduli blocks.
+tensors with equal invariants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Optional
 
@@ -183,10 +184,15 @@ def _lambda_to_t(i, j, a2, b2):
 
 def canonical(algebra, tol=DEFAULT_TOL):
     """Canonical form of a provenance-carrying algebra: _canonical_params on
-    its family label.  Raises RawTensorNotSupported without provenance."""
-    if algebra.family is None:
+    its family label, the witness composed with the transpose of the label's
+    frame.  Raises RawTensorNotSupported without provenance."""
+    family = algebra.family
+    if family is None:
         raise RawTensorNotSupported("canonical forms need constructor provenance")
-    return _canonical_params(algebra.family.name, algebra.family.params, algebra.dim, tol)
+    form = _canonical_params(family.name, family.params, algebra.dim, tol)
+    if family.frame is None:
+        return form
+    return replace(form, witness=mp.OrthoMap8(form.witness.mat @ family.frame.T, check=False))
 
 
 def _canonical_params(name, p, dim, tol=DEFAULT_TOL):

@@ -1,67 +1,40 @@
 """Constructors for the orthogonal operators on O used throughout the library.
 
-Every constructor returns an OrthoMap8 whose matrix is orthogonal.  The
-automorphisms of O built here (identity, tau, kappa_hat, eps, g2) carry a
-provenance label (family name + parameters) so that transport can carry
-family parameters through the map; the other maps are unlabelled.  Triality
-components never read labels.
+Every constructor returns an OrthoMap8 whose matrix is orthogonal.  A map is
+its matrix alone: transport records the map it pushes a family point through
+as the point's orthogonal frame, so no map carries provenance of its own.
+Triality components are read off the matrix too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from . import octonion as oc
-from .errors import NearSingular, NotOrthonormal, NotUnitNorm
+from .errors import NearSingular, NotOrthogonal, NotOrthonormal, NotUnitNorm
 from .numerics import DEFAULT_TOL, det_sign, is_orthogonal
-
-#: Label families that are automorphisms of O by construction.
-G2_FAMILIES = frozenset({"identity", "tau", "kappa_hat", "eps", "g2"})
-
-
-@dataclass(frozen=True)
-class MapLabel:
-    family: str
-    params: dict
-
-    def to_json(self):
-        out = {}
-        for key, value in self.params.items():
-            out[key] = value.tolist() if isinstance(value, np.ndarray) else value
-        return {"family": self.family, "params": out}
 
 
 class OrthoMap8:
     """An orthogonal operator on O (or on H for 4-dimensional work)."""
 
-    __slots__ = ("mat", "label")
+    __slots__ = ("mat",)
 
-    def __init__(self, mat, label: Optional[MapLabel] = None, tol=DEFAULT_TOL, check=True):
+    def __init__(self, mat, tol=DEFAULT_TOL, check=True):
         mat = np.asarray(mat, dtype=float)
         if check and not is_orthogonal(mat, tol):
-            from .errors import NotOrthogonal
-
             raise NotOrthogonal("matrix is not orthogonal within eq_tol")
         self.mat = mat
-        self.label = label
 
     @property
     def dim(self):
         return self.mat.shape[0]
 
-    def is_g2_labelled(self):
-        return self.label is not None and self.label.family in G2_FAMILIES
-
     def __repr__(self):
-        tag = self.label.family if self.label else "raw"
-        return f"OrthoMap8({tag}, dim={self.dim})"
+        return f"OrthoMap8(dim={self.dim})"
 
     def to_json(self):
-        return {"matrix": self.mat.tolist(),
-                "label": self.label.to_json() if self.label else None}
+        return {"matrix": self.mat.tolist()}
 
 
 def as_matrix(phi):
@@ -70,7 +43,7 @@ def as_matrix(phi):
 
 
 def identity_map(dim=8):
-    return OrthoMap8(np.eye(dim), MapLabel("identity", {}), check=False)
+    return OrthoMap8(np.eye(dim), check=False)
 
 
 def conj_map():
@@ -105,7 +78,7 @@ def g2_from_triples(t1, t2, tol=DEFAULT_TOL):
     t2 = t2 if isinstance(t2, oc.CayleyTriple) else oc.CayleyTriple(*t2, tol=tol)
     b1 = t1.product_basis()
     b2 = t2.product_basis()
-    return OrthoMap8(b2 @ b1.T, MapLabel("g2", {}), check=False)
+    return OrthoMap8(b2 @ b1.T, check=False)
 
 
 def tau_map(p, tol=DEFAULT_TOL):
@@ -116,8 +89,7 @@ def tau_map(p, tol=DEFAULT_TOL):
     """
     p4 = oc.as_unit_quaternion(p, tol, "tau parameter")
     zp = oc.Z * oc.Octonion.from_quaternion(p4)
-    phi = g2_from_triples(oc.CayleyTriple.fixed(), oc.CayleyTriple(oc.U, oc.V, zp, tol=tol), tol)
-    return OrthoMap8(phi.mat, MapLabel("tau", {"p": p4.copy()}), check=False)
+    return g2_from_triples(oc.CayleyTriple.fixed(), oc.CayleyTriple(oc.U, oc.V, zp, tol=tol), tol)
 
 
 def kappa4(q, tol=DEFAULT_TOL):
@@ -133,7 +105,7 @@ def kappa_hat_map(q, tol=DEFAULT_TOL):
     mat = np.zeros((8, 8))
     mat[:4, :4] = k4
     mat[4:, 4:] = k4
-    return OrthoMap8(mat, MapLabel("kappa_hat", {"q": q4.copy()}), check=False)
+    return OrthoMap8(mat, check=False)
 
 
 def eps_hat(eps):
@@ -143,7 +115,7 @@ def eps_hat(eps):
         mat = np.eye(8)
     else:
         mat = np.diag([1.0, -1, 1, -1, 1, -1, 1, -1])
-    return OrthoMap8(mat, MapLabel("eps", {"eps": eps}), check=False)
+    return OrthoMap8(mat, check=False)
 
 
 def T_map(a, b, k, tol=DEFAULT_TOL):

@@ -134,10 +134,10 @@ def det_sign(m, tol=DEFAULT_TOL):
 
 
 def is_orthogonal(m, tol=DEFAULT_TOL):
-    """m^T m = I within eq_tol; False for a matrix with non-finite entries."""
+    """m^T m = I within eq_tol; False for input that is not a finite,
+    non-empty square matrix."""
     m = np.asarray(m, dtype=float)
-    if not np.isfinite(m).all():
+    if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1] or not np.isfinite(m).all():
         return False
-    m = check_matrix(m, square=True)
     gram = m.T @ m
     return bool(np.max(np.abs(gram - np.eye(m.shape[0]))) < tol.eq_tol)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from compalg import algebra as al
+from compalg import classify as cl
 from compalg import maps as mp
 from compalg import octonion as oc
 from compalg.errors import BadParameter, InconsistentSigns, NotOrthogonal
@@ -35,8 +36,9 @@ def test_from_isotope_lambda_u_product():
 
 
 def test_from_isotope_rejects_non_orthogonal():
-    with pytest.raises(NotOrthogonal):
-        al.from_isotope(2.0 * np.eye(8), np.eye(8))
+    for f in (2.0 * np.eye(8), np.ones((3, 4)), np.ones(8)):
+        with pytest.raises(NotOrthogonal):
+            al.from_isotope(f, np.eye(8))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -154,8 +156,13 @@ def test_transport_identity_and_kappa(gen):
     moved = al.transport(mp.kappa_hat_map(q), a)
     direct = al.j_family(0, 1, kappa_q(q, a4), kappa_q(q, b4))
     assert np.max(np.abs(moved.sc - direct.sc)) < 1e-12
-    assert moved.family.name == "tau_family"
-    assert np.allclose(moved.family.params["a"], kappa_q(q, a4))
+    assert_same_canonical_form(moved, direct)
+
+
+def assert_same_canonical_form(a, b):
+    fa, fb = cl.canonical(a), cl.canonical(b)
+    assert str(fa.block) == str(fb.block)
+    assert cl._params_close(fa.block.kind, fa.params, fb.params)
 
 
 def test_transport_preserves_invariants(gen):
@@ -173,7 +180,7 @@ def test_transport_eps_on_lambda(gen):
     moved = al.transport(mp.eps_hat(1), a)
     direct = al.lambda_family(0, 1, np.array([t1[0], -t1[1]]), np.array([t2[0], -t2[1]]))
     assert np.max(np.abs(moved.sc - direct.sc)) < 1e-12
-    assert np.allclose(moved.family.params["a"], [t1[0], -t1[1]])
+    assert_same_canonical_form(moved, direct)
 
 
 def test_transport_rejects_non_orthogonal_maps():
@@ -247,6 +254,17 @@ def test_json_roundtrip_bit_exact(gen):
     c = al.from_json(json.loads(blob2))
     assert np.array_equal(c.sc, raw.sc)
     assert c.family is None
+    # transported family points keep the stored tensor bit for bit, and their frame
+    so8 = np.linalg.qr(gen.standard_normal((8, 8)))[0]
+    points = (al.j_family(1, 0, unit(gen, 4), unit(gen, 4)),
+              al.k_family(0, 1, *(unit(gen, 4) for _ in range(4))), a, al.standard_isotope(1, 0))
+    for point in points:
+        for moved in (al.transport(mp.kappa_hat_map(unit(gen, 4)), point), al.transport(so8, point)):
+            back = al.from_json(json.loads(json.dumps(moved.to_json())))
+            assert np.array_equal(back.sc, moved.sc)
+            assert np.array_equal(back.family.frame, moved.family.frame)
+            assert back.isotope is None
+            assert cl.canonical(back).to_json() == cl.canonical(moved).to_json()
 
 
 def test_quat4_block():

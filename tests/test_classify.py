@@ -173,19 +173,73 @@ def test_canonical_witness_maps_onto_representative(gen):
 
 
 def test_canonical_orbit_constant(gen):
+    # a point and its kappa_q conjugate, both built directly from parameters
     for _ in range(20):
         i, j = int(gen.integers(0, 2)), int(gen.integers(0, 2))
-        a = al.j_family(i, j, unit(gen, 4), unit(gen, 4))
-        moved = al.transport(mp.kappa_hat_map(unit(gen, 4)), a)
+        a4, b4, q = unit(gen, 4), unit(gen, 4), unit(gen, 4)
+        a = al.j_family(i, j, a4, b4)
+        moved = al.j_family(i, j, oc.quat_kappa(q, a4), oc.quat_kappa(q, b4))
         f1, f2 = cl.canonical(a), cl.canonical(moved)
         assert cl._params_close(f1.block.kind, f1.params, f2.params)
     for _ in range(10):
         i, j = int(gen.integers(0, 2)), int(gen.integers(0, 2))
-        a = al.k_family(i, j, *(unit(gen, 4) for _ in range(4)))
-        moved = al.transport(mp.kappa_hat_map(unit(gen, 4)), a)
+        qs = [unit(gen, 4) for _ in range(4)]
+        q = unit(gen, 4)
+        a = al.k_family(i, j, *qs)
+        moved = al.k_family(i, j, *(oc.quat_kappa(q, x) for x in qs))
         f1, f2 = cl.canonical(a), cl.canonical(moved)
         assert f1.block.kind == f2.block.kind
         assert cl._params_close(f1.block.kind, f1.params, f2.params)
+
+
+def _random_orthogonal(gen, n, det=1.0):
+    m = np.linalg.qr(gen.standard_normal((n, n)))[0]
+    if np.linalg.det(m) * det < 0:
+        m[:, 0] *= -1
+    return m
+
+
+def _random_g2(gen):
+    from compalg.verify import _random_cayley_triple
+
+    return mp.g2_from_triples(oc.CayleyTriple.fixed(), _random_cayley_triple(gen)).mat
+
+
+#: One point of each family whose automorphism group is not all of G2, or
+#: whose parameters move under G2.
+TRANSPORTED_POINTS = {
+    "okubo": lambda gen: al.okubo_p11(),
+    "p35": lambda gen: al.p35(0, 0),
+    "tau": lambda gen: al.j_family(1, 0, unit(gen, 4), unit(gen, 4)),
+    "T": lambda gen: al.k_family(0, 1, *(unit(gen, 4) for _ in range(4))),
+    "lambda": lambda gen: al.lambda_family(1, 1, unit(gen, 2), unit(gen, 2)),
+    "g": lambda gen: al.g_family(1, 0, 0, 1, 0.7, 2.1),
+}
+
+
+def _assert_transport_witnessed(a, phi):
+    b = al.transport(phi, a)
+    form = cl.canonical(b)
+    assert cl.witness_residual(form.witness, b, cl.canonical_algebra(form)) < 1e-8
+    verdict = cl.isomorphic(a, b)
+    assert verdict.verdict == "yes", verdict.reason
+    assert cl.witness_residual(verdict.witness, a, b) < 1e-8
+
+
+@pytest.mark.parametrize("name", sorted(TRANSPORTED_POINTS))
+def test_transport_by_any_orthogonal_map_keeps_a_witnessed_form(gen, name):
+    a = TRANSPORTED_POINTS[name](gen)
+    g2, so8 = _random_g2(gen), _random_orthogonal(gen, 8)
+    for phi in (g2, so8, so8 @ g2):
+        _assert_transport_witnessed(a, phi)
+    # a frame composed over two transports serves as well as one
+    _assert_transport_witnessed(al.transport(g2, a), so8)
+
+
+def test_transport_of_quat4_keeps_a_witnessed_form(gen):
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for det in (1.0, -1.0):
+            _assert_transport_witnessed(al.quat4(i, j), _random_orthogonal(gen, 4, det))
 
 
 def test_isomorphic_verdicts(gen):

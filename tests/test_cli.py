@@ -216,6 +216,9 @@ def test_bad_family_label_exit_code(tmp_path, capsys):
         dict(blob["family"], params=dict(blob["family"]["params"], a=[0, 1, 0])),
         {"name": "p35", "params": {"i": 1, "j": 1}},
         {"name": "okubo", "params": {}},  # does not reproduce the stored tensor
+        dict(blob["family"], frame=(2.0 * np.eye(8)).tolist()),  # not orthogonal
+        dict(blob["family"], frame=np.eye(4).tolist()),  # the wrong shape
+        dict(blob["family"], frame=[["x"] * 8] * 8),  # not numeric
     ]
     for k, label in enumerate(labels):
         target = tmp_path / f"bad{k}.json"

@@ -156,8 +156,9 @@ def test_is_automorphism(gen):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_orthomap_rejects_non_finite_matrix(bad):
-    with pytest.raises(NotOrthogonal):
-        mp.OrthoMap8(np.full((8, 8), bad))
+    for m in (np.full((8, 8), bad), np.ones((3, 4)), np.ones(8)):
+        with pytest.raises(NotOrthogonal):
+            mp.OrthoMap8(m)
 
 
 def test_is_automorphism_rejects_degenerate_input():

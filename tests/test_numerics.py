@@ -160,6 +160,8 @@ def test_det_sign_multiplicative(gen):
 def test_is_orthogonal():
     assert is_orthogonal(np.eye(4))
     assert not is_orthogonal(2.0 * np.eye(4))
+    for m in (np.ones((3, 4)), np.ones(4), np.ones((2, 2, 2)), np.empty((0, 0))):
+        assert is_orthogonal(m) is False
 
 
 def test_is_orthogonal_non_finite_is_false():

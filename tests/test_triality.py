@@ -179,13 +179,16 @@ def test_g2_iso_fixing_unit_line(gen):
 
 
 def test_transport_by_non_automorphism_is_witnessed(gen):
-    from compalg.classify import analyze
+    from compalg.classify import analyze, isomorphic, witness_residual
 
     a = al.j_family(0, 1, unit(gen, 4), unit(gen, 4))
     phi = random_so8(gen)
     assert not mp.is_automorphism(phi)
     b = al.transport(phi, a)
-    assert b.family is None and b.isotope is None
+    assert b.isotope is None
+    verdict = isomorphic(a, b)
+    assert verdict.verdict == "yes"
+    assert witness_residual(verdict.witness, a, b) < 1e-8
     assert tr.iso_isotopes(a, b, phi)
     assert analyze(b).to_json() == analyze(a).to_json()
 
