@@ -9,9 +9,13 @@ representative, and canonical() composes that witness with the transpose of
 the label's orthogonal frame; the block of a tau- or T-family point comes from
 algebra.tau_block or algebra.t_block, and one table holds the four
 parameter-free blocks for the core, canonical_algebra and enumerate_block.
-isomorphic() composes these: definite No on differing invariants, definite
-Yes (with a verified witness) on equal canonical forms, Unknown for raw
-tensors with equal invariants.
+isomorphic() decides by canonical forms first: when both inputs have one in
+the same block, differing parameters give a definite No and a composed
+witness with a tensor-level residual below 1e-8 proves Yes, with no
+derivation work.  Only the pairs the forms cannot decide (raw tensors, labels
+outside the covered blocks, differing canonical blocks, a failed witness)
+compare invariants, the double sign first: differing invariants give No,
+equal ones Unknown unless the forms still tell the pair apart.
 """
 
 from __future__ import annotations
@@ -101,7 +105,11 @@ def _a0_double_sign(algebra, a0_basis, tol):
 
 def analyze(algebra, tol=DEFAULT_TOL):
     """Invariant report: double sign, derivation data, partition and block."""
-    ds = al.double_sign(algebra, tol)
+    return _analyze_with_sign(algebra, al.double_sign(algebra, tol), tol)
+
+
+def _analyze_with_sign(algebra, ds, tol):
+    """analyze() of an algebra whose double sign ds is already computed."""
     der = dv.derivation_basis(algebra, tol)
     ltype = dv.lie_type(der)
     if ltype is dv.LieTypeLabel.ABELIAN or der.dim == 0:
@@ -267,33 +275,48 @@ class IsoVerdict:
         return self.verdict == "yes"
 
 
+def _form_or_reason(algebra, tol):
+    """(canonical form, None), or (None, why the algebra has none)."""
+    try:
+        return canonical(algebra, tol), None
+    except RawTensorNotSupported:
+        return None, "canonical parameters need provenance"
+    except NotInBlock as err:
+        return None, f"its label has no canonical form ({err})"
+
+
 def isomorphic(a, b, tol=DEFAULT_TOL):
-    """Decide isomorphism: No on differing invariants, Yes with verified
-    witness through canonical forms, Unknown for raw tensors."""
+    """Decide isomorphism, canonical forms first.
+
+    Forms of both inputs in one block decide without derivation work: No when
+    the parameters differ, Yes when the composed witness has a tensor-level
+    residual below 1e-8.  Every other pair compares invariants, the double
+    sign before the rest of analyze(): No when they differ, then No on
+    differing canonical blocks, else Unknown (a raw tensor, a label outside
+    the covered blocks, or a witness that failed its residual).
+    """
     if a.dim != b.dim:
         return IsoVerdict("no", reason="dimensions differ")
-    ra = analyze(a, tol)
-    rb = analyze(b, tol)
-    if (ra.double_sign.i, ra.double_sign.j) != (rb.double_sign.i, rb.double_sign.j):
+    (ca, why_a), (cb, why_b) = _form_or_reason(a, tol), _form_or_reason(b, tol)
+    same_block = ca is not None and cb is not None and str(ca.block) == str(cb.block)
+    if same_block:
+        if not _params_close(ca.block.kind, ca.params, cb.params):
+            return IsoVerdict("no", reason="canonical parameters differ")
+        witness = mp.OrthoMap8(cb.witness.mat.T @ ca.witness.mat, check=False)
+        residual = witness_residual(witness, a, b)
+        if residual < 1e-8:
+            return IsoVerdict("yes", witness=witness)
+    ds_a, ds_b = al.double_sign(a, tol), al.double_sign(b, tol)
+    if (ds_a.i, ds_a.j) != (ds_b.i, ds_b.j):
         return IsoVerdict("no", reason="double signs differ")
+    ra, rb = _analyze_with_sign(a, ds_a, tol), _analyze_with_sign(b, ds_b, tol)
     if str(ra.block) != str(rb.block):
         return IsoVerdict("no", reason=f"blocks differ: {ra.block} vs {rb.block}")
-    try:
-        ca = canonical(a, tol)
-        cb = canonical(b, tol)
-    except RawTensorNotSupported:
-        return IsoVerdict("unknown",
-                          reason="equal invariants, but canonical parameters need provenance")
-    if ca.block.kind != cb.block.kind or str(ca.block) != str(cb.block):
+    if ca is None or cb is None:
+        return IsoVerdict("unknown", reason=f"equal invariants, but {why_a or why_b}")
+    if not same_block:
         return IsoVerdict("no", reason=f"canonical blocks differ: {ca.block} vs {cb.block}")
-    if not _params_close(ca.block.kind, ca.params, cb.params):
-        return IsoVerdict("no", reason="canonical parameters differ")
-    witness = mp.OrthoMap8(cb.witness.mat.T @ ca.witness.mat, check=False)
-    residual = witness_residual(witness, a, b)
-    if residual >= 1e-8:
-        return IsoVerdict("unknown",
-                          reason=f"canonical forms agree but witness residual {residual:g}")
-    return IsoVerdict("yes", witness=witness)
+    return IsoVerdict("unknown", reason=f"canonical forms agree but witness residual {residual:g}")
 
 
 # ---------------------------------------------------------------------------

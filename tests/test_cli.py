@@ -102,6 +102,25 @@ def test_iso_command(tmp_path, capsys):
     assert out.startswith("not isomorphic")
 
 
+def test_iso_of_a_label_without_canonical_form(tmp_path, capsys, monkeypatch):
+    from compalg import algebra as al
+
+    one = np.array([1.0, 0.0, 0.0, 0.0])
+    d17_path, d134s_path = tmp_path / "d17.json", tmp_path / "d134s.json"
+    d17_path.write_text(json.dumps(al.k_family(0, 0, one, one, one, one).to_json()))
+    d134s_path.write_text(json.dumps(al.k_family(0, 0, one, -one, one, -one).to_json()))
+    for pair, first_word in (((d17_path, d17_path), "unknown:"),
+                             ((d17_path, d134s_path), "not isomorphic:")):
+        monkeypatch.setattr(sys, "argv", ["compalg", "iso", *map(str, pair)])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        out = capsys.readouterr()
+        assert exc.value.code == 0, out.err
+        assert out.out.startswith(first_word)
+        assert len(out.out.strip().splitlines()) == 1
+        assert out.err == ""
+
+
 def test_enumerate_command(tmp_path, capsys):
     code, out, _ = run(["enumerate", "--block", "D35"], capsys)
     assert code == 0
