@@ -27,7 +27,7 @@ from . import d1133 as d33
 from . import maps as mp
 from . import octonion as oc
 from .errors import BadParameter, InconsistentSigns, NearSingular, NotOrthogonal
-from .numerics import DEFAULT_TOL, det_sign, is_orthogonal, rng
+from .numerics import DEFAULT_TOL, deadband_signs, det_sign, is_orthogonal, rng
 
 
 @dataclass(frozen=True)
@@ -348,24 +348,21 @@ def from_json(obj):
 # Blocks and membership predicates for the parameter sets of the classification
 # ---------------------------------------------------------------------------
 
-def _close(x, y, tol):
-    return np.max(np.abs(x - y)) < tol.eq_tol
-
-
-def _is_pm_one(q, tol):
-    return np.max(np.abs(q[1:])) < tol.eq_tol
+def _vanishes(x, tol):
+    """Every entry of x inside the closed eq_tol deadband of 0."""
+    return not any(deadband_signs(x, tol.eq_tol))
 
 
 def tau_block(i, j, a, b, tol=DEFAULT_TOL):
     """D17, D8, D134s or D134a: the block of the tau-family point (a, b) of
     double sign (i, j), for unit quaternion 4-vectors taken as they are."""
     one = np.array([1.0, 0, 0, 0])
-    if _close(a, one, tol) and _close(b, one, tol):
+    if _vanishes(a - one, tol) and _vanishes(b - one, tol):
         return "D17"
     a2 = oc.quat_mul(a, a)
-    if (i, j) == (1, 1) and _close(a2 + a + one, 0.0, tol) and _close(b, a2, tol):
+    if (i, j) == (1, 1) and _vanishes(a2 + a + one, tol) and _vanishes(b - a2, tol):
         return "D8"  # the Okubo curve (a, a^2) with a^2 + a + 1 = 0
-    return "D134s" if _is_pm_one(a, tol) and _is_pm_one(b, tol) else "D134a"
+    return "D134s" if _vanishes(a[1:], tol) and _vanishes(b[1:], tol) else "D134a"
 
 
 def t_block(i, j, a1, b1, a2, b2, tol=DEFAULT_TOL):
@@ -374,18 +371,18 @@ def t_block(i, j, a1, b1, a2, b2, tol=DEFAULT_TOL):
     D1124 or D11114 as the imaginary parts span a line or more."""
     i, j = _index_pair(i, j)
     qs = [oc.as_unit_quaternion(x, tol, "parameter") for x in (a1, b1, a2, b2)]
-    if all(_is_pm_one(x, tol) for x in qs):
+    if all(_vanishes(x[1:], tol) for x in qs):
         return None
     span = _imaginary_span_dim(qs, tol)
-    if (span == 1 and _close(qs[1], (-1.0) ** j * qs[0], tol)
-            and _close(qs[3], (-1.0) ** i * qs[2], tol)):
+    if (span == 1 and _vanishes(qs[1] - (-1.0) ** j * qs[0], tol)
+            and _vanishes(qs[3] - (-1.0) ** i * qs[2], tol)):
         return "D116"
     return "D1124" if span == 1 else "D11114"
 
 
 def _imaginary_span_dim(quats, tol=DEFAULT_TOL):
     ims = np.array([np.asarray(x, float)[1:] for x in quats])
-    if np.max(np.abs(ims)) < tol.eq_tol:
+    if _vanishes(ims, tol):
         return 0
     s = np.linalg.svd(ims, compute_uv=False)
     return int(np.sum(s > tol.rank_tol * max(s[0], 1.0)))
@@ -404,7 +401,7 @@ def in_TxT_ij(i, j, a, b, tol=DEFAULT_TOL):
 
 def in_S(a1, b1, a2, b2, tol=DEFAULT_TOL):
     """True iff not all four unit quaternions lie in {1, -1}."""
-    return not all(_is_pm_one(oc.as_unit_quaternion(x, tol, "parameter"), tol)
+    return not all(_vanishes(oc.as_unit_quaternion(x, tol, "parameter")[1:], tol)
                    for x in (a1, b1, a2, b2))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import maps as mp
 from . import octonion as oc
 from .errors import BadIndices, NotInBlock
-from .numerics import DEFAULT_TOL
+from .numerics import DEFAULT_TOL, deadband_signs
 
 PI = np.pi
 
@@ -169,8 +169,8 @@ def in_d1133(params: GParams, tol=DEFAULT_TOL):
     # the excluded equation is quadratic in the angle near its root, so take
     # the deadband on the angle distance rather than on the cosine residual
     alpha0, beta0 = excluded_point(*params.indices)
-    return not (circle_distance(params.alpha, alpha0) < tol.zero_tol
-                and circle_distance(params.beta, beta0) < tol.zero_tol)
+    return any(deadband_signs((circle_distance(params.alpha, alpha0),
+                               circle_distance(params.beta, beta0)), tol.zero_tol))
 
 
 def _fold(x):
@@ -178,12 +178,7 @@ def _fold(x):
 
 
 def _region_member(alpha, beta, tol):
-    z = tol.zero_tol
-    if alpha < PI / 2 - z:
-        return True
-    if abs(alpha - PI / 2) <= z:
-        return beta <= PI / 2 + z
-    return False
+    return deadband_signs((alpha - PI / 2, beta - PI / 2), tol.zero_tol) <= (0, 0)
 
 
 def canonical_1133(params: GParams, tol=DEFAULT_TOL):

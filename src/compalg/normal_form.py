@@ -8,9 +8,11 @@ Quaternions are 4-vectors in the basis (1, u, v, uv).  The canonical sets:
 * M  = ({+-1} x {+-1}) u ({+-1} x P0) u (P0 x {+-1}) u (P0 x P),
 
 with refinements M1...M4 for the bracket actions, built from the same
-coordinate inequalities plus lexicographic tie rules.  All comparisons use a
-zero deadband: values within zero_tol of 0 count as 0, and results whose
-coordinates sit within 10x the deadband of a boundary are flagged.
+coordinate inequalities plus lexicographic tie rules.  Every membership test,
+stabilizer case and sign normalization reads the coordinates' signs from
+numerics.deadband_signs at zero_tol, one closed deadband: |x| <= zero_tol
+counts as 0, so each coordinate has exactly one sign.  Results with a
+coordinate in [zero_tol, 10 zero_tol) are flagged as near a boundary.
 
 The reductions are constructive: rotate the first imaginary part onto the
 u-axis, then rotate about u to push the second component's (v, uv)-part onto
@@ -30,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NotCanonical
-from .numerics import DEFAULT_TOL
+from .numerics import DEFAULT_TOL, deadband_signs, leading_sign
 from .octonion import quat_kappa as kappa
 from .octonion import quat_mul, rotation_quaternion
 
@@ -92,12 +94,8 @@ class BracketTT:
 
 
 def _sign_normalize(pair, tol=DEFAULT_TOL):
-    concat = np.concatenate([pair.a, pair.b])
-    for value in concat:
-        if abs(value) > tol.zero_tol:
-            if value < 0:
-                return PairTT(-pair.a, -pair.b)
-            return pair
+    if leading_sign(np.concatenate([pair.a, pair.b]), tol.zero_tol) < 0:
+        return PairTT(-pair.a, -pair.b)
     return pair
 
 
@@ -136,59 +134,49 @@ def act_pair(q, brackets, tol=DEFAULT_TOL):
 
 
 # ---------------------------------------------------------------------------
-# Coordinate predicates with deadbands
+# Coordinate predicates on deadband signs
 # ---------------------------------------------------------------------------
 
-def _zero(x, tol):
-    return abs(x) < tol.zero_tol
+def _signs(q, tol):
+    return deadband_signs(q, tol.zero_tol)
 
 
-def _lex_ge00(x, y, tol):
-    """Deadbanded lexicographic (x, y) >= (0, 0)."""
-    if _zero(x, tol):
-        return y > -tol.zero_tol
-    return x > 0
+def _pair_signs(pair, tol):
+    a, b = pair
+    return _signs(a, tol), _signs(b, tol)
+
+
+# Signs of 1, u and v; the predicates below take the sign tuple s of a quaternion.
+_ONE_S, _U_S, _V_S = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)
+
+
+def _pm1(s):
+    return s[1:] == (0, 0, 0)
+
+
+def _P0(s):
+    return s[1:] == (1, 0, 0)
+
+
+def _P(s):
+    return s[3] == 0 and s[2] >= 0 and not _pm1(s)
+
+
+def _T(s, m, n):
+    """T_mn: (q_m, q_n) >= (0, 0) lexicographically, coordinates numbered from 1."""
+    return (s[m - 1], s[n - 1]) >= (0, 0)
 
 
 def is_pm_one(q, tol=DEFAULT_TOL):
-    return bool(np.max(np.abs(q[1:])) < tol.zero_tol)
-
-
-def is_plus_one(q, tol=DEFAULT_TOL):
-    return is_pm_one(q, tol) and q[0] > 0
+    return _pm1(_signs(q, tol))
 
 
 def in_P0(q, tol=DEFAULT_TOL):
-    return _zero(q[2], tol) and _zero(q[3], tol) and q[1] > tol.zero_tol
-
-
-def in_P(q, tol=DEFAULT_TOL):
-    if not _zero(q[3], tol):
-        return False
-    if q[2] < -tol.zero_tol:
-        return False
-    return not is_pm_one(q, tol)
-
-
-def _in_T(q, m, n, tol):
-    return _lex_ge00(0.0 if _zero(q[m - 1], tol) else q[m - 1],
-                     0.0 if _zero(q[n - 1], tol) else q[n - 1], tol)
+    return _P0(_signs(q, tol))
 
 
 def in_T12(q, tol=DEFAULT_TOL):
-    return _in_T(q, 1, 2, tol)
-
-
-def in_T14(q, tol=DEFAULT_TOL):
-    return _in_T(q, 1, 4, tol)
-
-
-def in_T24(q, tol=DEFAULT_TOL):
-    return _in_T(q, 2, 4, tol)
-
-
-def in_T23(q, tol=DEFAULT_TOL):
-    return _in_T(q, 2, 3, tol)
+    return _T(_signs(q, tol), 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -196,86 +184,65 @@ def in_T23(q, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 def in_M(pair, tol=DEFAULT_TOL):
-    a, b = pair
-    if is_pm_one(a, tol) and is_pm_one(b, tol):
+    sa, sb = _pair_signs(pair, tol)
+    if _pm1(sa) and _pm1(sb):
         return True, "pm1_pm1"
-    if is_pm_one(a, tol) and in_P0(b, tol):
+    if _pm1(sa) and _P0(sb):
         return True, "pm1_P0"
-    if in_P0(a, tol) and is_pm_one(b, tol):
+    if _P0(sa) and _pm1(sb):
         return True, "P0_pm1"
-    if in_P0(a, tol) and in_P(b, tol):
+    if _P0(sa) and _P(sb):
         return True, "P0_P"
     return False, None
 
 
 def in_M1(pair, tol=DEFAULT_TOL):
-    a, b = pair
-    if is_plus_one(a, tol) and is_pm_one(b, tol):
+    sa, sb = _pair_signs(pair, tol)
+    if sa == _ONE_S and _pm1(sb):
         return True, "1_pm1"
-    if is_plus_one(a, tol) and in_P0(b, tol):
+    if sa == _ONE_S and _P0(sb):
         return True, "1_P0"
-    if in_P0(a, tol) and is_plus_one(b, tol):
+    if _P0(sa) and sb == _ONE_S:
         return True, "P0_1"
-    if in_P0(a, tol) and in_P(b, tol) and _lex_ge00(
-            0.0 if _zero(a[0], tol) else a[0],
-            0.0 if _zero(b[0], tol) else b[0], tol):
+    if _P0(sa) and _P(sb) and (sa[0], sb[0]) >= (0, 0):
         return True, "P0_P_plus"
     return False, None
 
 
 def in_M2(pair, tol=DEFAULT_TOL):
-    a, b = pair
-    if (is_plus_one(a, tol) or in_P0(a, tol)) and (is_pm_one(b, tol) or in_P(b, tol)):
+    sa, sb = _pair_signs(pair, tol)
+    if (sa == _ONE_S or _P0(sa)) and (_pm1(sb) or _P(sb)):
         return True, "c1"
-    if np.max(np.abs(a - V4)) < tol.zero_tol and in_T12(b, tol):
+    if sa == _V_S and _T(sb, 1, 2):
         return True, "c2"
-    if (_zero(a[3], tol) and a[2] > tol.zero_tol
-            and (a[0] > tol.zero_tol or (_zero(a[0], tol) and a[1] > tol.zero_tol))):
+    if sa[2:] == (1, 0) and sa[:2] > (0, 0):
         return True, "c3"
     return False, None
 
 
-def _in_P_beta_first_half(b, tol):
-    # P with beta in [0, pi/2]: u- and v-coordinates both >= 0
-    return (in_P(b, tol) and b[1] > -tol.zero_tol)
-
-
-def _in_P_alpha_first_half(b, tol):
-    # P with alpha in (0, pi/2]: real part >= 0
-    return in_P(b, tol) and b[0] > -tol.zero_tol
+#: M3 by the signs of the first component: its tag and the test on the
+#: second component's signs.
+_M3_CASES = {
+    _ONE_S: ("c1", lambda s: _pm1(s) or (_P(s) and s[1] >= 0)),  # P with beta in [0, pi/2]
+    (1, 1, 0, 0): ("c2", lambda s: _pm1(s) or _P(s)),
+    _U_S: ("c3", lambda s: s == _ONE_S or (_P(s) and s[0] >= 0)),  # P with alpha in (0, pi/2]
+    _V_S: ("c4", lambda s: _T(s, 1, 4) and _T(s, 2, 4)),
+    (0, 1, 1, 0): ("c5", lambda s: _T(s, 1, 4)),
+    (1, 0, 1, 0): ("c6", lambda s: _T(s, 2, 4)),
+    (1, 1, 1, 0): ("c7", lambda s: True),
+}
 
 
 def in_M3(pair, tol=DEFAULT_TOL):
-    a, b = pair
-    if is_plus_one(a, tol):
-        if is_pm_one(b, tol) or _in_P_beta_first_half(b, tol):
-            return True, "c1"
-        return False, None
-    if _zero(a[2], tol) and _zero(a[3], tol) and a[0] > tol.zero_tol and a[1] > tol.zero_tol:
-        if is_pm_one(b, tol) or in_P(b, tol):
-            return True, "c2"
-        return False, None
-    if np.max(np.abs(a - U4)) < tol.zero_tol:
-        if is_plus_one(b, tol) or _in_P_alpha_first_half(b, tol):
-            return True, "c3"
-        return False, None
-    if np.max(np.abs(a - V4)) < tol.zero_tol:
-        if in_T14(b, tol) and in_T24(b, tol):
-            return True, "c4"
-        return False, None
-    if not _zero(a[2], tol) and a[2] > 0 and _zero(a[3], tol):
-        if _zero(a[0], tol) and a[1] > tol.zero_tol:
-            return (True, "c5") if in_T14(b, tol) else (False, None)
-        if a[0] > tol.zero_tol and _zero(a[1], tol):
-            return (True, "c6") if in_T24(b, tol) else (False, None)
-        if a[0] > tol.zero_tol and a[1] > tol.zero_tol:
-            return True, "c7"
-    return False, None
+    sa, sb = _pair_signs(pair, tol)
+    tag, member = _M3_CASES.get(sa, (None, None))
+    return (True, tag) if member and member(sb) else (False, None)
 
 
 def in_M4(pair, tol=DEFAULT_TOL):
     a, _ = pair
-    if in_T14(a, tol) and in_T23(a, tol):
+    sa = _signs(a, tol)
+    if _T(sa, 1, 4) and _T(sa, 2, 3):
         return True, "c1"
     return False, None
 
@@ -286,21 +253,16 @@ def stabilizer_case(pair, tol=DEFAULT_TOL):
     if not ok:
         raise NotCanonical("stabilizer classification needs a canonical M1 representative")
     a, b = pair
-    a_c = is_pm_one(a, tol)
-    b_c = is_pm_one(b, tol)
+    sa, sb = _pair_signs(pair, tol)
+    a_c, b_c = _pm1(sa), _pm1(sb)
     if a_c and b_c:
         return StabilizerCase.FULL
-    a_cu = _zero(a[2], tol) and _zero(a[3], tol)
-    b_cu = _zero(b[2], tol) and _zero(b[3], tol)
-    if a_cu and b_cu:
-        a_u = _zero(a[0], tol) and not a_c
-        b_u = _zero(b[0], tol) and not b_c
-        if a_u and b_u:
+    if sa[2:] == sb[2:] == (0, 0):
+        if sa[0] == sb[0] == 0 and not a_c and not b_c:
             return StabilizerCase.CIRCLE_U_PLUS_VU
         return StabilizerCase.CIRCLE_U
-    a_uv_plane = _zero(a[0], tol) and _zero(a[3], tol)
-    b_uv_plane = _zero(b[0], tol) and _zero(b[3], tol)
-    if a_uv_plane and b_uv_plane and not _zero(a[1] * b[2] - a[2] * b[1], tol):
+    in_uv_planes = sa[0] == sa[3] == sb[0] == sb[3] == 0
+    if in_uv_planes and _signs(a[1] * b[2] - a[2] * b[1], tol) != (0,):
         return StabilizerCase.TWO_ELT
     return StabilizerCase.TRIVIAL
 
@@ -389,8 +351,7 @@ def nf_TxT(pair, tol=DEFAULT_TOL):
         im[0] = 0.0
         q1 = rotation_quaternion(im / np.linalg.norm(im), U4, tol)
         a1, b1 = kappa(q1, a), kappa(q1, b)
-        proj = np.hypot(b1[2], b1[3])
-        if proj < tol.zero_tol:
+        if _signs(np.hypot(b1[2], b1[3]), tol) == (0,):
             q = q1
             canonical = PairTT(a1, b1)
         else:
@@ -424,7 +385,7 @@ def _u_rotations(pair, tol):
     """Closed-form rotations about the u-axis placing either component's
     (v, uv)-part on the +v ray, then the identity."""
     for q in pair:
-        if np.hypot(q[2], q[3]) >= tol.zero_tol:
+        if _signs(np.hypot(q[2], q[3]), tol) != (0,):
             phi = -np.arctan2(q[3], q[2])
             yield _u_axis_rotation(phi) if phi != 0.0 else ONE4
     yield ONE4

@@ -27,6 +27,10 @@ class TolerancePolicy:
 
     rank_tol is relative to the largest singular value; eq_tol is an
     entrywise threshold; zero_tol decides when a scalar counts as zero.
+    Every sign or zero decision on family parameters reads deadband_signs
+    below (zero_tol in the normal forms, triality signs and the D1133 fold,
+    eq_tol in algebra's block functions), and its deadband is closed:
+    |x| <= zero_tol (or eq_tol) counts as 0.
     """
 
     rank_tol: float = 1e-9
@@ -46,6 +50,28 @@ DEFAULT_TOL = TolerancePolicy()
 def rng(seed=DEFAULT_SEED):
     """Deterministic generator; pass around explicitly, never use global state."""
     return np.random.default_rng(seed)
+
+
+def deadband_signs(values, deadband):
+    """Sign of each entry of values as -1, 0 or +1, with |x| <= deadband
+    counted as 0; ValueError on NaN.  Plain float comparisons after one
+    tolist(), since normal forms call it per quaternion on hot paths."""
+    signs = []
+    for x in np.asarray(values, dtype=float).ravel().tolist():
+        if x > deadband:
+            signs.append(1)
+        elif x < -deadband:
+            signs.append(-1)
+        elif x == x:
+            signs.append(0)
+        else:
+            raise ValueError("deadband sign of NaN")
+    return tuple(signs)
+
+
+def leading_sign(values, deadband):
+    """The first nonzero entry of deadband_signs(values, deadband), or 0."""
+    return next((s for s in deadband_signs(values, deadband) if s), 0)
 
 
 def check_matrix(m, square=False, stack=False):

@@ -23,7 +23,7 @@ import numpy as np
 from . import maps as mp
 from . import octonion as oc
 from .errors import NotSpecialOrthogonal
-from .numerics import DEFAULT_TOL, det_sign, is_orthogonal
+from .numerics import DEFAULT_TOL, det_sign, is_orthogonal, leading_sign
 
 PAIR_TOL = 1e-8
 
@@ -50,16 +50,6 @@ def _pair_from_s(m, s):
     sbar = oc.conj_matrix() @ s
     phi1 = oc.right_mul_matrix(sbar) @ m
     phi2 = oc.left_mul_matrix(oc.Octonion(s) * oc.Octonion(c)) @ m
-    return phi1, phi2
-
-
-def _normalize_sign(phi1, phi2, zero_tol):
-    s = phi2[:, 0]
-    for coord in s:
-        if abs(coord) > zero_tol:
-            if coord < 0:
-                return -phi1, -phi2
-            return phi1, phi2
     return phi1, phi2
 
 
@@ -107,7 +97,7 @@ def solve_triality_components(m, tol=DEFAULT_TOL):
 
 def triality_pair(phi, tol=DEFAULT_TOL):
     """A triality pair of phi in SO(8), sign-normalized deterministically
-    (first significant coordinate of phi2(1) positive).
+    (first coordinate of phi2(1) outside the zero_tol deadband positive).
 
     Computed in closed form from a reflection factorization of phi.
     NotSpecialOrthogonal unless phi is an orthogonal 8x8 matrix of
@@ -116,7 +106,9 @@ def triality_pair(phi, tol=DEFAULT_TOL):
     m = mp.as_matrix(phi)
     if m.shape != (8, 8) or not is_orthogonal(m, tol) or det_sign(m, tol) != 1:
         raise NotSpecialOrthogonal("triality pairs exist only for maps in SO(8)")
-    phi1, phi2 = _normalize_sign(*_closed_form_pair(m), tol.zero_tol)
+    phi1, phi2 = _closed_form_pair(m)
+    if leading_sign(phi2[:, 0], tol.zero_tol) < 0:
+        phi1, phi2 = -phi1, -phi2
     res = oc.homomorphism_residual(m, phi1, phi2)
     if res >= PAIR_TOL:
         raise NotSpecialOrthogonal(f"pair residual {res:g} exceeds {PAIR_TOL:g}")

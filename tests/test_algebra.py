@@ -216,7 +216,8 @@ def test_block_functions_pin_membership_predicates():
     c = np.array([np.cos(0.4), np.sin(0.4), 0, 0])
     d = np.array([np.cos(1.1), np.sin(1.1), 0, 0])
     v = np.array([np.cos(0.7), 0, np.sin(0.7), 0])
-    # largest imaginary coordinate exactly eq_tol: in S, yet of imaginary span 0
+    # largest imaginary coordinate exactly eq_tol: inside the closed deadband,
+    # so all four count as +-1
     edge = np.array([1.0, al.DEFAULT_TOL.eq_tol, 0, 0])
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
         tau_points = [
@@ -235,7 +236,7 @@ def test_block_functions_pin_membership_predicates():
             ((c, -sj * c, d, si * d), "D1124"),  # one axis, unaligned signs
             ((c, d, c, si * c), "D1124"),
             ((c, sj * c, v, si * v), "D11114"),
-            ((edge, one, one, one), "D11114"),
+            ((edge, one, one, one), None),
         ]
         for qs, kind in t_points:
             assert al.t_block(i, j, *qs) == kind, (i, j, kind)
