@@ -338,9 +338,9 @@ def enumerate_block(kind, grid=3, tol=DEFAULT_TOL):
     continuous moduli are sampled on a grid of the stated resolution, every
     item passing its transversal membership and pairwise non-isomorphic.
     Each grid point goes straight to _canonical_params, which decides its
-    block once and builds no tensor.  Bracket-pair forms are deduplicated per
-    double sign as _params_close at 1e-6 would, against all kept ones at once
-    (closeness up to a simultaneous sign ignores sign normalisation).
+    block once and builds no tensor; T kinds visit half the grid (_grid_points).
+    Bracket-pair forms are deduplicated per double sign as _params_close at
+    1e-6 would, against all kept ones at once (up to a simultaneous sign).
     """
     if grid < 1:
         raise ValueError("grid resolution must be at least 1")
@@ -367,7 +367,12 @@ def enumerate_block(kind, grid=3, tol=DEFAULT_TOL):
 
 
 def _grid_points(kind, grid):
-    """(family, parameters) of each point enumerate_block canonicalizes."""
+    """(family, parameters) of each point enumerate_block canonicalizes.
+
+    The T kinds skip cos s1 < 0: kappa_hat by uv (u, v -> -u, -v) on all four
+    parameters, then each bracket's sign flip, sends (s1, t1, s2) to the
+    earlier, isomorphic grid point (pi - s1, pi - t1, pi - s2), D11114's b2
+    included.  An odd grid's self-mirrored middle s1 is left to the dedup."""
     angles = _grid_open(grid)
     if kind in _PARAMETER_FREE:
         family, _, signs = _PARAMETER_FREE[kind]
@@ -388,7 +393,8 @@ def _grid_points(kind, grid):
                           np.sin(alpha2) * np.sin(beta), 0.0])
             yield "tau_family", {"i": i, "j": j, "a": _cx(alpha), "b": b}
     else:
-        for (i, j), (s1, t1, s2) in product(_SIGN_PAIRS, product(angles, repeat=3)):
+        half = angles[:(grid + 1) // 2]  # by index: the middle angle need not be pi/2 exactly
+        for (i, j), s1, (t1, s2) in product(_SIGN_PAIRS, half, product(angles, repeat=2)):
             a1, a2 = _cx(s1), _cx(s2)
             if kind == "D116" and t1 == s1:  # b1 aligned with a1: one angle fewer
                 qs = (a1, (-1.0) ** j * a1, a2, (-1.0) ** i * a2)

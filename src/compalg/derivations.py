@@ -112,21 +112,22 @@ def derivation_basis(algebra, tol=DEFAULT_TOL):
 def _structure(stack, tol):
     """Invariants of the Lie algebra spanned by the d x n x n stack, which is
     orthonormal under the trace form."""
-    d = stack.shape[0]
+    d, n = stack.shape[:2]
     if d == 0:
         return DerivationAlgebra([], 0, (0, 0, 0), 0, 0, np.zeros((0, 0, 0)))
-    prod = np.einsum("aij,bjk->abik", stack, stack)
-    struct = np.einsum("abik,eik->abe", prod - prod.transpose(1, 0, 2, 3), stack)
+    prod = stack[:, None] @ stack[None]
+    comm = (prod - prod.transpose(1, 0, 2, 3)).reshape(d * d, n * n)
+    struct = (comm @ stack.reshape(d, n * n).T).reshape(d, d, d)
 
     # derived algebra: span of the commutators
     derived_dim = rank(struct[np.triu_indices(d, 1)], tol) if d > 1 else 0
 
     # center: x with [x, basis_b] = 0 for all b
-    ad = np.einsum("abe->bea", struct)  # ad matrix of x: sum_a x_a struct[a, b, e]
+    ad = struct.transpose(1, 2, 0)  # ad matrix of x: sum_a x_a struct[a, b, e]
     center_dim = nullspace(ad.reshape(d * d, d), tol).shape[1]
 
     # kappa(x, y) = tr(ad_x ad_y); ad_a[e, b] = struct[a, b, e]
-    killing = np.einsum("afe,bef->ab", struct, struct)
+    killing = struct.reshape(d, d * d) @ struct.transpose(0, 2, 1).reshape(d, d * d).T
     eig = np.linalg.eigvalsh(0.5 * (killing + killing.T))
     scale = max(1.0, float(np.max(np.abs(eig))))
     neg = int(np.sum(eig < -CLUSTER_TOL * scale))

@@ -14,6 +14,8 @@ from . import octonion as oc
 from .errors import NearSingular, NotOrthogonal, NotOrthonormal, NotUnitNorm
 from .numerics import DEFAULT_TOL, det_sign, is_orthogonal
 
+_EYE4 = np.eye(4)
+
 
 class OrthoMap8:
     """An orthogonal operator on O (or on H for 4-dimensional work)."""
@@ -95,7 +97,7 @@ def tau_map(p, tol=DEFAULT_TOL):
 def kappa4(q, tol=DEFAULT_TOL):
     """4x4 matrix of x -> q x conj(q) on H."""
     q4 = oc.as_unit_quaternion(q, tol, "kappa parameter")
-    return np.column_stack([oc.quat_kappa(q4, e) for e in np.eye(4)])
+    return np.array([oc.quat_kappa(q4, e) for e in _EYE4]).T
 
 
 def kappa_hat_map(q, tol=DEFAULT_TOL):
@@ -124,7 +126,7 @@ def T_map(a, b, k, tol=DEFAULT_TOL):
     b4 = oc.as_unit_quaternion(b, tol, "T parameter b")
     k = int(k) % 2
     block = np.zeros((4, 4))
-    for j, e in enumerate(np.eye(4)):
+    for j, e in enumerate(_EYE4):
         x = oc.quat_conj(e) if k else e
         block[:, j] = oc.quat_mul(oc.quat_mul(a4, x), b4)
     mat = np.eye(8)

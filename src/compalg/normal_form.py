@@ -310,7 +310,7 @@ def _boundary_flag(pairs, tol):
     bound = BOUNDARY_FACTOR * tol.zero_tol
     for pair in pairs:
         for q in pair:
-            for x in q:
+            for x in q.tolist():
                 if tol.zero_tol <= abs(x) < bound:
                     return True
     return False

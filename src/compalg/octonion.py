@@ -30,12 +30,12 @@ def quat_mul(a, b):
 
     The four components sit on the first axis and any trailing axes
     broadcast, so (4, N) batches multiply column by column; integer input
-    stays integer.
+    stays integer.  A single quaternion runs on Python scalars: the same
+    operations as a batch column, bit for bit, but unboxed.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
+    a, b = np.asarray(a), np.asarray(b)
+    w1, x1, y1, z1 = a.tolist() if a.ndim == 1 else a
+    w2, x2, y2, z2 = b.tolist() if b.ndim == 1 else b
     return np.array([
         w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
         w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
@@ -46,7 +46,8 @@ def quat_mul(a, b):
 
 def quat_conj(a):
     a = np.asarray(a)
-    return np.array([a[0], -a[1], -a[2], -a[3]])
+    w, x, y, z = a.tolist() if a.ndim == 1 else a
+    return np.array([w, -x, -y, -z])
 
 
 def quat_kappa(q, x):

@@ -4,7 +4,10 @@ canonical() on a constructed algebra and enumerate_block() both run
 classify._canonical_params on family parameters.  These tests pin the core
 to the constructor path family by family, and pin enumerate_block to the
 loop it replaced, which built a tensor at every grid point and canonicalized
-it (kept below as the reference)."""
+it (kept below as the reference).  The last tests check the mirror symmetry
+that lets enumerate_block visit only half of the T-kind grid."""
+
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from compalg import classify as cl
 from compalg import d1133 as d33
 from compalg import maps as mp
 from compalg import normal_form as nf
+from compalg import octonion as oc
 
 from conftest import unit
 
@@ -65,25 +69,22 @@ def test_core_matches_canonical_of_the_constructor(gen):
 # The tensor-building enumeration loop, kept as the reference
 # ---------------------------------------------------------------------------
 
-def reference_bracket_grid(kind, i, j, grid):
-    angles = cl._grid_open(grid)
+def t_point(kind, i, j, s1, t1, s2):
+    """The four bracket parameters of a T-kind grid point at angles (s1, t1, s2)."""
+    a1 = cl._cx(s1)
     if kind == "D116":
-        for s1 in angles:
-            for s2 in angles:
-                a1, a2 = cl._cx(s1), cl._cx(s2)
-                yield (a1, (-1.0) ** j * a1, a2, (-1.0) ** i * a2)
-    elif kind == "D1124":
-        for s1 in angles:
-            for t1 in angles:
-                for s2 in angles:
-                    a1, b1, a2 = cl._cx(s1), cl._cx(t1), cl._cx(s2)
-                    yield (a1, b1, a2, (-1.0) ** i * a2)
-    else:
-        for s1 in angles:
-            for t1 in angles:
-                for s2 in angles:
-                    b2 = np.array([np.cos(s2), 0.0, np.sin(s2), 0.0])
-                    yield (cl._cx(s1), (-1.0) ** j * cl._cx(s1), cl._cx(t1), b2)
+        return (a1, (-1.0) ** j * a1, cl._cx(s2), (-1.0) ** i * cl._cx(s2))
+    if kind == "D1124":
+        return (a1, cl._cx(t1), cl._cx(s2), (-1.0) ** i * cl._cx(s2))
+    return (a1, (-1.0) ** j * a1, cl._cx(t1), np.array([np.cos(s2), 0.0, np.sin(s2), 0.0]))
+
+
+def t_grid(kind, i, j, grid):
+    """{(k1, k2, k3): parameters} over the whole grid, angles by index; D116
+    has b1 aligned with a1, so k2 = k1 there."""
+    angles = cl._grid_open(grid)
+    return {(k1, k2, k3): t_point(kind, i, j, angles[k1], angles[k2], angles[k3])
+            for k1, k2, k3 in product(range(grid), repeat=3) if kind != "D116" or k2 == k1}
 
 
 def reference_enumerate(kind, grid, tol=cl.DEFAULT_TOL):
@@ -111,7 +112,7 @@ def reference_enumerate(kind, grid, tol=cl.DEFAULT_TOL):
     if kind in ("D116", "D1124", "D11114"):
         for i, j in cl._SIGN_PAIRS:
             seen = []
-            for qs in reference_bracket_grid(kind, i, j, grid):
+            for qs in t_grid(kind, i, j, grid).values():
                 if al.t_block(i, j, *qs, tol) != kind:
                     continue
                 form = cl.canonical(al.k_family(i, j, *qs), tol)
@@ -152,3 +153,53 @@ def test_enumerate_builds_no_tensor(monkeypatch):
         monkeypatch.setattr(mp, name, refuse)
     counts = {kind: len(list(cl.enumerate_block(kind, grid=2))) for kind in cl.BLOCK_KINDS}
     assert all(counts.values())
+
+
+# ---------------------------------------------------------------------------
+# The fundamental domain of the T-kind grid
+# ---------------------------------------------------------------------------
+
+#: enumerate_block counts of (D116, D1124, D11114) per grid, as the whole grid gave them
+T_KIND_COUNTS = {1: (4, 2, 4), 2: (8, 12, 16), 3: (20, 46, 56), 4: (32, 112, 128),
+                 5: (52, 226, 252), 6: (72, 396, 432)}
+
+
+def mirror(qs):
+    """kappa_hat by uv on all four parameters, then the sign flip of each bracket."""
+    uv = np.array([0.0, 0.0, 0.0, 1.0])
+    return tuple(-oc.quat_kappa(uv, q) for q in qs)
+
+
+def t_form(i, j, qs):
+    return cl._canonical_params("t_family", {"i": i, "j": j, **dict(zip(("a1", "b1", "a2", "b2"), qs))}, 8)
+
+
+@pytest.mark.parametrize("kind", ("D116", "D1124", "D11114"))
+def test_t_grid_mirror_lands_on_an_isomorphic_unmirrored_point(kind):
+    for grid in range(1, 6):
+        angles = cl._grid_open(grid)
+        for i, j in cl._SIGN_PAIRS:
+            points = t_grid(kind, i, j, grid)
+            for (k1, k2, k3), qs in points.items():
+                if np.cos(angles[k1]) >= 0.0:
+                    continue
+                image = points[(grid - 1 - k1, grid - 1 - k2, grid - 1 - k3)]
+                assert np.cos(angles[grid - 1 - k1]) > 0.0
+                assert np.allclose(mirror(qs), image, rtol=0.0, atol=1e-15)
+                form, image_form = t_form(i, j, qs), t_form(i, j, image)
+                assert str(form.block) == str(image_form.block)
+                assert cl._params_close(kind, form.params, image_form.params)
+
+
+@pytest.mark.parametrize("grid", sorted(T_KIND_COUNTS))
+def test_t_kind_counts_on_the_fundamental_domain(grid):
+    counts = tuple(len(list(cl.enumerate_block(kind, grid))) for kind in ("D116", "D1124", "D11114"))
+    assert counts == T_KIND_COUNTS[grid]
+
+
+@pytest.mark.parametrize("kind", ("D116", "D1124", "D11114"))
+def test_grid_points_visit_the_unmirrored_half(kind):
+    for grid in (2, 3, 4):
+        angles = cl._grid_open(grid)
+        s1s = {float(point["a1"][0]) for _, point in cl._grid_points(kind, grid)}
+        assert s1s == {np.cos(s) for s in angles[:(grid + 1) // 2]}

@@ -268,3 +268,13 @@ def test_nf_pair_of_moving_tuples_avoids_excluded_points(gen):
              nf.BracketTT.of(unit(gen, 4), unit(gen, 4)))
         r = nf.nf_pair(x)
         assert not all(nf.is_pm_one(q) for pair in r.canonical for q in pair)
+
+
+def test_boundary_flag_at_its_thresholds(tol):
+    z, bound = tol.zero_tol, nf.BOUNDARY_FACTOR * tol.zero_tol
+    cases = [(z, True), (-z, True), (bound, False), (-bound, False), (0.0, False), (-0.0, False),
+             (np.nextafter(z, 0.0), False), (np.nextafter(bound, 0.0), True), (1.0, False)]
+    for x, flagged in cases:
+        pair = nf.PairTT(np.array([1.0, x, 0.0, 0.0]), np.array([x, 0.0, 1.0, 0.0]))
+        assert nf._boundary_flag([pair], tol) is flagged
+        assert nf._boundary_flag((nf.PairTT(pair.b, pair.a), pair), tol) is flagged

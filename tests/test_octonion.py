@@ -22,16 +22,25 @@ def test_quaternion_block_matches_hamilton(gen):
 
 
 def test_quat_mul_broadcasts(gen):
-    # components on the first axis, trailing axes broadcast column by column
+    # components on the first axis, trailing axes broadcast column by column;
+    # a single quaternion runs on Python scalars, with the same bits
     a, b = gen.standard_normal((4, 50)), gen.standard_normal((4, 50))
     batch = oc.quat_mul(a, b)
     assert batch.shape == (4, 50)
     assert np.array_equal(batch, np.column_stack([oc.quat_mul(a[:, k], b[:, k])
                                                   for k in range(50)]))
+    assert np.array_equal(oc.quat_conj(a), np.column_stack([oc.quat_conj(a[:, k]) for k in range(50)]))
+    assert np.array_equal(oc.quat_kappa(a, b),
+                          np.column_stack([oc.quat_kappa(a[:, k], b[:, k]) for k in range(50)]))
     assert np.array_equal(oc.quat_kappa(a, b[:, :1]),
                           np.column_stack([oc.quat_kappa(a[:, k], b[:, 0]) for k in range(50)]))
+    assert np.array_equal(oc.quat_kappa(a[:, :1], b), oc.quat_kappa(a[:, 0], b))
     ints = oc.quat_mul(np.eye(4, dtype=np.int64), np.eye(4, dtype=np.int64)[:, ::-1])
     assert ints.dtype == np.int64
+    single = np.array([1, -2, 3, 0], dtype=np.int64)
+    assert oc.quat_mul(single, single[::-1]).dtype == oc.quat_conj(single).dtype == np.int64
+    assert np.array_equal(np.signbit(oc.quat_conj(np.array([1.0, 0.0, -0.0, 2.0]))),
+                          [False, True, False, True])
     assert oc.STRUCTURE.dtype == np.int64
 
 
