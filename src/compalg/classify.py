@@ -1,28 +1,23 @@
 """Block detection, canonical forms, and the isomorphism decision.
 
 analyze() works on raw structure-constant tensors: double sign, derivation
-algebra, trivial submodule and module partition determine the block.
-canonical() needs constructor provenance: one parameter-level core, shared
-with enumerate_block and building no tensor, reduces the family parameters
-into the block's transversal with a witness map onto the canonical
-representative, and canonical() composes that witness with the transpose of
-the label's orthogonal frame; the block of a tau- or T-family point comes from
-algebra.tau_block or algebra.t_block, and one table holds the four
-parameter-free blocks for the core, canonical_algebra and enumerate_block.
-isomorphic() decides by canonical forms first: when both inputs have one in
-the same block, differing parameters give a definite No and a composed
-witness with a tensor-level residual below 1e-8 proves Yes, with no
-derivation work.  Only the pairs the forms cannot decide (raw tensors, labels
-outside the covered blocks, differing canonical blocks, a failed witness)
-compare invariants, the double sign first: differing invariants give No,
-equal ones Unknown unless the forms still tell the pair apart.
+algebra, trivial submodule and module partition determine the block.  The
+quasi-description is one table, _SPACES, of a record per parameter space: the
+families it reduces, the normal form (parameters to a canonical form with a
+witness, building no tensor), the closeness test, the representative, the JSON
+entries and the enumeration grid.  canonical() needs a family label, and
+composes the witness with the transpose of the label's frame.  isomorphic()
+decides by canonical forms first: in one block, differing parameters give No
+and a witness with residual below 1e-8 gives Yes, with no derivation work.
+The other pairs compare invariants, the double sign first: differing ones give
+No, equal ones Unknown unless the forms tell them apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -36,19 +31,6 @@ from .errors import NotInBlock, RawTensorNotSupported
 from .numerics import DEFAULT_TOL
 
 _SIGN_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-#: Block -> (family, constructor of (i, j), double signs) for the blocks
-#: without moduli; the Okubo model is the one (-, -) algebra of D8.
-_PARAMETER_FREE = {
-    "D17": ("standard_isotope", al.standard_isotope, _SIGN_PAIRS),
-    "D8": ("okubo", lambda i, j: al.okubo_p11(), ((1, 1),)),
-    "D35": ("p35", al.p35, _SIGN_PAIRS[:3]),
-    "D4": ("quat4", al.quat4, _SIGN_PAIRS),
-}
-_PARAMETER_FREE_FAMILIES = {family: kind for kind, (family, _, _) in _PARAMETER_FREE.items()}
-
-#: Every block kind enumerate_block accepts.
-BLOCK_KINDS = ("D17", "D8", "D35", "D4", "D134s", "D134a", "D116", "D1124", "D11114", "D1133")
 
 _PARTITION_TO_KIND = {
     (1, 7): "D17",
@@ -143,38 +125,72 @@ class CanonicalForm:
     boundary_flag: bool = False
 
     def to_json(self):
-        out = {"block": str(self.block), "kind": self.block.kind}
-        if self.block.sign is not None:
-            out["i"], out["j"] = self.block.sign.i, self.block.sign.j
-        if self.block.kind == "D1133":
-            i1, j1, i2, j2 = self.block.d1133_indices
-            alpha, beta = self.params
-            out.update({"i1": i1, "j1": j1, "i2": i2, "j2": j2,
-                        "alpha": alpha, "beta": beta})
-        elif isinstance(self.params, nf.PairTT):
-            out["point"] = self.params.to_json()
-        elif isinstance(self.params, tuple) and self.params and isinstance(self.params[0], nf.PairTT):
-            out["point"] = [p.to_json() for p in self.params]
-        return out
+        """Block, double sign and the block record's entries (no point if parameter-free)."""
+        sign = self.block.sign
+        return {"block": str(self.block), "kind": self.block.kind, "i": sign.i, "j": sign.j,
+                **_SPACES[self.block.kind].json(self)}
 
 
-def canonical_algebra(form):
-    """Rebuild the canonical representative algebra of a canonical form."""
-    kind = form.block.kind
-    sign = form.block.sign
-    if kind in _PARAMETER_FREE:
-        return _PARAMETER_FREE[kind][1](sign.i, sign.j)
-    if kind in ("D134s", "D134a"):
-        point = form.params
-        return al.j_family(sign.i, sign.j, point.a, point.b)
-    if kind in ("D116", "D1124", "D11114"):
-        first, second = form.params
-        return al.k_family(sign.i, sign.j, first.a, first.b, second.a, second.b)
-    if kind == "D1133":
-        i1, j1, i2, j2 = form.block.d1133_indices
-        alpha, beta = form.params
-        return al.g_family(i1, j1, i2, j2, alpha, beta)
-    raise NotInBlock(f"no canonical representative for block {form.block}")
+# ---------------------------------------------------------------------------
+# The quasi-description: one record per parameter space
+# ---------------------------------------------------------------------------
+
+class _Space(NamedTuple):
+    """A parameter space of the quasi-description with the group action whose
+    orbits are the isomorphism classes of its blocks."""
+    families: tuple   # the family names whose points it reduces
+    reduce: Callable  # (family name, parameters, tol) -> CanonicalForm; builds no tensor
+    close: Callable   # (canonical params, canonical params, tol) -> one orbit?
+    build: Callable   # CanonicalForm -> the canonical representative algebra
+    json: Callable    # CanonicalForm -> its JSON entries after block and sign
+    grid: Callable    # (kind, resolution) -> (family name, parameters) to canonicalize
+
+
+def _grid_open(n, lo=0.0, hi=np.pi):
+    return [(lo + (hi - lo) * (k + 1) / (n + 1)) for k in range(n)]
+
+
+def _cx(angle):
+    return np.array([np.cos(angle), np.sin(angle), 0.0, 0.0])
+
+
+def _free_space(kind, family, signs, dim=8):
+    """The record of a block without moduli: one class per double sign in
+    signs, the family's point itself with the identity of R^dim as witness."""
+    def reduce(name, p, tol):
+        sign = al.DoubleSign(p["i"], p["j"]) if p else al.DoubleSign(*signs[0])
+        return CanonicalForm(BlockLabel(kind, sign), None, mp.identity_map(dim))
+    return _Space((family,), reduce, lambda left, right, tol: True,
+                  lambda form: al.from_family(family, {"i": form.block.sign.i,
+                                                       "j": form.block.sign.j}),
+                  lambda form: {}, lambda kind, grid: ((family, {"i": i, "j": j}) for i, j in signs))
+
+
+def _pair_form(kind, p, res, tol):
+    """The form of a tau- or T-family point from its normal-form result."""
+    return CanonicalForm(BlockLabel(kind, al.DoubleSign(p["i"], p["j"])), res.canonical,
+                         mp.kappa_hat_map(res.witness_q, tol), res.boundary_flag)
+
+
+def _tau_reduce(name, p, tol):
+    # a point in D17 or D8 keeps its pair (the block's fixed point); those records ignore it
+    res = nf.nf_TxT(nf.make_pair(p["a"], p["b"]), tol)
+    return _pair_form(al.tau_block(p["i"], p["j"], *res.canonical, tol), p, res, tol)
+
+
+def _tau_grid(kind, grid):
+    """D134s: its three sign points.  D134a: a on the circle, b on a grid of
+    the half 2-sphere; three points at grids 1-8 are in D8, and dropped."""
+    if kind == "D134s":
+        for (i, j), (sa, sb) in product(_SIGN_PAIRS, ((1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))):
+            yield "tau_family", {"i": i, "j": j, "a": sa * nf.ONE4, "b": sb * nf.ONE4}
+        return
+    angles = _grid_open(grid)
+    for (i, j), alpha, alpha2, beta in product(_SIGN_PAIRS, angles, angles,
+                                               np.linspace(0.0, np.pi, grid)):
+        b = np.array([np.cos(alpha2), np.sin(alpha2) * np.cos(beta),
+                      np.sin(alpha2) * np.sin(beta), 0.0])
+        yield "tau_family", {"i": i, "j": j, "a": _cx(alpha), "b": b}
 
 
 def _lambda_to_t(i, j, a2, b2):
@@ -182,12 +198,110 @@ def _lambda_to_t(i, j, a2, b2):
     equals conjugation by the half-angle element combined with (-1)^k."""
     out = []
     for e2, k in ((a2, j), (b2, i)):
-        angle = float(np.arctan2(e2[1], e2[0])) % (2 * np.pi)
-        half = ((angle - np.pi * k) / 2.0) % np.pi
-        q = np.array([np.cos(half), np.sin(half), 0.0, 0.0])
-        out.append((q, (-1.0) ** k * q))
-    (a1, b1), (a2t, b2t) = out
-    return a1, b1, a2t, b2t
+        half = ((float(np.arctan2(e2[1], e2[0])) % (2 * np.pi) - np.pi * k) / 2.0) % np.pi
+        out += [_cx(half), (-1.0) ** k * _cx(half)]
+    return tuple(out)
+
+
+def _bracket_reduce(name, p, tol):
+    i, j = p["i"], p["j"]
+    if name == "lambda_family":
+        qs = _lambda_to_t(i, j, np.asarray(p["a"], float), np.asarray(p["b"], float))
+    else:
+        qs = tuple(np.asarray(p[k], float) for k in ("a1", "b1", "a2", "b2"))
+    kind = al.t_block(i, j, *qs, tol)
+    if kind is None:
+        raise NotInBlock("all four parameters in {1,-1}: outside the bracket-pair blocks")
+    res = nf.nf_pair((nf.BracketTT.of(qs[0], qs[1], tol),
+                      nf.BracketTT.of(qs[2], qs[3], tol)), tol)
+    return _pair_form(kind, p, res, tol)
+
+
+def _bracket_grid(kind, grid):
+    """(family, parameters) of each T-kind point enumerate_block canonicalizes.
+    The T kinds skip cos s1 < 0: kappa_hat by uv (u, v -> -u, -v) on all four
+    parameters, then each bracket's sign flip, sends (s1, t1, s2) to the
+    earlier, isomorphic grid point (pi - s1, pi - t1, pi - s2), D11114's b2
+    included.  An odd grid's self-mirrored middle s1 is left to the dedup.
+    D1124 skips j = 0 with t1 = s1, where b1 = a1 is the alignment of D116."""
+    angles = _grid_open(grid)
+    half = angles[:(grid + 1) // 2]  # by index: the middle angle need not be pi/2 exactly
+    for (i, j), s1, (t1, s2) in product(_SIGN_PAIRS, half, product(angles, repeat=2)):
+        a1, a2 = _cx(s1), _cx(s2)
+        if kind == "D116" and t1 == s1:  # b1 aligned with a1: one angle fewer
+            qs = (a1, (-1.0) ** j * a1, a2, (-1.0) ** i * a2)
+        elif kind == "D1124" and (j or t1 != s1):
+            qs = (a1, _cx(t1), a2, (-1.0) ** i * a2)
+        elif kind == "D11114":
+            qs = (a1, (-1.0) ** j * a1, _cx(t1),
+                  np.array([np.cos(s2), 0.0, np.sin(s2), 0.0]))
+        else:
+            continue
+        yield "t_family", {"i": i, "j": j, **dict(zip(("a1", "b1", "a2", "b2"), qs))}
+
+
+def _angle_reduce(name, p, tol):
+    gp = d33.GParams(p["i1"], p["j1"], p["i2"], p["j2"], p["alpha"], p["beta"])
+    cp, eps = d33.canonical_1133(gp, tol)
+    sign = al.DoubleSign((gp.i1 + gp.i2) % 2, (gp.j1 + gp.j2) % 2)
+    return CanonicalForm(BlockLabel("D1133", sign, gp.indices), (cp.alpha, cp.beta),
+                         mp.eps_hat(eps))
+
+
+def _angle_grid(kind, grid):
+    """Index tuples with i2 = 1 or j2 = 1, alpha on the open grid of (0, pi/2),
+    beta on that of (0, pi).  alpha stays pi/(2(grid+1)) from 0 and pi/2, the
+    excluded point's alpha and the fold region's edge; up to grid 1569 that is
+    above every admissible zero_tol (< 1e-3), so each point is in_d1133 and its
+    own canonical_1133."""
+    for (i1, j1), (i2, j2), alpha, beta in product(
+            _SIGN_PAIRS, _SIGN_PAIRS[1:], _grid_open(grid, 0.0, np.pi / 2), _grid_open(grid)):
+        yield "g_family", {"i1": i1, "j1": j1, "i2": i2, "j2": j2, "alpha": alpha, "beta": beta}
+
+
+#: tau_family points on S^3 x S^3, reduced through the pair transversal.
+_TAU = _Space(("tau_family",), _tau_reduce, lambda left, right, tol: left.close_to(right, tol),
+              lambda form: al.j_family(form.block.sign.i, form.block.sign.j, *form.params),
+              lambda form: {"point": form.params.to_json()}, _tau_grid)
+
+#: t_family points on (S^3)^4, and lambda_family points rewritten onto them,
+#: reduced through the bracket-pair transversal.
+_BRACKET = _Space(("t_family", "lambda_family"), _bracket_reduce,
+                  lambda left, right, tol: (
+                      left[0].close_to(right[0], tol)
+                      and nf.BracketTT.of(*left[1]).close_to(nf.BracketTT.of(*right[1]), tol)),
+                  lambda form: al.k_family(form.block.sign.i, form.block.sign.j,
+                                           *form.params[0], *form.params[1]),
+                  lambda form: {"point": [pair.to_json() for pair in form.params]}, _bracket_grid)
+
+#: Block kind -> its record, in the order the CLI lists the kinds.  The Okubo
+#: model is the one (-, -) algebra of D8; D1133's angle pair lives on the torus.
+_SPACES = {
+    "D17": _free_space("D17", "standard_isotope", _SIGN_PAIRS),
+    "D8": _free_space("D8", "okubo", ((1, 1),)),
+    "D35": _free_space("D35", "p35", _SIGN_PAIRS[:3]),
+    "D4": _free_space("D4", "quat4", _SIGN_PAIRS, dim=4),
+    "D134s": _TAU, "D134a": _TAU,
+    "D116": _BRACKET, "D1124": _BRACKET, "D11114": _BRACKET,
+    "D1133": _Space(
+        ("g_family",), _angle_reduce,
+        lambda left, right, tol: all(d33.circle_distance(x, y) < tol for x, y in zip(left, right)),
+        lambda form: al.g_family(*form.block.d1133_indices, *form.params),
+        lambda form: dict(zip(("i1", "j1", "i2", "j2", "alpha", "beta"),
+                              (*form.block.d1133_indices, *form.params))),
+        _angle_grid),
+}
+
+#: Every block kind enumerate_block accepts.
+BLOCK_KINDS = tuple(_SPACES)
+_BY_FAMILY = {family: space for space in _SPACES.values() for family in space.families}
+
+
+def canonical_algebra(form):
+    """Rebuild the canonical representative algebra of a canonical form."""
+    if form.block.kind not in _SPACES:
+        raise NotInBlock(f"no canonical representative for block {form.block}")
+    return _SPACES[form.block.kind].build(form)
 
 
 def canonical(algebra, tol=DEFAULT_TOL):
@@ -197,66 +311,23 @@ def canonical(algebra, tol=DEFAULT_TOL):
     family = algebra.family
     if family is None:
         raise RawTensorNotSupported("canonical forms need constructor provenance")
-    form = _canonical_params(family.name, family.params, algebra.dim, tol)
+    form = _canonical_params(family.name, family.params, tol)
     if family.frame is None:
         return form
     return replace(form, witness=mp.OrthoMap8(form.witness.mat @ family.frame.T, check=False))
 
 
-def _canonical_params(name, p, dim, tol=DEFAULT_TOL):
-    """Canonical form of the point p of the family called name; builds no tensor.
-
-    tau family points reduce through the pair transversal, T and lambda
-    families through the bracket-pair transversal, the two-parameter family
-    through its angle region; the remaining families are parameter-free, with
-    the identity of R^dim as witness.  Raises NotInBlock for parameters
-    outside the covered blocks and RawTensorNotSupported for other names.
-    """
-    if name in _PARAMETER_FREE_FAMILIES:
-        kind = _PARAMETER_FREE_FAMILIES[name]
-        sign = al.DoubleSign(p["i"], p["j"]) if p else al.DoubleSign(*_PARAMETER_FREE[kind][2][0])
-        return CanonicalForm(BlockLabel(kind, sign), None, mp.identity_map(dim))
-    if name in ("tau_family", "t_family", "lambda_family"):
-        i, j = p["i"], p["j"]
-        if name == "tau_family":
-            res = nf.nf_TxT(nf.make_pair(p["a"], p["b"]), tol)
-            # the canonical pair is kept even for the parameter-free kinds (it
-            # is then the fixed point of the block); equality ignores it there
-            kind = al.tau_block(i, j, res.canonical.a, res.canonical.b, tol)
-        else:
-            if name == "lambda_family":
-                qs = _lambda_to_t(i, j, np.asarray(p["a"], float), np.asarray(p["b"], float))
-            else:
-                qs = tuple(np.asarray(p[k], float) for k in ("a1", "b1", "a2", "b2"))
-            kind = al.t_block(i, j, *qs, tol)
-            if kind is None:
-                raise NotInBlock("all four parameters in {1,-1}: outside the bracket-pair blocks")
-            res = nf.nf_pair((nf.BracketTT.of(qs[0], qs[1], tol),
-                              nf.BracketTT.of(qs[2], qs[3], tol)), tol)
-        return CanonicalForm(BlockLabel(kind, al.DoubleSign(i, j)), res.canonical,
-                             mp.kappa_hat_map(res.witness_q, tol), res.boundary_flag)
-    if name == "g_family":
-        gp = d33.GParams(p["i1"], p["j1"], p["i2"], p["j2"], p["alpha"], p["beta"])
-        cp, eps = d33.canonical_1133(gp, tol)
-        witness = mp.eps_hat(eps)
-        sign = al.DoubleSign((gp.i1 + gp.i2) % 2, (gp.j1 + gp.j2) % 2)
-        return CanonicalForm(BlockLabel("D1133", sign, gp.indices),
-                             (cp.alpha, cp.beta), witness)
-    raise RawTensorNotSupported(f"unsupported family {name!r}")
+def _canonical_params(name, p, tol=DEFAULT_TOL):
+    """Canonical form of the point p of the family called name, by that
+    family's record; builds no tensor.  Raises NotInBlock for parameters outside
+    the covered blocks and RawTensorNotSupported for other names."""
+    if name not in _BY_FAMILY:
+        raise RawTensorNotSupported(f"unsupported family {name!r}")
+    return _BY_FAMILY[name].reduce(name, p, tol)
 
 
 def _params_close(kind, left, right, tol=1e-8):
-    if kind in _PARAMETER_FREE:
-        return True
-    if kind in ("D134s", "D134a"):
-        return left.close_to(right, tol)
-    if kind in ("D116", "D1124", "D11114"):
-        return (left[0].close_to(right[0], tol)
-                and nf.BracketTT.of(*left[1]).close_to(nf.BracketTT.of(*right[1]), tol))
-    if kind == "D1133":
-        return (d33.circle_distance(left[0], right[0]) < tol
-                and d33.circle_distance(left[1], right[1]) < tol)
-    return False
+    return _SPACES[kind].close(left, right, tol)
 
 
 def witness_residual(phi, source, target):
@@ -323,39 +394,27 @@ def isomorphic(a, b, tol=DEFAULT_TOL):
 # Enumeration of canonical representatives
 # ---------------------------------------------------------------------------
 
-def _grid_open(n, lo=0.0, hi=np.pi):
-    return [(lo + (hi - lo) * (k + 1) / (n + 1)) for k in range(n)]
-
-
-def _cx(angle):
-    return np.array([np.cos(angle), np.sin(angle), 0.0, 0.0])
-
-
 def enumerate_block(kind, grid=3, tol=DEFAULT_TOL):
     """Stream canonical representatives of a block (all double signs).
 
-    Parameter-free blocks yield their finitely many classes; blocks with
-    continuous moduli are sampled on a grid of the stated resolution, every
-    item passing its transversal membership and pairwise non-isomorphic.
-    Each grid point goes straight to _canonical_params, which decides its
-    block once and builds no tensor; T kinds visit half the grid (_grid_points).
-    Bracket-pair forms are deduplicated per double sign as _params_close at
-    1e-6 would, against all kept ones at once (up to a simultaneous sign).
+    Parameter-free blocks yield their finitely many classes, the others a
+    sample on their record's grid, each form in its transversal and pairwise
+    non-isomorphic.  Each grid point goes to _canonical_params, building no
+    tensor; points of another block are dropped.  Bracket-pair forms are
+    deduplicated per double sign as _params_close at 1e-6 would, against all
+    kept ones at once (up to a simultaneous sign).
     """
     if grid < 1:
         raise ValueError("grid resolution must be at least 1")
-    if kind not in BLOCK_KINDS:
+    if kind not in _SPACES:
         raise NotInBlock(f"unknown or unenumerable block kind {kind!r}")
+    space = _SPACES[kind]
     kept = {}  # double sign -> stacked (first, second) pairs of the bracket forms kept
-    for family, point in _grid_points(kind, grid):
-        try:
-            form = _canonical_params(family, point, 4 if kind == "D4" else 8, tol)
-        except NotInBlock:  # the excluded point of D1133
+    for family, point in space.grid(kind, grid):
+        form = _canonical_params(family, point, tol)
+        if form.block.kind != kind:
             continue
-        if form.block.kind != kind or (kind == "D1133"
-                                       and form.params != (point["alpha"], point["beta"])):
-            continue  # another block, or a D1133 point outside the fold's region
-        if kind in ("D116", "D1124", "D11114"):
+        if space is _BRACKET:
             pairs = np.array([np.concatenate([pair.a, pair.b]) for pair in form.params])
             rows = kept.get(form.block.sign, np.empty((0, 2, 8)))
             near_second = np.minimum(np.abs(rows[:, 1] - pairs[1]).max(axis=1),
@@ -364,45 +423,3 @@ def enumerate_block(kind, grid=3, tol=DEFAULT_TOL):
                 continue
             kept[form.block.sign] = np.concatenate([rows, pairs[None]])
         yield form
-
-
-def _grid_points(kind, grid):
-    """(family, parameters) of each point enumerate_block canonicalizes.
-
-    The T kinds skip cos s1 < 0: kappa_hat by uv (u, v -> -u, -v) on all four
-    parameters, then each bracket's sign flip, sends (s1, t1, s2) to the
-    earlier, isomorphic grid point (pi - s1, pi - t1, pi - s2), D11114's b2
-    included.  An odd grid's self-mirrored middle s1 is left to the dedup."""
-    angles = _grid_open(grid)
-    if kind in _PARAMETER_FREE:
-        family, _, signs = _PARAMETER_FREE[kind]
-        for i, j in signs:
-            yield family, {"i": i, "j": j}
-    elif kind == "D1133":  # i2 = 1 or j2 = 1; on this grid the angle fold is the identity
-        for (i1, j1), (i2, j2), alpha, beta in product(
-                _SIGN_PAIRS, _SIGN_PAIRS[1:], _grid_open(grid, 0.0, np.pi / 2), angles):
-            yield "g_family", {"i1": i1, "j1": j1, "i2": i2, "j2": j2,
-                               "alpha": alpha, "beta": beta}
-    elif kind == "D134s":
-        for (i, j), (sa, sb) in product(_SIGN_PAIRS, ((1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))):
-            yield "tau_family", {"i": i, "j": j, "a": sa * nf.ONE4, "b": sb * nf.ONE4}
-    elif kind == "D134a":
-        for (i, j), alpha, alpha2, beta in product(_SIGN_PAIRS, angles, angles,
-                                                   np.linspace(0.0, np.pi, grid)):
-            b = np.array([np.cos(alpha2), np.sin(alpha2) * np.cos(beta),
-                          np.sin(alpha2) * np.sin(beta), 0.0])
-            yield "tau_family", {"i": i, "j": j, "a": _cx(alpha), "b": b}
-    else:
-        half = angles[:(grid + 1) // 2]  # by index: the middle angle need not be pi/2 exactly
-        for (i, j), s1, (t1, s2) in product(_SIGN_PAIRS, half, product(angles, repeat=2)):
-            a1, a2 = _cx(s1), _cx(s2)
-            if kind == "D116" and t1 == s1:  # b1 aligned with a1: one angle fewer
-                qs = (a1, (-1.0) ** j * a1, a2, (-1.0) ** i * a2)
-            elif kind == "D1124":
-                qs = (a1, _cx(t1), a2, (-1.0) ** i * a2)
-            elif kind == "D11114":
-                qs = (a1, (-1.0) ** j * a1, _cx(t1),
-                      np.array([np.cos(s2), 0.0, np.sin(s2), 0.0]))
-            else:
-                continue
-            yield "t_family", {"i": i, "j": j, **dict(zip(("a1", "b1", "a2", "b2"), qs))}

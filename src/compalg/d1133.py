@@ -173,10 +173,6 @@ def in_d1133(params: GParams, tol=DEFAULT_TOL):
                                circle_distance(params.beta, beta0)), tol.zero_tol))
 
 
-def _fold(x):
-    return x % PI
-
-
 def _region_member(alpha, beta, tol):
     return deadband_signs((alpha - PI / 2, beta - PI / 2), tol.zero_tol) <= (0, 0)
 
@@ -194,30 +190,13 @@ def canonical_1133(params: GParams, tol=DEFAULT_TOL):
     if not in_d1133(params, tol):
         raise NotInBlock("parameters hit the excluded point of the block")
     cand0 = (params.alpha, params.beta)
-    cand1 = (_fold(-params.alpha), _fold(-params.beta))
-    ok0 = _region_member(*cand0, tol)
-    ok1 = _region_member(*cand1, tol)
-    if ok0 and ok1:
-        pick = min((cand0, 0), (cand1, 1))
-    elif ok0:
-        pick = (cand0, 0)
-    elif ok1:
-        pick = (cand1, 1)
-    else:
-        # both at the deadband rim; keep the lexicographically smaller
-        pick = min((cand0, 0), (cand1, 1))
-    (alpha, beta), eps = pick
+    cand1 = ((-params.alpha) % PI, (-params.beta) % PI)
+    ok0, ok1 = _region_member(*cand0, tol), _region_member(*cand1, tol)
+    if ok0 != ok1:
+        (alpha, beta), eps = (cand0, 0) if ok0 else (cand1, 1)
+    else:  # both (on a fixed line) or neither (at the deadband rim): the smaller
+        (alpha, beta), eps = min((cand0, 0), (cand1, 1))
     return GParams(params.i1, params.j1, params.i2, params.j2, alpha, beta), eps
-
-
-def iso_1133(p: GParams, q: GParams, tol=1e-8):
-    """Same block indices and equal canonical angles."""
-    if p.indices != q.indices:
-        return False
-    cp, _ = canonical_1133(p)
-    cq, _ = canonical_1133(q)
-    return bool(circle_distance(cp.alpha, cq.alpha) < tol
-                and circle_distance(cp.beta, cq.beta) < tol)
 
 
 def _angle_mod(x, modulus, tol):

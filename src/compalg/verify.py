@@ -479,7 +479,9 @@ def check_d1133_oracle(gen, fast):
                             (-p.beta) % np.pi if gen.integers(0, 2) else p.beta)
         else:
             q = d33.GParams(i1, j1, i2, j2, gen.uniform(0, np.pi), gen.uniform(0, np.pi))
-        if d33.iso_1133(p, q) != d33.iso_1133_lattice_oracle(p, q):
+        fp, fq = (cl._canonical_params("g_family", vars(x)) for x in (p, q))  # as isomorphic()
+        same = str(fp.block) == str(fq.block) and cl._params_close("D1133", fp.params, fq.params)
+        if same != d33.iso_1133_lattice_oracle(p, q):
             return False, f"disagreement at {p} vs {q}"
     return True, f"{trials} pairs"
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from compalg import classify as cl
 from compalg.numerics import TolerancePolicy
 
 
@@ -12,6 +13,13 @@ def gen():
 @pytest.fixture
 def tol():
     return TolerancePolicy()
+
+
+def g_iso(p, q):
+    """isomorphic()'s decision on two g_family points: canonical forms in one
+    block with close parameters."""
+    fp, fq = (cl._canonical_params("g_family", vars(x)) for x in (p, q))
+    return str(fp.block) == str(fq.block) and cl._params_close("D1133", fp.params, fq.params)
 
 
 def unit(gen, n):

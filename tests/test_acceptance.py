@@ -19,6 +19,8 @@ from compalg import triality as tr
 from compalg.numerics import rng
 from compalg.verify import _grid_min_distance, _random_cayley_triple
 
+from conftest import g_iso
+
 SEED = 0xC0FFEE
 
 ONE4 = np.array([1.0, 0, 0, 0])
@@ -295,7 +297,7 @@ def test_criterion_8_two_parameter_pipeline():
                             (-p.beta) % np.pi if gen.integers(0, 2) else p.beta)
         else:
             q = d33.GParams(i1, j1, i2, j2, gen.uniform(0, np.pi), gen.uniform(0, np.pi))
-        if d33.iso_1133(p, q) != d33.iso_1133_lattice_oracle(p, q):
+        if g_iso(p, q) != d33.iso_1133_lattice_oracle(p, q):
             oracle_ok = False
     grid = np.arange(100) * np.pi / 100
     exclusion_ok = True

@@ -5,7 +5,8 @@ classify._canonical_params on family parameters.  These tests pin the core
 to the constructor path family by family, and pin enumerate_block to the
 loop it replaced, which built a tensor at every grid point and canonicalized
 it (kept below as the reference).  The last tests check the mirror symmetry
-that lets enumerate_block visit only half of the T-kind grid."""
+that lets enumerate_block visit only half of the T-kind grid, and the table
+of parameter spaces that the core, the JSON form and the sweep read."""
 
 from itertools import product
 
@@ -61,8 +62,8 @@ def family_points(gen):
 def test_core_matches_canonical_of_the_constructor(gen):
     for name, params in family_points(gen):
         algebra = al.from_family(name, params)
-        assert_same_form(cl._canonical_params(name, params, algebra.dim), cl.canonical(algebra))
-    assert cl._canonical_params("quat4", {"i": 0, "j": 1}, 4).witness.mat.shape == (4, 4)
+        assert_same_form(cl._canonical_params(name, params), cl.canonical(algebra))
+    assert cl._canonical_params("quat4", {"i": 0, "j": 1}).witness.mat.shape == (4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -87,19 +88,30 @@ def t_grid(kind, i, j, grid):
             for k1, k2, k3 in product(range(grid), repeat=3) if kind != "D116" or k2 == k1}
 
 
+SIGN_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+#: block -> (constructor of (i, j), double signs) of the blocks without moduli
+PARAMETER_FREE = {
+    "D17": (al.standard_isotope, SIGN_PAIRS),
+    "D8": (lambda i, j: al.okubo_p11(), ((1, 1),)),
+    "D35": (al.p35, SIGN_PAIRS[:3]),
+    "D4": (al.quat4, SIGN_PAIRS),
+}
+
+
 def reference_enumerate(kind, grid, tol=cl.DEFAULT_TOL):
-    if kind in cl._PARAMETER_FREE:
-        _, build, signs = cl._PARAMETER_FREE[kind]
+    if kind in PARAMETER_FREE:
+        build, signs = PARAMETER_FREE[kind]
         for i, j in signs:
             yield cl.canonical(build(i, j), tol)
         return
     if kind == "D134s":
-        for i, j in cl._SIGN_PAIRS:
+        for i, j in SIGN_PAIRS:
             for sa, sb in [(1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]:
                 yield cl.canonical(al.j_family(i, j, sa * nf.ONE4, sb * nf.ONE4), tol)
         return
     if kind == "D134a":
-        for i, j in cl._SIGN_PAIRS:
+        for i, j in SIGN_PAIRS:
             for alpha in cl._grid_open(grid):
                 a = cl._cx(alpha)
                 for alpha2 in cl._grid_open(grid):
@@ -110,7 +122,7 @@ def reference_enumerate(kind, grid, tol=cl.DEFAULT_TOL):
                             yield cl.canonical(al.j_family(i, j, a, b), tol)
         return
     if kind in ("D116", "D1124", "D11114"):
-        for i, j in cl._SIGN_PAIRS:
+        for i, j in SIGN_PAIRS:
             seen = []
             for qs in t_grid(kind, i, j, grid).values():
                 if al.t_block(i, j, *qs, tol) != kind:
@@ -121,8 +133,8 @@ def reference_enumerate(kind, grid, tol=cl.DEFAULT_TOL):
                 seen.append(form.params)
                 yield form
         return
-    for i1, j1 in cl._SIGN_PAIRS:
-        for i2, j2 in cl._SIGN_PAIRS:
+    for i1, j1 in SIGN_PAIRS:
+        for i2, j2 in SIGN_PAIRS:
             if i2 != 1 and j2 != 1:
                 continue
             for alpha in cl._grid_open(grid, 0.0, np.pi / 2):
@@ -171,14 +183,14 @@ def mirror(qs):
 
 
 def t_form(i, j, qs):
-    return cl._canonical_params("t_family", {"i": i, "j": j, **dict(zip(("a1", "b1", "a2", "b2"), qs))}, 8)
+    return cl._canonical_params("t_family", {"i": i, "j": j, **dict(zip(("a1", "b1", "a2", "b2"), qs))})
 
 
 @pytest.mark.parametrize("kind", ("D116", "D1124", "D11114"))
 def test_t_grid_mirror_lands_on_an_isomorphic_unmirrored_point(kind):
     for grid in range(1, 6):
         angles = cl._grid_open(grid)
-        for i, j in cl._SIGN_PAIRS:
+        for i, j in SIGN_PAIRS:
             points = t_grid(kind, i, j, grid)
             for (k1, k2, k3), qs in points.items():
                 if np.cos(angles[k1]) >= 0.0:
@@ -201,5 +213,52 @@ def test_t_kind_counts_on_the_fundamental_domain(grid):
 def test_grid_points_visit_the_unmirrored_half(kind):
     for grid in (2, 3, 4):
         angles = cl._grid_open(grid)
-        s1s = {float(point["a1"][0]) for _, point in cl._grid_points(kind, grid)}
+        s1s = {float(point["a1"][0]) for _, point in cl._SPACES[kind].grid(kind, grid)}
         assert s1s == {np.cos(s) for s in angles[:(grid + 1) // 2]}
+
+
+# ---------------------------------------------------------------------------
+# The table of parameter spaces
+# ---------------------------------------------------------------------------
+
+KINDS = ("D17", "D8", "D35", "D4", "D134s", "D134a", "D116", "D1124", "D11114", "D1133")
+
+
+def test_each_family_and_each_kind_has_one_record():
+    records = {id(space): space for space in cl._SPACES.values()}.values()
+    for name in al._BUILDERS:
+        assert sum(name in space.families for space in records) == 1, name
+    assert tuple(cl._SPACES) == cl.BLOCK_KINDS == KINDS
+    assert all(isinstance(cl._SPACES[kind], cl._Space) for kind in KINDS)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_canonical_representative_canonicalizes_to_its_form(kind):
+    for form in cl.enumerate_block(kind, grid=1):
+        again = cl.canonical(cl.canonical_algebra(form))
+        assert str(again.block) == str(form.block)
+        assert np.array_equal(flat_params(again.params), flat_params(form.params))
+
+
+def test_parameter_free_json_ignores_the_family_that_reached_it():
+    for i, j in SIGN_PAIRS:
+        tau = cl.canonical(al.j_family(i, j, nf.ONE4, nf.ONE4)).to_json()
+        assert tau == cl.canonical(al.standard_isotope(i, j)).to_json()
+    w = al.OKUBO_TWIST
+    tau = cl.canonical(al.j_family(1, 1, w, oc.quat_mul(w, w))).to_json()
+    assert tau == cl.canonical(al.okubo_p11()).to_json()
+
+
+def test_d1124_grid_points_all_reduce_to_d1124():
+    for grid in range(1, 7):
+        for family, point in cl._SPACES["D1124"].grid("D1124", grid):
+            assert cl._canonical_params(family, point).block.kind == "D1124"
+
+
+def test_d1133_grid_points_are_their_own_canonical_angles():
+    for grid in range(1, 9):
+        for _, point in cl._SPACES["D1133"].grid("D1133", grid):
+            params = d33.GParams(**point)
+            canon, eps = d33.canonical_1133(params)
+            assert d33.in_d1133(params)
+            assert (canon.alpha, canon.beta, eps) == (point["alpha"], point["beta"], 0)

@@ -7,6 +7,8 @@ from compalg import maps as mp
 from compalg import triality as tr
 from compalg.errors import BadIndices, NotInBlock
 
+from conftest import g_iso
+
 PI = np.pi
 
 
@@ -96,7 +98,7 @@ def test_roundtrip_canonical_consistency(gen):
     for _ in range(20):
         p = random_params(gen)
         back = d33.f_to_g(d33.g_to_f(p, 0.0)[0])
-        assert d33.iso_1133(p, back)
+        assert g_iso(p, back)
 
 
 def test_in_d1133_exclusion():
@@ -152,9 +154,9 @@ def test_eps_witness_between_flipped_algebras(gen):
 
 def test_iso_1133(gen):
     p = d33.GParams(0, 1, 1, 1, 0.3, 0.4)
-    assert d33.iso_1133(p, d33.GParams(0, 1, 1, 1, PI - 0.3, PI - 0.4))
-    assert not d33.iso_1133(p, d33.GParams(0, 1, 1, 1, 0.3, 0.5))
-    assert not d33.iso_1133(p, d33.GParams(1, 0, 1, 1, 0.3, 0.4))
+    assert g_iso(p, d33.GParams(0, 1, 1, 1, PI - 0.3, PI - 0.4))
+    assert not g_iso(p, d33.GParams(0, 1, 1, 1, 0.3, 0.5))
+    assert not g_iso(p, d33.GParams(1, 0, 1, 1, 0.3, 0.4))
 
 
 def test_iso_matches_lattice_oracle(gen):
@@ -166,7 +168,7 @@ def test_iso_matches_lattice_oracle(gen):
                             (-p.beta) % PI if gen.integers(0, 2) else p.beta)
         else:
             q = d33.GParams(p.i1, p.j1, p.i2, p.j2, gen.uniform(0, PI), gen.uniform(0, PI))
-        assert d33.iso_1133(p, q) == d33.iso_1133_lattice_oracle(p, q)
+        assert g_iso(p, q) == d33.iso_1133_lattice_oracle(p, q)
 
 
 def test_g_family_trivial_submodule_is_complex_line(gen):

@@ -109,7 +109,7 @@ def test_edge_sweep_of_signed_basis_tuples():
     for (i, j), point in zip(gen.integers(2, size=(count, 2)).tolist(), qs):
         params = {"i": i, "j": j, **dict(zip(("a1", "b1", "a2", "b2"), point))}
         try:
-            form = cl._canonical_params("t_family", params, 8)
+            form = cl._canonical_params("t_family", params)
         except NotInBlock:
             assert not any(deadband_signs(point[:, 1:], Z))
             continue
