@@ -1,13 +1,16 @@
 """Division composition algebras as structure-constant tensors.
 
-An Algebra is a dense dim x dim x dim tensor plus optional constructor
+An Algebra is an immutable dim x dim x dim tensor plus optional constructor
 provenance: family name, parameters and an orthogonal frame, the tensor being
 the frame's pushforward of the family point.  transport composes its map onto
 the frame, one rule for every orthogonal map.  Parametric constructors cover
 the presentations used by the classification: standard isotopes of O and H,
 tau-twisted and T-twisted isotopes, the Okubo model, its special-subspace
 isotopes, the two-parameter block-diagonal family, and the lambda family.
-Provenance is metadata only; analysis always works on the raw tensor.
+Provenance is checked where it enters: Algebra rebuilds a given label to 1e-12,
+and only the constructors and transport, whose label made the tensor, attach
+one unchecked.  So a label always describes its tensor; analyze() reads the
+tensor alone.
 double_sign and is_division take determinants at fixed sample points, drawn
 once per dimension, so their answers are functions of the tensor alone.
 
@@ -19,7 +22,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import asdict, dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -46,13 +50,33 @@ class DoubleSign:
         return "(%s,%s)" % tuple(plus_minus[s] for s in self.signs)
 
 
+def _frozen(value):
+    """A read-only float array copy of value."""
+    out = np.array(value, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class FamilyLabel:
-    """The tensor is frame_* from_family(name, params); frame None is the identity."""
+    """The tensor is frame_* from_family(name, params); frame None is the identity.
+
+    params is held as a read-only mapping; array (and list) values and the
+    frame are read-only float copies."""
 
     name: str
-    params: dict
+    params: Mapping
     frame: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType({
+            key: _frozen(value) if isinstance(value, (list, tuple, np.ndarray)) else value
+            for key, value in dict(self.params).items()}))
+        if self.frame is not None:
+            object.__setattr__(self, "frame", _frozen(self.frame))
+
+    def __reduce__(self):  # a mapping proxy does not pickle
+        return FamilyLabel, (self.name, dict(self.params), self.frame)
 
     def to_json(self):
         out = {}
@@ -67,27 +91,43 @@ class FamilyLabel:
 class Algebra:
     """A finite-dimensional real algebra given by structure constants.
 
-    sc[i, j, :] holds the coordinates of e_i * e_j.  When built as an
+    sc[i, j, :] holds the coordinates of e_i * e_j, in a read-only copy of
+    the input; no attribute can be set.  A family label is kept, as its
+    rebuild's label, once that rebuild (from_family, then transport by the
+    frame) reproduces sc within 1e-12, else BadParameter.  When built as an
     orthogonal isotope the defining pair (f, g) is kept in memory as the
     constructor's presentation, for callers; no library function reads it,
     transport drops it, and it is not serialized (a family label without
-    a frame rebuilds it).
+    a frame rebuilds it, and Algebra keeps the rebuild's pair).
     """
 
     __slots__ = ("dim", "sc", "family", "isotope")
 
     def __init__(self, sc, family: Optional[FamilyLabel] = None, isotope=None):
-        sc = np.asarray(sc, dtype=float)
+        sc = np.array(sc, dtype=float)
         if sc.ndim != 3 or len(set(sc.shape)) != 1:
             raise ValueError(f"structure tensor must be cubic, got {sc.shape}")
         if sc.shape[0] not in (1, 2, 4, 8):
             raise ValueError(f"dimension must be 1, 2, 4 or 8, got {sc.shape[0]}")
         if not np.isfinite(sc).all():
             raise ValueError("structure tensor has non-finite entries")
-        self.dim = sc.shape[0]
-        self.sc = sc
-        self.family = family
-        self.isotope = isotope
+        sc.flags.writeable = False
+        if family is not None:
+            rebuilt = from_family(family.name, family.params)
+            if family.frame is not None:
+                rebuilt = transport(family.frame, rebuilt)
+            if rebuilt.sc.shape != sc.shape or np.max(np.abs(rebuilt.sc - sc)) > 1e-12:
+                raise BadParameter("family label does not reproduce the structure tensor")
+            family, isotope = rebuilt.family, rebuilt.isotope if isotope is None else isotope
+        for name, value in (("dim", sc.shape[0]), ("sc", sc), ("family", family),
+                            ("isotope", isotope)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Algebra is immutable; cannot set {name!r}")
+
+    def __reduce__(self):  # pickle and copy rebuild through the checked constructor
+        return Algebra, (self.sc, self.family, self.isotope)
 
     def product(self, x, y):
         return np.einsum("i,j,ijk->k", np.asarray(x, float), np.asarray(y, float), self.sc)
@@ -111,7 +151,15 @@ def octonion_algebra():
     return Algebra(oc.STRUCTURE.astype(float))
 
 
-def from_isotope(f, g, family=None):
+def _labelled(algebra, family):
+    """algebra with the label that produced its tensor attached unchecked:
+    the constructors' and transport's path, which a rebuild would recurse
+    through."""
+    object.__setattr__(algebra, "family", family)
+    return algebra
+
+
+def from_isotope(f, g):
     """The isotope x . y = f(x) g(y) of O, or of H, C or R for smaller factors."""
     fm, gm = mp.as_matrix(f), mp.as_matrix(g)
     if not (is_orthogonal(fm) and is_orthogonal(gm)):
@@ -121,7 +169,7 @@ def from_isotope(f, g, family=None):
         raise ValueError("isotope factors have the wrong dimension")
     base = oc.STRUCTURE[:dim, :dim, :dim].astype(float)
     sc = np.einsum("ai,bj,abk->ijk", fm, gm, base)
-    return Algebra(sc, family=family, isotope=(fm.copy(), gm.copy()))
+    return Algebra(sc, isotope=(_frozen(fm), _frozen(gm)))
 
 
 def transport(phi, algebra):
@@ -140,8 +188,8 @@ def transport(phi, algebra):
     family = algebra.family
     if family is not None:
         family = FamilyLabel(family.name, family.params,
-                             m.copy() if family.frame is None else m @ family.frame)
-    return Algebra(sc, family=family)
+                             m if family.frame is None else m @ family.frame)
+    return _labelled(Algebra(sc), family)
 
 
 #: Unit vectors at which double_sign and is_division take determinants.
@@ -215,8 +263,8 @@ def standard_isotope(i, j):
     """O with product K^j(x) K^i(y)."""
     i, j = _index_pair(i, j)
     k = mp.conj_map()
-    return from_isotope(k if j else mp.identity_map(), k if i else mp.identity_map(),
-                        family=FamilyLabel("standard_isotope", {"i": i, "j": j}))
+    return _labelled(from_isotope(k if j else mp.identity_map(), k if i else mp.identity_map()),
+                     FamilyLabel("standard_isotope", {"i": i, "j": j}))
 
 
 def quat4(i, j):
@@ -225,7 +273,7 @@ def quat4(i, j):
     k4 = mp.conj_map4()
     f = k4 if j else mp.identity_map(4)
     g = k4 if i else mp.identity_map(4)
-    return from_isotope(f, g, family=FamilyLabel("quat4", {"i": i, "j": j}))
+    return _labelled(from_isotope(f, g), FamilyLabel("quat4", {"i": i, "j": j}))
 
 
 def j_family(i, j, a, b, tol=DEFAULT_TOL):
@@ -239,8 +287,8 @@ def j_family(i, j, a, b, tol=DEFAULT_TOL):
         f = oc.conj_matrix() @ f
     if i:
         g = oc.conj_matrix() @ g
-    return from_isotope(f, g, family=FamilyLabel(
-        "tau_family", {"i": i, "j": j, "a": a4.copy(), "b": b4.copy()}))
+    return _labelled(from_isotope(f, g),
+                     FamilyLabel("tau_family", {"i": i, "j": j, "a": a4, "b": b4}))
 
 
 def k_family(i, j, a1, b1, a2, b2, tol=DEFAULT_TOL):
@@ -250,7 +298,7 @@ def k_family(i, j, a1, b1, a2, b2, tol=DEFAULT_TOL):
           for x, n in ((a1, "a1"), (b1, "b1"), (a2, "a2"), (b2, "b2"))]
     f = mp.T_map(qs[0], qs[1], j, tol)
     g = mp.T_map(qs[2], qs[3], i, tol)
-    return from_isotope(f, g, family=FamilyLabel(
+    return _labelled(from_isotope(f, g), FamilyLabel(
         "t_family", {"i": i, "j": j, "a1": qs[0], "b1": qs[1], "a2": qs[2], "b2": qs[3]}))
 
 
@@ -259,9 +307,8 @@ def lambda_family(i, j, a, b, tol=DEFAULT_TOL):
     i, j = _index_pair(i, j)
     a2 = oc.as_unit_complex(a, tol, "parameter a")
     b2 = oc.as_unit_complex(b, tol, "parameter b")
-    return from_isotope(mp.lambda_map(a2, j, tol), mp.lambda_map(b2, i, tol),
-                        family=FamilyLabel("lambda_family",
-                                           {"i": i, "j": j, "a": a2.copy(), "b": b2.copy()}))
+    return _labelled(from_isotope(mp.lambda_map(a2, j, tol), mp.lambda_map(b2, i, tol)),
+                     FamilyLabel("lambda_family", {"i": i, "j": j, "a": a2, "b": b2}))
 
 
 #: The distinguished cube root of unity (sqrt(3) u - 1) / 2 in C.
@@ -277,7 +324,7 @@ def _okubo_pair(tol):
 
 def okubo_p11(tol=DEFAULT_TOL):
     """The division Okubo model: pair (K tau, K tau^-1) with the cube-root twist."""
-    return from_isotope(*_okubo_pair(tol), family=FamilyLabel("okubo", {}))
+    return _labelled(from_isotope(*_okubo_pair(tol)), FamilyLabel("okubo", {}))
 
 
 def p35(i, j, tol=DEFAULT_TOL):
@@ -288,9 +335,9 @@ def p35(i, j, tol=DEFAULT_TOL):
         raise BadParameter("the (1, 1) component of the {3,5} block is empty")
     f, g = _okubo_pair(tol)
     sw = mp.sigma_w_special().mat
-    return from_isotope(f @ np.linalg.matrix_power(sw, 1 - j),
-                        g @ np.linalg.matrix_power(sw, 1 - i),
-                        family=FamilyLabel("p35", {"i": i, "j": j}))
+    return _labelled(from_isotope(f @ np.linalg.matrix_power(sw, 1 - j),
+                                  g @ np.linalg.matrix_power(sw, 1 - i)),
+                     FamilyLabel("p35", {"i": i, "j": j}))
 
 
 def g_family(i1, j1, i2, j2, alpha, beta, tol=DEFAULT_TOL):
@@ -301,7 +348,7 @@ def g_family(i1, j1, i2, j2, alpha, beta, tol=DEFAULT_TOL):
     gp = d33.GParams(i1, j1, i2, j2, alpha, beta)
     f = mp.G_map(gp.alpha, 0.0, gp.j1, gp.j2, tol)
     g = mp.G_map(gp.beta, 0.0, gp.i1, gp.i2, tol)
-    return from_isotope(f, g, family=FamilyLabel("g_family", asdict(gp)))
+    return _labelled(from_isotope(f, g), FamilyLabel("g_family", asdict(gp)))
 
 
 _BUILDERS = {
@@ -329,19 +376,12 @@ def from_family(name, params):
 
 
 def from_json(obj):
-    """The stored tensor of a JSON form, bit for bit; a family label is
-    attached once its rebuild agrees with the tensor within 1e-12, with the
-    isotope pair when the label has no frame.  Raw tensors stay raw."""
-    raw = Algebra(obj["sc"])
-    fam = obj.get("family")
-    if fam:
-        rebuilt = from_family(fam["name"], fam["params"])
-        if fam.get("frame") is not None:
-            rebuilt = transport(fam["frame"], rebuilt)
-        if np.max(np.abs(rebuilt.sc - raw.sc)) > 1e-12:
-            raise BadParameter("family label does not reproduce the stored tensor")
-        raw.family, raw.isotope = rebuilt.family, rebuilt.isotope
-    return raw
+    """The stored tensor of a JSON form, bit for bit, with its family label
+    through Algebra's check.  Raw tensors stay raw."""
+    sc, fam = obj["sc"], obj.get("family")
+    if not fam:
+        return Algebra(sc)
+    return Algebra(sc, family=FamilyLabel(fam["name"], fam["params"], fam.get("frame")))
 
 
 # ---------------------------------------------------------------------------

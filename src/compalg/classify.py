@@ -6,11 +6,12 @@ quasi-description is one table, _SPACES, of a record per parameter space: the
 families it reduces, the normal form (parameters to a canonical form with a
 witness, building no tensor), the closeness test, the representative, the JSON
 entries and the enumeration grid.  canonical() needs a family label, and
-composes the witness with the transpose of the label's frame.  isomorphic()
-decides by canonical forms first: in one block, differing parameters give No
-and a witness with residual below 1e-8 gives Yes, with no derivation work.
-The other pairs compare invariants, the double sign first: differing ones give
-No, equal ones Unknown unless the forms tell them apart.
+composes the witness with the transpose of the label's frame.  Labels are
+checked against their tensors where they enter an Algebra, so isomorphic()
+trusts the forms: with a form on both sides, differing blocks or parameters
+give No and a witness with residual below 1e-8 gives Yes, with no derivation
+work.  The other pairs compare invariants, the double sign first, a form
+standing in for its side's: differing ones give No, equal ones Unknown.
 """
 
 from __future__ import annotations
@@ -359,35 +360,36 @@ def _form_or_reason(algebra, tol):
 def isomorphic(a, b, tol=DEFAULT_TOL):
     """Decide isomorphism, canonical forms first.
 
-    Forms of both inputs in one block decide without derivation work: No when
-    the parameters differ, Yes when the composed witness has a tensor-level
-    residual below 1e-8.  Every other pair compares invariants, the double
-    sign before the rest of analyze(): No when they differ, then No on
-    differing canonical blocks, else Unknown (a raw tensor, a label outside
-    the covered blocks, or a witness that failed its residual).
+    Forms of both inputs decide without derivation work, since every label
+    was checked against its tensor: No when the blocks or the parameters
+    differ, Yes when the composed witness has a tensor-level residual below
+    1e-8, else Unknown.  Every other pair compares invariants, a form's block
+    and sign standing in for its side's analyze(): the double sign first, No
+    when they differ, then No on differing blocks, else Unknown (a raw tensor
+    or a label outside the covered blocks).
     """
     if a.dim != b.dim:
         return IsoVerdict("no", reason="dimensions differ")
     (ca, why_a), (cb, why_b) = _form_or_reason(a, tol), _form_or_reason(b, tol)
-    same_block = ca is not None and cb is not None and str(ca.block) == str(cb.block)
-    if same_block:
+    if ca is not None and cb is not None:
+        if str(ca.block) != str(cb.block):
+            return IsoVerdict("no", reason=f"canonical blocks differ: {ca.block} vs {cb.block}")
         if not _params_close(ca.block.kind, ca.params, cb.params):
             return IsoVerdict("no", reason="canonical parameters differ")
         witness = mp.OrthoMap8(cb.witness.mat.T @ ca.witness.mat, check=False)
         residual = witness_residual(witness, a, b)
         if residual < 1e-8:
             return IsoVerdict("yes", witness=witness)
-    ds_a, ds_b = al.double_sign(a, tol), al.double_sign(b, tol)
-    if (ds_a.i, ds_a.j) != (ds_b.i, ds_b.j):
+        return IsoVerdict("unknown", reason=f"canonical forms agree but witness residual {residual:g}")
+    ds_a = ca.block.sign if ca else al.double_sign(a, tol)
+    ds_b = cb.block.sign if cb else al.double_sign(b, tol)
+    if ds_a != ds_b:
         return IsoVerdict("no", reason="double signs differ")
-    ra, rb = _analyze_with_sign(a, ds_a, tol), _analyze_with_sign(b, ds_b, tol)
-    if str(ra.block) != str(rb.block):
-        return IsoVerdict("no", reason=f"blocks differ: {ra.block} vs {rb.block}")
-    if ca is None or cb is None:
-        return IsoVerdict("unknown", reason=f"equal invariants, but {why_a or why_b}")
-    if not same_block:
-        return IsoVerdict("no", reason=f"canonical blocks differ: {ca.block} vs {cb.block}")
-    return IsoVerdict("unknown", reason=f"canonical forms agree but witness residual {residual:g}")
+    block_a = ca.block if ca else _analyze_with_sign(a, ds_a, tol).block
+    block_b = cb.block if cb else _analyze_with_sign(b, ds_b, tol).block
+    if str(block_a) != str(block_b):
+        return IsoVerdict("no", reason=f"blocks differ: {block_a} vs {block_b}")
+    return IsoVerdict("unknown", reason=f"equal invariants, but {why_a or why_b}")
 
 
 # ---------------------------------------------------------------------------

@@ -252,11 +252,13 @@ def test_bad_family_label_exit_code(tmp_path, capsys):
 
 def test_non_cubic_tensor_exit_code(tmp_path, capsys):
     target = tmp_path / "flat.json"
-    target.write_text(json.dumps({"dim": 2, "sc": [[1.0, 0.0], [0.0, 1.0]], "family": None}))
-    code, _, err = run(["analyze", str(target)], capsys)
-    assert code == 2
-    assert err.startswith("error:")
-    assert len(err.strip().splitlines()) == 1
+    for blob in ({"dim": 2, "sc": [[1.0, 0.0], [0.0, 1.0]], "family": None}, [1, 2],
+                 {"sc": [[[1.0]]], "family": {"name": "okubo", "params": 5}}):
+        target.write_text(json.dumps(blob))
+        code, _, err = run(["analyze", str(target)], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

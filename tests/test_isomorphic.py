@@ -2,9 +2,13 @@
 
 The invariant-first ordering it replaced ran analyze() on both inputs before
 reading their canonical forms; it is kept below as the reference, and the
-verdict, reason and witness bytes must match it on every consistently
-labelled, raw and one-side-labelled pair.  Labelled pairs in one canonical
-block must be decided without derivation work, and raw pairs must compute
+verdict, reason and witness bytes must match it on every labelled, raw and
+one-side-labelled pair.  The one exception is a labelled pair in different
+canonical blocks: its "no" now gives the reason "canonical blocks differ: X vs
+Y", read off the forms, where the reference gave the first invariant that
+differed.  A label can no longer disagree with its tensor (Algebra checks it),
+so labelled pairs must be decided without derivation work, a pair with one
+labelled side must analyze the other side only, and raw pairs must compute
 each tensor's double sign and derivation algebra once."""
 
 import numpy as np
@@ -16,7 +20,7 @@ from compalg import derivations as dv
 from compalg import maps as mp
 from compalg import normal_form as nf
 from compalg import numerics
-from compalg.errors import RawTensorNotSupported
+from compalg.errors import BadParameter, RawTensorNotSupported
 
 from conftest import unit
 
@@ -47,6 +51,18 @@ def reference_isomorphic(a, b, tol=cl.DEFAULT_TOL):
         return cl.IsoVerdict("unknown",
                              reason=f"canonical forms agree but witness residual {residual:g}")
     return cl.IsoVerdict("yes", witness=witness)
+
+
+def expected_isomorphic(a, b):
+    """The reference's verdict, with the reason of a labelled different-block
+    "no" read off the canonical forms."""
+    want = reference_isomorphic(a, b)
+    if a.dim == b.dim and a.family is not None and b.family is not None:
+        ca, cb = cl.canonical(a), cl.canonical(b)
+        if str(ca.block) != str(cb.block):
+            assert want.verdict == "no"
+            return cl.IsoVerdict("no", reason=f"canonical blocks differ: {ca.block} vs {cb.block}")
+    return want
 
 
 def assert_same_verdict(got, want):
@@ -117,36 +133,31 @@ def test_matches_the_invariant_first_ordering(gen):
         pairs.append((raw(a), raw(b)))  # raw twins
         pairs.append((a, raw(b)))       # one side labelled
         pairs.append((raw(b), a))
+    moved = 0
     for a, b in pairs:
-        assert_same_verdict(cl.isomorphic(a, b), reference_isomorphic(a, b))
+        want = expected_isomorphic(a, b)
+        moved += want.reason.startswith("canonical blocks differ")
+        assert_same_verdict(cl.isomorphic(a, b), want)
+    assert moved
 
 
-def test_mislabelled_pairs_keep_their_verdicts():
-    # the tensor of standard_isotope(0, 0) under the label of standard_isotope(0, 1)
-    wrong = al.Algebra(al.standard_isotope(0, 0).sc, family=al.standard_isotope(0, 1).family)
-    for other in (al.standard_isotope(0, 0), al.standard_isotope(0, 1)):
-        for a, b in ((wrong, other), (other, wrong)):
-            got = cl.isomorphic(a, b)
-            assert_same_verdict(got, reference_isomorphic(a, b))
-            assert got.verdict == "no"
-    # a label sharing its block with the other side's: the forms answer first,
-    # so only the reason of the "no" moves (from "double signs differ")
+def test_mislabelled_constructions_raise():
+    # the tensor of standard_isotope(0, 0) under the label of standard_isotope(0, 1),
+    # and under a tau-family label of another double sign
     u = np.array([0.0, 1.0, 0.0, 0.0])
     c = al.j_family(0, 1, u, np.array([np.cos(0.3), np.sin(0.3), 0.0, 0.0]))
-    d = al.j_family(0, 1, u, np.array([np.cos(0.9), np.sin(0.9), 0.0, 0.0]))
-    wrong = al.Algebra(al.standard_isotope(0, 0).sc, family=c.family)
-    for a, b in ((wrong, d), (d, wrong)):
-        got, want = cl.isomorphic(a, b), reference_isomorphic(a, b)
-        assert (want.verdict, want.reason) == ("no", "double signs differ")
-        assert (got.verdict, got.reason) == ("no", "canonical parameters differ")
+    for label in (al.standard_isotope(0, 1).family, c.family):
+        with pytest.raises(BadParameter):
+            al.Algebra(al.standard_isotope(0, 0).sc, family=label)
 
 
-def test_labelled_same_block_pairs_do_no_derivation_work(gen, monkeypatch):
+def test_labelled_pairs_do_no_derivation_work(gen, monkeypatch):
     pairs = [(a, b, "yes") for a, b in twin_pairs(gen)]
-    pairs += [(a, b, reference_isomorphic(a, b).verdict) for a, b in other_parameter_pairs(gen)]
+    pairs += [(a, b, reference_isomorphic(a, b).verdict)
+              for a, b in [*other_parameter_pairs(gen), *different_block_pairs(gen)]]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("isomorphic ran invariant work on a labelled same-block pair")
+        raise AssertionError("isomorphic ran invariant work on a labelled pair")
 
     for module, name in ((dv, "derivation_basis"), (dv, "decompose"), (dv, "nullspace"),
                          (numerics, "nullspace"), (al, "double_sign")):
@@ -194,3 +205,31 @@ def test_labels_without_a_canonical_form_act_like_no_label():
     assert cl.isomorphic(d17, d134s).verdict == "no"
     assert cl.isomorphic(d17, al.standard_isotope(0, 0)).verdict == "unknown"
     assert cl.isomorphic(d134s, al.standard_isotope(0, 0)).verdict == "no"
+
+
+def test_one_labelled_side_analyzes_the_other_side_only(gen, monkeypatch):
+    # equal double signs, so the unlabelled side's derivation algebra is needed
+    pairs = [(a, raw(b)) for a, b in [*twin_pairs(gen), *different_block_pairs(gen)]
+             if a.dim == b.dim and al.double_sign(a) == al.double_sign(b)]
+    pairs += [(b, a) for a, b in pairs]
+    wants = [reference_isomorphic(a, b) for a, b in pairs]
+    calls = []
+
+    def counted(module, fn_name):
+        original = getattr(module, fn_name)
+
+        def wrapper(algebra, *args, **kwargs):
+            calls.append((fn_name, algebra))
+            return original(algebra, *args, **kwargs)
+
+        monkeypatch.setattr(module, fn_name, wrapper)
+
+    counted(al, "double_sign")
+    counted(dv, "derivation_basis")
+    for (a, b), want in zip(pairs, wants):
+        calls.clear()
+        assert_same_verdict(cl.isomorphic(a, b), want)
+        labelled, unlabelled = (b, a) if a.family is None else (a, b)
+        assert [name for name, x in calls if x is unlabelled] == ["double_sign", "derivation_basis"]
+        assert not [name for name, x in calls if x is labelled]
+    assert {want.verdict for want in wants} == {"no", "unknown"}
