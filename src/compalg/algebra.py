@@ -94,11 +94,11 @@ class Algebra:
     sc[i, j, :] holds the coordinates of e_i * e_j, in a read-only copy of
     the input; no attribute can be set.  A family label is kept, as its
     rebuild's label, once that rebuild (from_family, then transport by the
-    frame) reproduces sc within 1e-12, else BadParameter.  When built as an
-    orthogonal isotope the defining pair (f, g) is kept in memory as the
-    constructor's presentation, for callers; no library function reads it,
-    transport drops it, and it is not serialized (a family label without
-    a frame rebuilds it, and Algebra keeps the rebuild's pair).
+    frame) reproduces sc within 1e-12, else BadParameter; an isotope pair
+    (f, g) given here is checked the same way, by from_isotope.  The pair is
+    kept in memory as the presentation, for callers; no library function
+    reads it, transport drops it, and it is not serialized (a family label
+    without a frame rebuilds it, and Algebra keeps the rebuild's pair).
     """
 
     __slots__ = ("dim", "sc", "family", "isotope")
@@ -112,6 +112,11 @@ class Algebra:
         if not np.isfinite(sc).all():
             raise ValueError("structure tensor has non-finite entries")
         sc.flags.writeable = False
+        if isotope is not None:
+            rebuilt = from_isotope(*isotope)
+            if rebuilt.sc.shape != sc.shape or np.max(np.abs(rebuilt.sc - sc)) > 1e-12:
+                raise BadParameter("isotope pair does not reproduce the structure tensor")
+            isotope = rebuilt.isotope
         if family is not None:
             rebuilt = from_family(family.name, family.params)
             if family.frame is not None:
@@ -160,7 +165,8 @@ def _labelled(algebra, family):
 
 
 def from_isotope(f, g):
-    """The isotope x . y = f(x) g(y) of O, or of H, C or R for smaller factors."""
+    """The isotope x . y = f(x) g(y) of O, or of H, C or R for smaller factors;
+    the pair that built the tensor is attached unchecked."""
     fm, gm = mp.as_matrix(f), mp.as_matrix(g)
     if not (is_orthogonal(fm) and is_orthogonal(gm)):
         raise NotOrthogonal("isotope factors must be orthogonal")
@@ -168,8 +174,9 @@ def from_isotope(f, g):
     if gm.shape != fm.shape or dim not in (1, 2, 4, 8):
         raise ValueError("isotope factors have the wrong dimension")
     base = oc.STRUCTURE[:dim, :dim, :dim].astype(float)
-    sc = np.einsum("ai,bj,abk->ijk", fm, gm, base)
-    return Algebra(sc, isotope=(_frozen(fm), _frozen(gm)))
+    algebra = Algebra(np.einsum("ai,bj,abk->ijk", fm, gm, base))
+    object.__setattr__(algebra, "isotope", (_frozen(fm), _frozen(gm)))
+    return algebra
 
 
 def transport(phi, algebra):
@@ -244,8 +251,9 @@ def norm_multiplicative(algebra, tol=DEFAULT_TOL):
     n = algebra.dim
     flat = algebra.sc.reshape(n * n, n)
     gram = (flat @ flat.T).reshape(n, n, n, n)
-    target = 2.0 * np.eye(n * n).reshape(n, n, n, n)
-    return bool(np.max(np.abs(gram + gram.transpose(0, 3, 2, 1) - target)) < tol.eq_tol)
+    polar = (gram + gram.transpose(0, 3, 2, 1)).reshape(n * n, n * n)
+    polar.flat[:: n * n + 1] -= 2.0
+    return bool(np.abs(polar).max() < tol.eq_tol)
 
 
 # ---------------------------------------------------------------------------

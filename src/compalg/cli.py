@@ -24,7 +24,7 @@ from .numerics import DEFAULT_SEED, DEFAULT_TOL, TolerancePolicy
 
 
 class BadInput(Exception):
-    """Input that parses as JSON but does not have the expected shape."""
+    """A path that cannot be read or written, or JSON without the expected shape."""
 
 
 def _tolerance_arg(text):
@@ -43,8 +43,11 @@ def _positive_int(text):
 
 
 def _load_algebra(path):
-    with open(path) as fh:
-        obj = json.load(fh)
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (OSError, UnicodeDecodeError) as err:
+        raise BadInput(f"cannot read {path} ({err})") from None
     try:
         return al.from_json(obj)
     except (CompalgError, KeyError, TypeError, ValueError) as err:
@@ -55,8 +58,11 @@ def _dump(obj, path):
     """Write obj as indented JSON, or a string as it is, to path or stdout."""
     text = obj if isinstance(obj, str) else json.dumps(obj, indent=2)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as err:
+            raise BadInput(f"cannot write {path} ({err})") from None
     else:
         print(text)
 
@@ -222,9 +228,6 @@ def run(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as err:
         print(f"error: invalid JSON ({err})", file=sys.stderr)
         return 2

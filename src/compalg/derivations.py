@@ -1,12 +1,12 @@
-"""Derivation Lie algebras and module decompositions.
+"""Derivation Lie algebras and module decompositions, one factorization each.
 
-derivation_basis solves the Leibniz system as one kernel problem, in so(n)
-when algebra.norm_multiplicative holds and in gl(n) otherwise; lie_type
-reads the label off invariants (derived algebra, center, Killing signature)
-that separate the five types occurring here.  decompose peels off the common
-kernel and eigen-splits the rest along symmetric commutant elements, solved
-for directly in sym(d); by Schur a piece is irreducible exactly when its
-symmetric commutant is the scalars.
+derivation_basis solves the Leibniz system, built in so(n) coordinates when
+algebra.norm_multiplicative holds and in gl(n) otherwise; lie_type reads the
+label off invariants (derived algebra, center, Killing signature) that
+separate the five types here.  decompose splits off the common kernel and its
+complement with one SVD, then eigen-splits along symmetric commutant elements
+solved in sym(d) once per module; by Schur a piece is irreducible exactly
+when its symmetric commutant is the scalars.
 Nothing here is random: every result is a function of the tensor and tol.
 """
 
@@ -20,10 +20,13 @@ import numpy as np
 
 from . import algebra as al
 from .errors import AbelianDerivations, NotInvariant
-from .numerics import CLUSTER_TOL, DEFAULT_TOL, nullspace, rank, sym_eigen
+from .numerics import CLUSTER_TOL, DEFAULT_TOL, nullspace, rank, row_and_null_space, sym_eigen
 
 #: Residual accepted for invariance of subspaces under derivations.
 INVARIANCE_TOL = 1e-7
+
+#: np.triu_indices, cached per size and diagonal offset; the arrays are shared.
+_triu_indices = functools.lru_cache(maxsize=None)(np.triu_indices)
 
 
 @dataclass
@@ -64,18 +67,21 @@ class ModuleDecomposition:
         return {"partition": list(self.partition), "trivial_dim": self.trivial_dim}
 
 
-def leibniz_matrix(algebra, coords=None):
+def leibniz_matrix(algebra, skew=False):
     """The dim^3 x dim^2 system whose kernel is Der(A), acting on vec(D); with
-    coords, the system on the coefficients c of vec(D) = coords @ c."""
+    skew, the dim^3 x dim(dim-1)/2 system on D's coordinates in _so_basis,
+    built term by term."""
     s = algebra.sc
     n = algebra.dim
+    if skew:
+        target, source, sign = _so_leibniz_terms(n)
+        return np.bincount(target, s.ravel()[source] * sign, n ** 4 * (n - 1) // 2).reshape(n ** 3, -1)
     idx = np.arange(n)
     coeff = np.zeros((n,) * 5)  # coeff[i, j, k, r, c]
     coeff[:, :, idx, idx, :] = s[:, :, None, :]              # s[i,j,c] if k == r
     coeff[idx, :, :, :, idx] -= s.transpose(1, 2, 0)[None]   # s[r,j,k] if c == i
     coeff[:, idx, :, :, idx] -= s.transpose(0, 2, 1)[None]   # s[i,r,k] if c == j
-    system = coeff.reshape(n ** 3, n ** 2)
-    return system if coords is None else system @ coords
+    return coeff.reshape(n ** 3, n ** 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -85,6 +91,24 @@ def _so_basis(n):
     basis = np.sqrt(0.5) * (units - units.transpose(1, 0, 2))[~np.tri(n, dtype=bool)].T
     basis.flags.writeable = False
     return basis
+
+
+@functools.lru_cache(maxsize=None)
+def _so_leibniz_terms(n):
+    """Flat positions in the so(n) Leibniz system and in sc, and signs, of its
+    nonzero terms; column (p, q) holds D = (E_pq - E_qp)/sqrt(2) of _so_basis."""
+    p, q = _triu_indices(n, 1)
+    i, j, col = np.ix_(range(n), range(n), range(len(p)))
+    terms = []
+    for a, b, sign in ((p, q, 1.0), (q, p, -1.0)):  # D e_b = sign e_a / sqrt(2)
+        terms += [((i, j, a), (i, j, b), sign),     # D(e_i e_j) at k = a: s[i, j, b]
+                  ((b, i, j), (a, i, j), -sign),    # D(e_b) e_i at k = j: s[a, i, j]
+                  ((i, b, j), (i, a, j), -sign)]    # e_i D(e_b) at k = j: s[i, a, j]
+    shape = (n, n, n, len(p))
+    target = [np.ravel_multi_index(np.broadcast_arrays(*row, col), shape).ravel() for row, _, _ in terms]
+    source = [np.ravel_multi_index(src, shape[:3]).ravel() for _, src, _ in terms]
+    sign = np.repeat([np.sqrt(0.5) * t[2] for t in terms], n * n * len(p))
+    return np.concatenate(target), np.concatenate(source), sign
 
 
 @functools.lru_cache(maxsize=None)
@@ -104,9 +128,10 @@ def derivation_basis(algebra, tol=DEFAULT_TOL):
     A norm-multiplicative product has only skew derivations, so the Leibniz
     system is solved over so(n); any other tensor falls back to gl(n)."""
     n = algebra.dim
-    coords = _so_basis(n) if n > 1 and al.norm_multiplicative(algebra, tol) else np.eye(n * n)
-    kernel = coords @ nullspace(leibniz_matrix(algebra, coords), tol)
-    return _structure(np.ascontiguousarray(kernel.T).reshape(-1, n, n), tol)
+    skew = n > 1 and al.norm_multiplicative(algebra, tol)
+    coeffs = nullspace(leibniz_matrix(algebra, skew), tol).T
+    stack = coeffs @ _so_basis(n).T if skew else np.ascontiguousarray(coeffs)
+    return _structure(stack.reshape(-1, n, n), tol)
 
 
 def _structure(stack, tol):
@@ -115,12 +140,13 @@ def _structure(stack, tol):
     d, n = stack.shape[:2]
     if d == 0:
         return DerivationAlgebra([], 0, (0, 0, 0), 0, 0, np.zeros((0, 0, 0)))
-    prod = stack[:, None] @ stack[None]
-    comm = (prod - prod.transpose(1, 0, 2, 3)).reshape(d * d, n * n)
-    struct = (comm @ stack.reshape(d, n * n).T).reshape(d, d, d)
+    # every S_a S_b in one GEMM; t[a, b, e] = <S_a S_b, S_e>
+    prod = (stack.reshape(d * n, n) @ stack.transpose(1, 0, 2).reshape(n, d * n)).reshape(d, n, d, n)
+    t = (prod.transpose(0, 2, 1, 3).reshape(d * d, n * n) @ stack.reshape(d, n * n).T).reshape(d, d, d)
+    struct = t - t.transpose(1, 0, 2)
 
     # derived algebra: span of the commutators
-    derived_dim = rank(struct[np.triu_indices(d, 1)], tol) if d > 1 else 0
+    derived_dim = rank(struct[_triu_indices(d, 1)], tol) if d > 1 else 0
 
     # center: x with [x, basis_b] = 0 for all b
     ad = struct.transpose(1, 2, 0)  # ad matrix of x: sum_a x_a struct[a, b, e]
@@ -178,13 +204,21 @@ def commutant_basis(restricted, d, tol=DEFAULT_TOL):
     """Orthonormal basis (a stack of d x d matrices) of the symmetric commutant:
     the symmetric parts of all Y with Y delta = delta Y for the restricted deltas.
 
-    Skew deltas have a transpose-closed commutant, so it is solved in sym(d)
-    coordinates with all d^2 entries of delta S - S delta as rows; other deltas
-    fall back to gl(d) coordinates.  One batched matmul and its mirror."""
+    Skew deltas have a transpose-closed commutant, solved in sym(d): there
+    delta S - S delta = delta S + (delta S)^T (every delta S from one GEMM),
+    and its upper triangle, off-diagonal rows weighted sqrt(2), has the Gram
+    matrix and singular values of all d^2 entries at half the height.  Other
+    deltas fall back to gl(d) coordinates with all d^2 entries as rows."""
     skew = np.max(np.abs(restricted + restricted.transpose(0, 2, 1)), initial=0.0) < tol.eq_tol
-    coords = _sym_basis(d) if skew else np.eye(d * d).reshape(-1, d, d)
-    system = restricted[:, None] @ coords[None] - coords[None] @ restricted[:, None]
-    kernel = nullspace(system.transpose(0, 2, 3, 1).reshape(-1, len(coords)), tol)
+    if skew:
+        coords, (i, k) = _sym_basis(d), _triu_indices(d)
+        prod = restricted.reshape(-1, d) @ coords.transpose(1, 0, 2).reshape(d, -1)
+        prod = prod.reshape(len(restricted), d, len(coords), d)  # (delta_a S_s)[i, k] at [a, i, s, k]
+        rows = (prod[:, i, :, k] + prod[:, k, :, i]) * np.where(i == k, 1.0, np.sqrt(2.0))[:, None, None]
+    else:
+        coords = np.eye(d * d).reshape(-1, d, d)
+        rows = (restricted[:, None] @ coords[None] - coords[None] @ restricted[:, None]).transpose(0, 2, 3, 1)
+    kernel = nullspace(rows.reshape(-1, len(coords)), tol)
     comm = (kernel.T @ coords.reshape(len(coords), d * d)).reshape(-1, d, d)
     if skew:
         return comm
@@ -192,17 +226,15 @@ def commutant_basis(restricted, d, tol=DEFAULT_TOL):
     return np.linalg.svd(sym, full_matrices=False)[2][:rank(sym, tol)].reshape(-1, d, d)
 
 
-def _commutant(subspace, der, tol):
-    """Check that the subspace is invariant under the derivations, then return
-    the symmetric commutant basis of their restriction and its dimension: 1
-    exactly when an orthogonal module is irreducible (Schur)."""
-    n, d = subspace.shape
+def _restrict(subspace, der):
+    """The derivations restricted to the subspace, in its orthonormal basis;
+    NotInvariant when the subspace is not invariant under them."""
+    n = subspace.shape[0]
     image = np.reshape(der.basis, (-1, n, n)) @ subspace
     restricted = subspace.T @ image
     if np.max(np.abs(image - subspace @ restricted), initial=0.0) >= INVARIANCE_TOL:
         raise NotInvariant("subspace is not invariant under the derivations")
-    comm = commutant_basis(restricted, d, tol)
-    return comm, len(comm)
+    return restricted
 
 
 def is_irreducible(subspace, der, tol=DEFAULT_TOL):
@@ -220,41 +252,42 @@ def is_irreducible(subspace, der, tol=DEFAULT_TOL):
         raise ValueError("subspace must be given by basis columns")
     if der.dim == 0:
         return subspace.shape[1] == 1
-    return _commutant(subspace, der, tol)[1] == 1
+    return len(commutant_basis(_restrict(subspace, der), subspace.shape[1], tol)) == 1
 
 
 def decompose(algebra, tol=DEFAULT_TOL, der=None):
     """Decompose A into irreducible submodules of its derivation algebra.
 
-    Splits off the common kernel first (as one-dimensional trivial pieces),
-    then solves each invariant piece for its symmetric commutant once: the
-    piece is accepted when that is the scalars (Schur, for the orthogonal
-    module of a composition algebra) and otherwise split along the
-    eigenspaces of the largest traceless part among the symmetric commutant
-    basis, nonzero when its dimension exceeds 1.  A piece that part leaves as
-    one eigenvalue cluster (round-off) is accepted whole.
+    One SVD of the stacked derivations gives the common kernel (as trivial
+    lines) and its complement; each invariant module's symmetric commutant
+    is solved once.  A module is accepted when that is the scalars (Schur, for
+    the orthogonal module of a composition algebra), else split along the
+    eigenspaces of the largest traceless commutant element.  Its commutant
+    holds each part's, at least the scalars, so parts as many as its dimension
+    are accepted without a solve; fewer are solved again, and one cluster
+    (round-off) is accepted whole.  Every piece passes the invariance check.
     Raises AbelianDerivations when there is nothing to decompose against.
     """
     if der is None:
         der = derivation_basis(algebra, tol)
     if der.derived_dim == 0:
         raise AbelianDerivations("derivation algebra is abelian")
-    n = algebra.dim
-    triv = trivial_submodule(algebra, der, tol)
+    complement, triv = row_and_null_space(np.vstack(der.basis), tol)
     pieces = [triv[:, [k]] for k in range(triv.shape[1])]
-    if triv.shape[1] < n:
-        queue = [nullspace(triv.T, tol) if triv.shape[1] else np.eye(n)]
-        while queue:
-            sub = queue.pop()
-            comm, sym_dim = _commutant(sub, der, tol)
-            if sym_dim > 1:
-                d = sub.shape[1]
-                traceless = [s - np.trace(s) / d * np.eye(d) for s in comm]
-                eig = sym_eigen(max(traceless, key=np.linalg.norm), tol)
-                if len(eig.clusters) > 1:
-                    queue.extend(sub @ eig.vectors[:, c] for c in eig.clusters)
-                    continue
-            pieces.append(sub)
+    queue = [(complement, False)]  # a non-abelian Der(A) moves some vector
+    while queue:
+        sub, irreducible = queue.pop()
+        d = sub.shape[1]
+        restricted = _restrict(sub, der)
+        comm = () if irreducible else commutant_basis(restricted, d, tol)
+        if len(comm) > 1:
+            traceless = [s - np.trace(s) / d * np.eye(d) for s in comm]
+            eig = sym_eigen(max(traceless, key=np.linalg.norm), tol)
+            if len(eig.clusters) > 1:
+                parts = [sub @ eig.vectors[:, c] for c in eig.clusters]
+                queue.extend((part, len(parts) == len(comm)) for part in parts)
+                continue
+        pieces.append(sub)
     pieces.sort(key=lambda p: (p.shape[1], tuple(np.round(np.abs(p[:, 0]), 6))))
     partition = tuple(sorted(p.shape[1] for p in pieces))
     return ModuleDecomposition(subspaces=pieces, partition=partition, trivial=triv)

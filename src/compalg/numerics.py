@@ -101,19 +101,24 @@ def _rank_cut(s, tol):
 
 
 def nullspace(m, tol=DEFAULT_TOL):
-    """Orthonormal basis of ker(m), returned as the columns of an array.
+    """Orthonormal basis of ker(m), returned as the columns of an array."""
+    return row_and_null_space(m, tol)[1].copy()
 
-    The rank cut is rank_tol relative to the largest singular value; an
-    all-zero matrix has a full kernel.  U is never used: a tall input is
-    reduced to the square R factor of its QR first (same s and V; LAPACK's
-    SVD takes that step itself when rows far outnumber columns); a square
-    thin SVD has the full V, and wide inputs need full_matrices for it.
+
+def row_and_null_space(m, tol=DEFAULT_TOL):
+    """Orthonormal bases of the row space and of the kernel of m, as columns,
+    from one SVD.  The rank cut is rank_tol relative to the largest singular
+    value; an all-zero matrix has a full kernel.  U is never used: a tall
+    input is reduced to the square R factor of its QR first (same s and V;
+    LAPACK's SVD takes that step itself when rows far outnumber columns); a
+    square thin SVD has the full V, and wide inputs need full_matrices for it.
     """
     m = check_matrix(m)
     if m.shape[0] > m.shape[1]:
         m = np.linalg.qr(m, mode="r")
     _, s, vt = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    return vt[_rank_cut(s, tol):].T.copy()
+    r = _rank_cut(s, tol)
+    return vt[:r].T, vt[r:].T
 
 
 def rank(m, tol=DEFAULT_TOL):

@@ -187,8 +187,9 @@ def homomorphism_residual(phi, phi1, phi2, source=_STRUCTURE_F, target=_STRUCTUR
     """Max over basis pairs of |phi(e_i e_j) - phi1(e_i) phi2(e_j)|, with
     e_i e_j taken in the structure tensor `source` and phi1(e_i) phi2(e_j)
     in `target` (both O by default)."""
-    lhs = np.einsum("km,ijm->ijk", phi, source)
-    rhs = np.einsum("ai,bj,abk->ijk", phi1, phi2, target)
+    n = len(phi)
+    lhs = source @ phi.T
+    rhs = phi2.T @ (phi1.T @ target.reshape(n, n * n)).reshape(n, n, n)  # one matmul per index
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -276,3 +278,28 @@ def test_quat4_block():
         for j in (0, 1):
             ds = al.double_sign(al.quat4(i, j))
             assert (ds.i, ds.j) == (i, j)
+
+
+def test_isotope_pairs_are_checked_where_they_enter():
+    # a given pair must rebuild the tensor; the pair K, K of standard_isotope(1, 1)
+    # is 2.0 away from the octonions' tensor
+    k = mp.conj_map()
+    o = al.standard_isotope(0, 0)
+    with pytest.raises(BadParameter):
+        al.Algebra(o.sc, isotope=(k, k))
+    with pytest.raises(BadParameter):
+        al.Algebra(o.sc, family=o.family, isotope=(k, k))
+    with pytest.raises(NotOrthogonal):
+        al.Algebra(o.sc, isotope=(2 * np.eye(8), np.eye(8)))
+    b = al.Algebra(al.standard_isotope(1, 1).sc, isotope=(k, k))
+    assert all(np.array_equal(m, k.mat) for m in b.isotope)
+    assert np.array_equal(al.from_isotope(*b.isotope).sc, b.sc)
+
+
+def test_isotopes_pickle_and_copy_with_their_pairs(gen):
+    a = al.j_family(1, 0, unit(gen, 4), unit(gen, 4))
+    for b in (a, al.from_isotope(*a.isotope)):
+        for c in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b), copy.copy(b)):
+            assert np.array_equal(c.sc, b.sc)
+            assert all(np.array_equal(x, y) for x, y in zip(c.isotope, b.isotope))
+            assert not c.isotope[0].flags.writeable

@@ -282,3 +282,15 @@ def test_unknown_block_exit_code(capsys):
         cli.run(["enumerate", "--block", "D99"])
     assert exc.value.code == 2
     assert "--block" in capsys.readouterr().err
+
+
+def test_unreadable_and_unwritable_paths_exit_code(tmp_path, capsys):
+    # a directory as input or output and a non-UTF-8 input file: one error: line, exit 2
+    binary = tmp_path / "latin1.json"
+    binary.write_bytes(b'{"name": "\xff"}')
+    for argv in (["analyze", str(tmp_path)], ["analyze", str(binary)],
+                 ["build", "--family", "okubo", "-o", str(tmp_path)]):
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1

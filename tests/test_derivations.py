@@ -307,6 +307,85 @@ def test_symmetric_commutant_rank_margin(build):
         assert np.max(s[kept:], initial=0.0) <= 1e-12
 
 
+@pytest.mark.parametrize("name", FAMILY_FIXTURES)
+def test_so_leibniz_system_matches_gl_reference(name):
+    # the so(n) system built by index is the gl(n) system times the so(n) basis
+    a = FAMILY_FIXTURES[name]()
+    raw = _conjugate(a, _special_orthogonal(np.random.default_rng(13), a.dim))
+    for b in (a, raw):
+        skew = dv.leibniz_matrix(b, skew=True)
+        assert skew.shape == (b.dim ** 3, b.dim * (b.dim - 1) // 2)
+        assert np.max(np.abs(skew - dv.leibniz_matrix(b) @ dv._so_basis(b.dim))) < 1e-14
+
+
+def _solved_systems(monkeypatch):
+    """Record every matrix commutant_basis hands to nullspace."""
+    systems = []
+
+    def recording(m, tol=DEFAULT_TOL):
+        systems.append(np.array(m))
+        return nullspace(m, tol)
+
+    monkeypatch.setattr(dv, "nullspace", recording)
+    return systems
+
+
+@pytest.mark.parametrize("build", FAMILY_FIXTURES.values(), ids=FAMILY_FIXTURES.keys())
+def test_half_height_commutant_system_keeps_singular_values(build, monkeypatch):
+    # the upper triangle with sqrt(2)-weighted off-diagonal rows has the
+    # singular values of the d^2-row system, on every piece and the complement
+    a = build()
+    der = dv.derivation_basis(a)
+    dec = dv.decompose(a, der=der)
+    complement = nullspace(dec.trivial.T) if dec.trivial_dim else np.eye(a.dim)
+    systems = _solved_systems(monkeypatch)
+    for sub in [p for p in dec.subspaces if p.shape[1] > 1] + [complement]:
+        d = sub.shape[1]
+        dv.commutant_basis(_restricted(der, sub), d)
+        half = systems.pop()
+        assert half.shape == (len(der.basis) * d * (d + 1) // 2, d * (d + 1) // 2)
+        s = np.linalg.svd(half, compute_uv=False)
+        assert np.max(np.abs(s / s[0] - _sym_commutant_system_singular_values(sub, der))) < 1e-12
+
+
+@pytest.mark.parametrize("build", FAMILY_FIXTURES.values(), ids=FAMILY_FIXTURES.keys())
+def test_decompose_pieces_irreducible_by_kron_oracle(build):
+    # each piece's symmetric commutant, read off the gl(d) Kronecker system
+    # and not off commutant_basis, is the scalars
+    a = build()
+    der = dv.derivation_basis(a)
+    for sub in dv.decompose(a, der=der).subspaces:
+        d = sub.shape[1]
+        sym = np.reshape([y + y.T for y in _kron_commutant(_restricted(der, sub), d)], (-1, d * d))
+        assert rank(sym) == 1
+
+
+@pytest.mark.parametrize("build, dims", [
+    (lambda: al.p35(0, 1), [2]), (lambda: al.j_family(0, 0, U4, V4), [2]),
+    (lambda: al.j_family(0, 0, U4, U4), [2]), (lambda: al.j_family(0, 0, -ONE4, -ONE4), [2]),
+    (al.okubo_p11, [1]), (al.octonion_algebra, [1]),
+    (lambda: al.g_family(1, 1, 0, 1, 0.6, 1.1), [3, 1, 1]),
+], ids=["p35", "tau-generic", "tau-common-axis", "tau-sign", "okubo", "octonions", "g"])
+def test_decompose_solves_each_split_module_once(build, dims, monkeypatch):
+    # the dimensions of the commutants decompose solves, in order: parts as
+    # many as the commutant's dimension are accepted without another solve
+    # (p35 3+5, tau 3+4); the 3+3 of a g point has a 3-dimensional commutant
+    # over 2 parts, so each part is solved again
+    a = build()
+    der = dv.derivation_basis(a)
+    solved = []
+
+    def counted(restricted, d, tol=DEFAULT_TOL):
+        comm = commutant_basis(restricted, d, tol)
+        solved.append(len(comm))
+        return comm
+
+    commutant_basis = dv.commutant_basis
+    monkeypatch.setattr(dv, "commutant_basis", counted)
+    dv.decompose(a, der=der)
+    assert solved == dims
+
+
 def test_sym_basis_orthonormal():
     for d in (1, 3, 7):
         flat = dv._sym_basis(d).reshape(-1, d * d)
@@ -331,7 +410,7 @@ def test_decompose_non_skew_fallback():
     assert max(np.max(np.abs(delta + delta.T)) for delta in der.basis) > 1e-3
     dec = dv.decompose(a, der=der)
     assert dec.partition == (1, 7) and dec.trivial_dim == 1
-    assert all(len(dv._commutant(p, der, DEFAULT_TOL)[0]) == 1 for p in dec.subspaces)
+    assert all(len(dv.commutant_basis(dv._restrict(p, der), p.shape[1])) == 1 for p in dec.subspaces)
     assert not dv.is_irreducible(np.eye(8), der)
     assert str(cl.analyze(a).block) == "D17^(+,+)"
     tilted = _conjugate(o, (np.eye(8) + 0.3 * np.eye(8, k=1)) @ g)

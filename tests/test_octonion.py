@@ -180,3 +180,16 @@ def test_rotation_quaternion_rejects_bad_input():
         oc.rotation_quaternion(oc.ONE, oc.U)
     with pytest.raises(NotImaginaryUnit):
         oc.rotation_quaternion(oc.Z, oc.U)
+
+
+def test_homomorphism_residual_matches_einsum_reference(gen):
+    # the per-index matmuls sum in another order than the einsum over a, b
+    for n in (8, 4):
+        for _ in range(5):
+            phi, phi1, phi2 = (np.linalg.qr(gen.standard_normal((n, n)))[0] for _ in range(3))
+            source, target = gen.standard_normal((2, n, n, n))
+            lhs = np.einsum("km,ijm->ijk", phi, source)
+            rhs = np.einsum("ai,bj,abk->ijk", phi1, phi2, target)
+            got = oc.homomorphism_residual(phi, phi1, phi2, source, target)
+            assert abs(got - np.max(np.abs(lhs - rhs))) < 1e-13
+    assert oc.homomorphism_residual(np.eye(8), np.eye(8), np.eye(8)) == 0.0
