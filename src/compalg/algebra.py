@@ -31,7 +31,7 @@ from . import d1133 as d33
 from . import maps as mp
 from . import octonion as oc
 from .errors import BadParameter, InconsistentSigns, NearSingular, NotOrthogonal
-from .numerics import DEFAULT_TOL, deadband_signs, det_sign, is_orthogonal, rng
+from .numerics import DEFAULT_TOL, as_indices, deadband_signs, det_sign, is_orthogonal, rng
 
 
 @dataclass(frozen=True)
@@ -260,16 +260,9 @@ def norm_multiplicative(algebra, tol=DEFAULT_TOL):
 # Parametric families
 # ---------------------------------------------------------------------------
 
-def _index_pair(i, j):
-    i, j = int(i), int(j)
-    if i not in (0, 1) or j not in (0, 1):
-        raise BadParameter(f"indices must be 0 or 1, got ({i}, {j})")
-    return i, j
-
-
 def standard_isotope(i, j):
     """O with product K^j(x) K^i(y)."""
-    i, j = _index_pair(i, j)
+    i, j = as_indices(i, j)
     k = mp.conj_map()
     return _labelled(from_isotope(k if j else mp.identity_map(), k if i else mp.identity_map()),
                      FamilyLabel("standard_isotope", {"i": i, "j": j}))
@@ -277,16 +270,15 @@ def standard_isotope(i, j):
 
 def quat4(i, j):
     """H with product K^j(x) K^i(y); the four-dimensional classification."""
-    i, j = _index_pair(i, j)
-    k4 = mp.conj_map4()
-    f = k4 if j else mp.identity_map(4)
-    g = k4 if i else mp.identity_map(4)
-    return _labelled(from_isotope(f, g), FamilyLabel("quat4", {"i": i, "j": j}))
+    i, j = as_indices(i, j)
+    k4 = oc.conj_matrix()[:4, :4]
+    return _labelled(from_isotope(k4 if j else np.eye(4), k4 if i else np.eye(4)),
+                     FamilyLabel("quat4", {"i": i, "j": j}))
 
 
 def j_family(i, j, a, b, tol=DEFAULT_TOL):
     """O with pair (K^j tau_a, K^i tau_b) for unit quaternions a, b."""
-    i, j = _index_pair(i, j)
+    i, j = as_indices(i, j)
     a4 = oc.as_unit_quaternion(a, tol, "parameter a")
     b4 = oc.as_unit_quaternion(b, tol, "parameter b")
     f = mp.tau_map(a4, tol).mat
@@ -301,7 +293,7 @@ def j_family(i, j, a, b, tol=DEFAULT_TOL):
 
 def k_family(i, j, a1, b1, a2, b2, tol=DEFAULT_TOL):
     """O with pair (T^(j)_{a1,b1}, T^(i)_{a2,b2}) for unit quaternions."""
-    i, j = _index_pair(i, j)
+    i, j = as_indices(i, j)
     qs = [oc.as_unit_quaternion(x, tol, f"parameter {n}")
           for x, n in ((a1, "a1"), (b1, "b1"), (a2, "a2"), (b2, "b2"))]
     f = mp.T_map(qs[0], qs[1], j, tol)
@@ -312,7 +304,7 @@ def k_family(i, j, a1, b1, a2, b2, tol=DEFAULT_TOL):
 
 def lambda_family(i, j, a, b, tol=DEFAULT_TOL):
     """O with pair (lambda_a^(j), lambda_b^(i)) for unit complex a, b."""
-    i, j = _index_pair(i, j)
+    i, j = as_indices(i, j)
     a2 = oc.as_unit_complex(a, tol, "parameter a")
     b2 = oc.as_unit_complex(b, tol, "parameter b")
     return _labelled(from_isotope(mp.lambda_map(a2, j, tol), mp.lambda_map(b2, i, tol)),
@@ -338,7 +330,7 @@ def okubo_p11(tol=DEFAULT_TOL):
 def p35(i, j, tol=DEFAULT_TOL):
     """Isotopes of the Okubo model by the reflection in the special subspace
     span(v, z, vz); defined for (i, j) != (1, 1)."""
-    i, j = _index_pair(i, j)
+    i, j = as_indices(i, j)
     if (i, j) == (1, 1):
         raise BadParameter("the (1, 1) component of the {3,5} block is empty")
     f, g = _okubo_pair(tol)
@@ -417,7 +409,7 @@ def t_block(i, j, a1, b1, a2, b2, tol=DEFAULT_TOL):
     """None when all four lie in {1, -1}, else the block of the T-family point:
     D116 under the one-axis alignment b1 = (-1)^j a1, b2 = (-1)^i a2, else
     D1124 or D11114 as the imaginary parts span a line or more."""
-    i, j = _index_pair(i, j)
+    i, j = as_indices(i, j)
     qs = [oc.as_unit_quaternion(x, tol, "parameter") for x in (a1, b1, a2, b2)]
     if all(_vanishes(x[1:], tol) for x in qs):
         return None
@@ -441,7 +433,7 @@ def in_TxT_ij(i, j, a, b, tol=DEFAULT_TOL):
 
     Excludes (1, 1) always, and for (i, j) = (1, 1) also the curve
     (a, a^2) with a^2 + a + 1 = 0 (the Okubo points)."""
-    i, j = _index_pair(i, j)
+    i, j = as_indices(i, j)
     a4 = oc.as_unit_quaternion(a, tol, "a")
     b4 = oc.as_unit_quaternion(b, tol, "b")
     return tau_block(i, j, a4, b4, tol) not in ("D17", "D8")

@@ -219,23 +219,27 @@ def _bracket_reduce(name, p, tol):
 
 
 def _bracket_grid(kind, grid):
-    """(family, parameters) of each T-kind point enumerate_block canonicalizes.
-    The T kinds skip cos s1 < 0: kappa_hat by uv (u, v -> -u, -v) on all four
-    parameters, then each bracket's sign flip, sends (s1, t1, s2) to the
-    earlier, isomorphic grid point (pi - s1, pi - t1, pi - s2), D11114's b2
-    included.  An odd grid's self-mirrored middle s1 is left to the dedup.
-    D1124 skips j = 0 with t1 = s1, where b1 = a1 is the alignment of D116."""
-    angles = _grid_open(grid)
-    half = angles[:(grid + 1) // 2]  # by index: the middle angle need not be pi/2 exactly
-    for (i, j), s1, (t1, s2) in product(_SIGN_PAIRS, half, product(angles, repeat=2)):
-        a1, a2 = _cx(s1), _cx(s2)
+    """(family, parameters) of each T-kind point enumerate_block canonicalizes,
+    walked by angle index.  kappa_hat by uv (u, v -> -u, -v) on all four
+    parameters, then each bracket's sign flip, sends the point of indices
+    (s1, t1, s2) to the isomorphic one of (m - s1, m - t1, m - s2), m = grid - 1,
+    D11114's b2 included.  So the T kinds skip s1 > m / 2, and at an odd
+    grid's self-mirrored middle s1 = m / 2 keep (t1, s2) only when it is not
+    after (m - t1, m - s2).  D1124 skips j = 0 with t1 = s1, where b1 = a1 is
+    the alignment of D116."""
+    angles, m = _grid_open(grid), grid - 1
+    for (i, j), s1, (t1, s2) in product(_SIGN_PAIRS, range((grid + 1) // 2),
+                                        product(range(grid), repeat=2)):
+        if 2 * s1 == m and (t1, s2) > (m - t1, m - s2):
+            continue
+        a1, a2 = _cx(angles[s1]), _cx(angles[s2])
         if kind == "D116" and t1 == s1:  # b1 aligned with a1: one angle fewer
             qs = (a1, (-1.0) ** j * a1, a2, (-1.0) ** i * a2)
         elif kind == "D1124" and (j or t1 != s1):
-            qs = (a1, _cx(t1), a2, (-1.0) ** i * a2)
+            qs = (a1, _cx(angles[t1]), a2, (-1.0) ** i * a2)
         elif kind == "D11114":
-            qs = (a1, (-1.0) ** j * a1, _cx(t1),
-                  np.array([np.cos(s2), 0.0, np.sin(s2), 0.0]))
+            qs = (a1, (-1.0) ** j * a1, _cx(angles[t1]),
+                  np.array([np.cos(angles[s2]), 0.0, np.sin(angles[s2]), 0.0]))
         else:
             continue
         yield "t_family", {"i": i, "j": j, **dict(zip(("a1", "b1", "a2", "b2"), qs))}
@@ -372,7 +376,7 @@ def isomorphic(a, b, tol=DEFAULT_TOL):
         return IsoVerdict("no", reason="dimensions differ")
     (ca, why_a), (cb, why_b) = _form_or_reason(a, tol), _form_or_reason(b, tol)
     if ca is not None and cb is not None:
-        if str(ca.block) != str(cb.block):
+        if ca.block != cb.block:
             return IsoVerdict("no", reason=f"canonical blocks differ: {ca.block} vs {cb.block}")
         if not _params_close(ca.block.kind, ca.params, cb.params):
             return IsoVerdict("no", reason="canonical parameters differ")
@@ -402,26 +406,15 @@ def enumerate_block(kind, grid=3, tol=DEFAULT_TOL):
     Parameter-free blocks yield their finitely many classes, the others a
     sample on their record's grid, each form in its transversal and pairwise
     non-isomorphic.  Each grid point goes to _canonical_params, building no
-    tensor; points of another block are dropped.  Bracket-pair forms are
-    deduplicated per double sign as _params_close at 1e-6 would, against all
-    kept ones at once (up to a simultaneous sign).
+    tensor; points of another block are dropped.  No two grid points share a
+    class (the T grids drop their mirror pairs by index), so no form is
+    compared with another.
     """
     if grid < 1:
         raise ValueError("grid resolution must be at least 1")
     if kind not in _SPACES:
         raise NotInBlock(f"unknown or unenumerable block kind {kind!r}")
-    space = _SPACES[kind]
-    kept = {}  # double sign -> stacked (first, second) pairs of the bracket forms kept
-    for family, point in space.grid(kind, grid):
+    for family, point in _SPACES[kind].grid(kind, grid):
         form = _canonical_params(family, point, tol)
-        if form.block.kind != kind:
-            continue
-        if space is _BRACKET:
-            pairs = np.array([np.concatenate([pair.a, pair.b]) for pair in form.params])
-            rows = kept.get(form.block.sign, np.empty((0, 2, 8)))
-            near_second = np.minimum(np.abs(rows[:, 1] - pairs[1]).max(axis=1),
-                                     np.abs(rows[:, 1] + pairs[1]).max(axis=1)) < 1e-6
-            if (near_second & (np.abs(rows[:, 0] - pairs[0]).max(axis=1) < 1e-6)).any():
-                continue
-            kept[form.block.sign] = np.concatenate([rows, pairs[None]])
-        yield form
+        if form.block.kind == kind:
+            yield form

@@ -42,6 +42,13 @@ def _positive_int(text):
     return value
 
 
+def _seed_arg(text):
+    value = int(text, 0)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _load_algebra(path):
     try:
         with open(path) as fh:
@@ -216,7 +223,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the deterministic verification suite")
     p.add_argument("--fast", action="store_true", help="reduced trial counts")
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
+    p.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED,
                    help="seed of the checks' random draws (default 0xC0FFEE)")
     p.set_defaults(func=_cmd_verify)
 

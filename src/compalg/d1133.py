@@ -17,16 +17,13 @@ import numpy as np
 from . import maps as mp
 from . import octonion as oc
 from .errors import BadIndices, NotInBlock
-from .numerics import DEFAULT_TOL, deadband_signs
+from .numerics import DEFAULT_TOL, as_indices, deadband_signs
 
 PI = np.pi
 
 
 def _check_indices(i1, j1, i2, j2):
-    for k in (i1, j1, i2, j2):
-        if int(k) not in (0, 1):
-            raise BadIndices(f"indices must be 0 or 1, got {k}")
-    i1, j1, i2, j2 = int(i1), int(j1), int(i2), int(j2)
+    i1, j1, i2, j2 = as_indices(i1, j1, i2, j2)
     if i2 != 1 and j2 != 1:
         raise BadIndices("need i2 = 1 or j2 = 1")
     return i1, j1, i2, j2

@@ -4,6 +4,10 @@ Every constructor returns an OrthoMap8 whose matrix is orthogonal.  A map is
 its matrix alone: transport records the map it pushes a family point through
 as the point's orthogonal frame, so no map carries provenance of its own.
 Triality components are read off the matrix too.
+
+The families tau, kappa_hat, T and lambda are closed forms: direct sums of
+blocks of the one multiplication kernel (octonion.left_mul_matrix and
+right_mul_matrix on C, H or O) and of K.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ import numpy as np
 from . import octonion as oc
 from .errors import NearSingular, NotOrthogonal, NotOrthonormal, NotUnitNorm
 from .numerics import DEFAULT_TOL, det_sign, is_orthogonal
-
-_EYE4 = np.eye(4)
 
 
 class OrthoMap8:
@@ -53,20 +55,23 @@ def conj_map():
     return OrthoMap8(oc.conj_matrix(), check=False)
 
 
-def conj_map4():
-    return OrthoMap8(np.diag([1.0, -1, -1, -1]), check=False)
+def _conj_power(n, k):
+    """K^k on the leading n coordinates: C, H or O."""
+    return oc.conj_matrix()[:n, :n] if int(k) % 2 else np.eye(n)
+
+
+def _direct_sum(top, rest):
+    """The map acting as top on the leading coordinates and as rest on the others."""
+    mat = np.zeros((8, 8))
+    n = len(top)
+    mat[:n, :n], mat[n:, n:] = top, rest
+    return OrthoMap8(mat, check=False)
 
 
 def lambda_map(t, k, tol=DEFAULT_TOL):
-    """t K^k on C = span(1, u), identity on the complement; t is unit complex."""
+    """L_t K^k on C = span(1, u), identity on the complement; t is unit complex."""
     t2 = oc.as_unit_complex(t, tol, "lambda parameter")
-    k = int(k) % 2
-    block = np.array([[t2[0], -t2[1]], [t2[1], t2[0]]])
-    if k:
-        block = block @ np.diag([1.0, -1.0])
-    mat = np.eye(8)
-    mat[:2, :2] = block
-    return OrthoMap8(mat, check=False)
+    return _direct_sum(oc.left_mul_matrix(t2) @ _conj_power(2, k), np.eye(6))
 
 
 def g2_from_triples(t1, t2, tol=DEFAULT_TOL):
@@ -86,28 +91,23 @@ def g2_from_triples(t1, t2, tol=DEFAULT_TOL):
 def tau_map(p, tol=DEFAULT_TOL):
     """The automorphism fixing H pointwise with z -> z p, for unit quaternion p.
 
-    Built by multiplicative extension from the triple images rather than an
-    explicit table; is_automorphism gates the construction in the tests.
+    In closed form I_4 + L_conj(p): z p = conj(p) z, so x z -> (conj(p) x) z on Hz.
     """
     p4 = oc.as_unit_quaternion(p, tol, "tau parameter")
-    zp = oc.Z * oc.Octonion.from_quaternion(p4)
-    return g2_from_triples(oc.CayleyTriple.fixed(), oc.CayleyTriple(oc.U, oc.V, zp, tol=tol), tol)
+    return _direct_sum(np.eye(4), oc.left_mul_matrix(oc.quat_conj(p4)))
 
 
 def kappa4(q, tol=DEFAULT_TOL):
-    """4x4 matrix of x -> q x conj(q) on H."""
+    """4x4 matrix L_q R_conj(q) of x -> q x conj(q) on H."""
     q4 = oc.as_unit_quaternion(q, tol, "kappa parameter")
-    return np.array([oc.quat_kappa(q4, e) for e in _EYE4]).T
+    return oc.left_mul_matrix(q4) @ oc.right_mul_matrix(oc.quat_conj(q4))
 
 
 def kappa_hat_map(q, tol=DEFAULT_TOL):
-    """The automorphism acting as kappa_q on H and as x z -> kappa_q(x) z on Hz."""
-    q4 = oc.as_unit_quaternion(q, tol, "kappa parameter")
-    k4 = kappa4(q4, tol)
-    mat = np.zeros((8, 8))
-    mat[:4, :4] = k4
-    mat[4:, 4:] = k4
-    return OrthoMap8(mat, check=False)
+    """kappa_q + kappa_q: the automorphism acting as kappa_q on H and as
+    x z -> kappa_q(x) z on Hz."""
+    k4 = kappa4(q, tol)
+    return _direct_sum(k4, k4)
 
 
 def eps_hat(eps):
@@ -121,17 +121,11 @@ def eps_hat(eps):
 
 
 def T_map(a, b, k, tol=DEFAULT_TOL):
-    """x -> a K^k(x) b on H, identity on the complement; a, b unit quaternions."""
+    """L_a R_b K^k: x -> a K^k(x) b on H, identity on the complement; a, b unit quaternions."""
     a4 = oc.as_unit_quaternion(a, tol, "T parameter a")
     b4 = oc.as_unit_quaternion(b, tol, "T parameter b")
-    k = int(k) % 2
-    block = np.zeros((4, 4))
-    for j, e in enumerate(_EYE4):
-        x = oc.quat_conj(e) if k else e
-        block[:, j] = oc.quat_mul(oc.quat_mul(a4, x), b4)
-    mat = np.eye(8)
-    mat[:4, :4] = block
-    return OrthoMap8(mat, check=False)
+    block = oc.left_mul_matrix(a4) @ oc.right_mul_matrix(b4) @ _conj_power(4, k)
+    return _direct_sum(block, np.eye(4))
 
 
 def sigma_map(vectors, tol=DEFAULT_TOL):

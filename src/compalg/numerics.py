@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearSingular, NotSymmetric
+from .errors import BadIndices, NearSingular, NotSymmetric
 
 #: Default seed of rng(): the fixed sample points of double_sign and verify's draws.
 DEFAULT_SEED = 0xC0FFEE
@@ -72,6 +72,14 @@ def deadband_signs(values, deadband):
 def leading_sign(values, deadband):
     """The first nonzero entry of deadband_signs(values, deadband), or 0."""
     return next((s for s in deadband_signs(values, deadband) if s), 0)
+
+
+def as_indices(*ks):
+    """The indices as ints, each of which must equal 0 or 1: BadIndices
+    otherwise, so that 0.5 is rejected rather than truncated."""
+    if not all(k in (0, 1) for k in ks):
+        raise BadIndices(f"indices must be 0 or 1, got {ks}")
+    return tuple(int(k) for k in ks)
 
 
 def check_matrix(m, square=False, stack=False):
@@ -171,4 +179,11 @@ def is_orthogonal(m, tol=DEFAULT_TOL):
     if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1] or not np.isfinite(m).all():
         return False
     gram = m.T @ m
-    return bool(np.max(np.abs(gram - np.eye(m.shape[0]))) < tol.eq_tol)
+    gram.flat[:: len(m) + 1] -= 1.0
+    return bool(abs(gram).max() < tol.eq_tol)
+
+
+def is_special_orthogonal(m, tol=DEFAULT_TOL):
+    """is_orthogonal with determinant +1.  An orthogonal determinant is +1 or
+    -1, so its sign has margin 1 and needs no deadband."""
+    return is_orthogonal(m, tol) and bool(np.linalg.det(m) > 0)

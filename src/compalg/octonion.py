@@ -169,18 +169,24 @@ def complex_unit(theta):
 
 
 def conj_matrix():
-    """Matrix of the standard involution K: fixes 1, negates the rest."""
+    """Matrix of the standard involution K: fixes 1, negates the rest.  Its
+    leading 2x2 and 4x4 blocks are K on C and on H."""
     return np.diag([1.0, -1, -1, -1, -1, -1, -1, -1])
 
 
 def left_mul_matrix(a):
-    """Matrix of x -> a x; columns are the products a e_j."""
-    return np.einsum("i,ijk->kj", as_coords(a), _STRUCTURE_F)
+    """Matrix of x -> a x in C, H or O, as a has 2, 4 or 8 coordinates (the
+    leading block of STRUCTURE); columns are the products a e_j."""
+    a = as_coords(a)
+    n = len(a)
+    return np.einsum("i,ijk->kj", a, _STRUCTURE_F[:n, :n, :n])
 
 
 def right_mul_matrix(a):
-    """Matrix of x -> x a."""
-    return np.einsum("j,ijk->ki", as_coords(a), _STRUCTURE_F)
+    """Matrix of x -> x a in C, H or O, as in left_mul_matrix."""
+    a = as_coords(a)
+    n = len(a)
+    return np.einsum("j,ijk->ki", a, _STRUCTURE_F[:n, :n, :n])
 
 
 def homomorphism_residual(phi, phi1, phi2, source=_STRUCTURE_F, target=_STRUCTURE_F):

@@ -23,7 +23,7 @@ import numpy as np
 from . import maps as mp
 from . import octonion as oc
 from .errors import NotSpecialOrthogonal
-from .numerics import DEFAULT_TOL, det_sign, is_orthogonal, leading_sign
+from .numerics import DEFAULT_TOL, is_orthogonal, is_special_orthogonal, leading_sign
 
 PAIR_TOL = 1e-8
 
@@ -42,15 +42,6 @@ def is_triality_pair(phi, phi1, phi2, tol=DEFAULT_TOL):
         if not is_orthogonal(x, tol):
             return False
     return oc.homomorphism_residual(m, m1, m2) < PAIR_TOL
-
-
-def _pair_from_s(m, s):
-    """Reconstruct (phi1, phi2) from s = phi2(1)."""
-    c = oc.conj_matrix() @ m[:, 0]          # conj(phi(1))
-    sbar = oc.conj_matrix() @ s
-    phi1 = oc.right_mul_matrix(sbar) @ m
-    phi2 = oc.left_mul_matrix(oc.Octonion(s) * oc.Octonion(c)) @ m
-    return phi1, phi2
 
 
 def _reflection_vectors(m):
@@ -104,7 +95,7 @@ def triality_pair(phi, tol=DEFAULT_TOL):
     determinant +1.
     """
     m = mp.as_matrix(phi)
-    if m.shape != (8, 8) or not is_orthogonal(m, tol) or det_sign(m, tol) != 1:
+    if m.shape != (8, 8) or not is_special_orthogonal(m, tol):
         raise NotSpecialOrthogonal("triality pairs exist only for maps in SO(8)")
     phi1, phi2 = _closed_form_pair(m)
     if leading_sign(phi2[:, 0], tol.zero_tol) < 0:
@@ -125,7 +116,7 @@ def iso_isotopes(a, b, phi, tol=DEFAULT_TOL):
     """
     m = mp.as_matrix(phi)
     if (m.shape != (8, 8) or a.dim != 8 or b.dim != 8
-            or not is_orthogonal(m, tol) or det_sign(m, tol) != 1):
+            or not is_special_orthogonal(m, tol)):
         return False
     return oc.homomorphism_residual(m, m, m, a.sc, b.sc) < PAIR_TOL
 

@@ -390,10 +390,11 @@ def check_triality_g2_pairs(gen, fast):
     worst = 0.0
     for _ in range(trials):
         phi = mp.g2_from_triples(oc.CayleyTriple.fixed(), _random_cayley_triple(gen))
-        s, _ = tr.solve_triality_components(phi.mat, TOL)
-        got = tr._pair_from_s(phi.mat, s)[0]
-        worst = max(worst, min(np.max(np.abs(got - phi.mat)), np.max(np.abs(got + phi.mat))))
-    return worst < 1e-8, f"max deviation {worst:.2e} over {trials} solves"
+        pair = tr.triality_pair(phi, TOL)
+        # both components equal phi, up to one simultaneous sign
+        worst = max(worst, min(max(np.max(np.abs(pair.phi1 - sign * phi.mat)),
+                                   np.max(np.abs(pair.phi2 - sign * phi.mat))) for sign in (1, -1)))
+    return worst < 1e-8, f"max deviation {worst:.2e} over {trials} automorphisms"
 
 
 def check_triality_closed_forms(gen, fast):

@@ -230,10 +230,9 @@ def test_criterion_7_triality():
     worst_pair = 0.0
     for _ in range(100):
         phi = mp.g2_from_triples(oc.CayleyTriple.fixed(), _random_cayley_triple(gen))
-        s, val = tr.solve_triality_components(phi.mat)
-        phi1, phi2 = tr._pair_from_s(phi.mat, s)
-        dev = min(max(np.max(np.abs(phi1 - phi.mat)), np.max(np.abs(phi2 - phi.mat))),
-                  max(np.max(np.abs(phi1 + phi.mat)), np.max(np.abs(phi2 + phi.mat))))
+        pair = tr.triality_pair(phi)
+        dev = min(max(np.max(np.abs(pair.phi1 - phi.mat)), np.max(np.abs(pair.phi2 - phi.mat))),
+                  max(np.max(np.abs(pair.phi1 + phi.mat)), np.max(np.abs(pair.phi2 + phi.mat))))
         worst_pair = max(worst_pair, dev)
     closed_ok = True
     worst_identity = 0.0

@@ -9,7 +9,7 @@ from compalg import algebra as al
 from compalg import classify as cl
 from compalg import maps as mp
 from compalg import octonion as oc
-from compalg.errors import BadParameter, InconsistentSigns, NotOrthogonal
+from compalg.errors import BadIndices, BadParameter, InconsistentSigns, NotOrthogonal
 
 from compalg.numerics import DEFAULT_TOL, det_sign
 from conftest import unit
@@ -135,6 +135,19 @@ def test_j_family_trivial_point_is_standard():
 def test_g_family_index_constraint():
     with pytest.raises(BadParameter):
         al.g_family(0, 0, 0, 0, 0.3, 0.4)
+
+
+def test_fractional_indices_are_rejected_not_truncated():
+    one = [1.0, 0, 0, 0]
+    for build in (lambda: al.quat4(0.5, 0), lambda: al.standard_isotope(0, 1.5),
+                  lambda: al.j_family(0.9, 0, one, one), lambda: al.p35(0, -0.2),
+                  lambda: al.g_family(0.9, 0, 1.2, 0, 0.3, 0.4)):
+        with pytest.raises(BadIndices):
+            build()
+    assert issubclass(BadIndices, BadParameter)
+    # an index equal to 0 or 1 is taken as that int
+    assert al.quat4(1.0, np.int64(0)).family == al.quat4(1, 0).family
+    assert type(al.quat4(1.0, 0).family.params["i"]) is int
 
 
 def test_p35_rejects_minus_minus():

@@ -173,7 +173,7 @@ def test_enumerate_builds_no_tensor(monkeypatch):
 
 #: enumerate_block counts of (D116, D1124, D11114) per grid, as the whole grid gave them
 T_KIND_COUNTS = {1: (4, 2, 4), 2: (8, 12, 16), 3: (20, 46, 56), 4: (32, 112, 128),
-                 5: (52, 226, 252), 6: (72, 396, 432)}
+                 5: (52, 226, 252), 6: (72, 396, 432), 7: (100, 638, 688)}
 
 
 def mirror(qs):

@@ -312,16 +312,19 @@ def test_enumerate_grid_blocks_pass_membership():
 def test_enumerate_bracket_grids(kind):
     from compalg import normal_form as nf
 
-    forms = list(cl.enumerate_block(kind, grid=2))
-    assert forms
-    for f in forms:
-        first, second = f.params
-        assert al.t_block(f.block.sign.i, f.block.sign.j, *first, *second) == kind
-        assert nf.in_N(f.params)[0]
-    for k, f in enumerate(forms):
-        for g in forms[k + 1:]:
-            if str(f.block) == str(g.block):
-                assert not cl._params_close(kind, f.params, g.params, 1e-6)
+    # odd grids hold the self-mirrored middle angle, whose mirror pairs the
+    # grid drops by index
+    for grid in (2, 3, 5):
+        forms = list(cl.enumerate_block(kind, grid))
+        assert forms
+        for f in forms:
+            first, second = f.params
+            assert al.t_block(f.block.sign.i, f.block.sign.j, *first, *second) == kind
+            assert nf.in_N(f.params)[0]
+        for k, f in enumerate(forms):
+            for g in forms[k + 1:]:
+                if str(f.block) == str(g.block):
+                    assert not cl._params_close(kind, f.params, g.params, 1e-6)
 
 
 def test_enumerate_pairwise_non_isomorphic():

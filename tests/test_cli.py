@@ -277,6 +277,24 @@ def test_non_finite_tensor_exit_code(tmp_path, capsys, bad):
         assert len(err.strip().splitlines()) == 1
 
 
+def test_negative_seed_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["verify", "--fast", "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "Traceback" not in err
+
+
+def test_fractional_index_exit_code(capsys):
+    for family, params in (("quat4", '{"i": 0.5, "j": 0}'),
+                           ("g_family", '{"i1": 0.9, "j1": 0, "i2": 1.2, "j2": 0, '
+                                        '"alpha": 0.1, "beta": 0.2}')):
+        code, out, err = run(["build", "--family", family, "--params", params], capsys)
+        assert code == 2
+        assert not out
+        assert err.startswith("error:") and "indices must be 0 or 1" in err
+
+
 def test_unknown_block_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["enumerate", "--block", "D99"])

@@ -30,6 +30,15 @@ def test_index_constraint():
         d33.FParams(1, 1, 0, 0, 0.1, 0.2)
 
 
+def test_fractional_indices_rejected():
+    # g_family(0.9, 0, 1.2, 0, ...) is not the point (0, 0, 1, 0)
+    with pytest.raises(BadIndices):
+        d33.GParams(0.9, 0, 1.2, 0, 0.1, 0.2)
+    with pytest.raises(BadIndices):
+        d33.FParams(1, 1, 1, 0.5, 0.1, 0.2)
+    assert d33.GParams(1.0, 0, 1, 0.0, 0.1, 0.2).indices == (1, 0, 1, 0)
+
+
 def test_angles_fold():
     p = d33.GParams(0, 0, 0, 1, -0.5, PI + 0.25)
     assert 0 <= p.alpha < PI and 0 <= p.beta < PI

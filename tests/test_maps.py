@@ -53,6 +53,35 @@ def test_tau_map_block_oracle(gen):
     assert np.allclose(m[4:, 4:], block)
 
 
+def test_kappa4_oracle(gen):
+    # the conjugation action of the quaternion kernel
+    for _ in range(20):
+        q, x = unit(gen, 4), gen.standard_normal(4)
+        assert np.allclose(mp.kappa4(q) @ x, oc.quat_kappa(q, x), rtol=0.0, atol=1e-14)
+
+
+def test_T_map_block_oracle(gen):
+    # a K^k(x) b on H, the identity on Hz
+    for k in (0, 0, 1, 1):
+        a, b, x = unit(gen, 4), unit(gen, 4), gen.standard_normal(4)
+        m = mp.T_map(a, b, k).mat
+        kx = oc.quat_conj(x) if k else x
+        assert np.allclose(m[:4, :4] @ x, oc.quat_mul(oc.quat_mul(a, kx), b), rtol=0.0, atol=1e-14)
+        assert np.array_equal(m[4:, 4:], np.eye(4))
+        assert not m[:4, 4:].any() and not m[4:, :4].any()
+
+
+def test_lambda_map_block_oracle(gen):
+    # t K^k(x) on C = span(1, u), the identity on the other six coordinates
+    for k in (0, 0, 1, 1):
+        t, x = unit(gen, 2), gen.standard_normal(2)
+        m = mp.lambda_map(t, k).mat
+        kx = oc.quat_conj([*x, 0, 0]) if k else np.array([*x, 0, 0])
+        assert np.allclose(m[:2, :2] @ x, oc.quat_mul([*t, 0, 0], kx)[:2], rtol=0.0, atol=1e-14)
+        assert np.array_equal(m[2:, 2:], np.eye(6))
+        assert not m[:2, 2:].any() and not m[2:, :2].any()
+
+
 def test_tau_composition_matches_semidirect_rule(gen):
     # tau_a tau_b = tau_{ba}: composition reverses the quaternion product
     a, b = unit(gen, 4), unit(gen, 4)

@@ -122,6 +122,20 @@ def test_left_right_mul_matrices(gen):
         assert np.max(np.abs(oc.left_mul_matrix(a).T @ oc.left_mul_matrix(a) - np.eye(8))) < 1e-12
 
 
+def test_mul_matrices_of_subalgebras(gen):
+    # on C and H the kernel is the leading block of O's
+    for n in (2, 4):
+        for _ in range(10):
+            a, x = unit(gen, n), gen.standard_normal(n)
+            a8, x8 = np.r_[a, np.zeros(8 - n)], np.r_[x, np.zeros(8 - n)]
+            assert np.array_equal(oc.left_mul_matrix(a), oc.left_mul_matrix(a8)[:n, :n])
+            assert np.array_equal(oc.right_mul_matrix(a), oc.right_mul_matrix(a8)[:n, :n])
+            assert np.allclose(oc.left_mul_matrix(a) @ x, oc.mul(a8, x8)[:n])
+            assert np.allclose(oc.right_mul_matrix(a) @ x, oc.mul(x8, a8)[:n])
+            assert not oc.mul(a8, x8)[n:].any()
+    assert np.array_equal(oc.conj_matrix()[:4, :4] @ np.arange(4.0), oc.quat_conj(np.arange(4.0)))
+
+
 def test_left_mul_det_sign_constant(gen):
     signs = {det_sign(oc.left_mul_matrix(oc.Octonion(unit(gen, 8))))
              for _ in range(50)}

@@ -47,8 +47,11 @@ def test_solver_recovers_automorphism_pairs(gen):
         phi = random_g2(gen)
         s, val = tr.solve_triality_components(phi.mat)
         assert val < 1e-16
-        phi1, phi2 = tr._pair_from_s(phi.mat, s)
-        assert min(np.max(np.abs(phi1 - phi.mat)), np.max(np.abs(phi1 + phi.mat))) < 1e-8
+        pair = tr.triality_pair(phi)
+        assert np.array_equal(s, pair.phi2[:, 0])
+        # both components equal phi, up to one simultaneous sign
+        assert min(max(np.max(np.abs(pair.phi1 - sign * phi.mat)),
+                       np.max(np.abs(pair.phi2 - sign * phi.mat))) for sign in (1, -1)) < 1e-8
 
 
 def test_closed_form_left_right_isotopy(gen):
