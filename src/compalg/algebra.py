@@ -279,8 +279,8 @@ def quat4(i, j):
 def j_family(i, j, a, b, tol=DEFAULT_TOL):
     """O with pair (K^j tau_a, K^i tau_b) for unit quaternions a, b."""
     i, j = as_indices(i, j)
-    a4 = oc.as_unit_quaternion(a, tol, "parameter a")
-    b4 = oc.as_unit_quaternion(b, tol, "parameter b")
+    a4 = oc.as_unit(a, 4, tol, "parameter a")
+    b4 = oc.as_unit(b, 4, tol, "parameter b")
     f = mp.tau_map(a4, tol).mat
     g = mp.tau_map(b4, tol).mat
     if j:
@@ -294,7 +294,7 @@ def j_family(i, j, a, b, tol=DEFAULT_TOL):
 def k_family(i, j, a1, b1, a2, b2, tol=DEFAULT_TOL):
     """O with pair (T^(j)_{a1,b1}, T^(i)_{a2,b2}) for unit quaternions."""
     i, j = as_indices(i, j)
-    qs = [oc.as_unit_quaternion(x, tol, f"parameter {n}")
+    qs = [oc.as_unit(x, 4, tol, f"parameter {n}")
           for x, n in ((a1, "a1"), (b1, "b1"), (a2, "a2"), (b2, "b2"))]
     f = mp.T_map(qs[0], qs[1], j, tol)
     g = mp.T_map(qs[2], qs[3], i, tol)
@@ -305,8 +305,8 @@ def k_family(i, j, a1, b1, a2, b2, tol=DEFAULT_TOL):
 def lambda_family(i, j, a, b, tol=DEFAULT_TOL):
     """O with pair (lambda_a^(j), lambda_b^(i)) for unit complex a, b."""
     i, j = as_indices(i, j)
-    a2 = oc.as_unit_complex(a, tol, "parameter a")
-    b2 = oc.as_unit_complex(b, tol, "parameter b")
+    a2 = oc.as_unit(a, 2, tol, "parameter a")
+    b2 = oc.as_unit(b, 2, tol, "parameter b")
     return _labelled(from_isotope(mp.lambda_map(a2, j, tol), mp.lambda_map(b2, i, tol)),
                      FamilyLabel("lambda_family", {"i": i, "j": j, "a": a2, "b": b2}))
 
@@ -410,7 +410,7 @@ def t_block(i, j, a1, b1, a2, b2, tol=DEFAULT_TOL):
     D116 under the one-axis alignment b1 = (-1)^j a1, b2 = (-1)^i a2, else
     D1124 or D11114 as the imaginary parts span a line or more."""
     i, j = as_indices(i, j)
-    qs = [oc.as_unit_quaternion(x, tol, "parameter") for x in (a1, b1, a2, b2)]
+    qs = [oc.as_unit(x, 4, tol, "parameter") for x in (a1, b1, a2, b2)]
     if all(_vanishes(x[1:], tol) for x in qs):
         return None
     span = _imaginary_span_dim(qs, tol)
@@ -434,14 +434,14 @@ def in_TxT_ij(i, j, a, b, tol=DEFAULT_TOL):
     Excludes (1, 1) always, and for (i, j) = (1, 1) also the curve
     (a, a^2) with a^2 + a + 1 = 0 (the Okubo points)."""
     i, j = as_indices(i, j)
-    a4 = oc.as_unit_quaternion(a, tol, "a")
-    b4 = oc.as_unit_quaternion(b, tol, "b")
+    a4 = oc.as_unit(a, 4, tol, "a")
+    b4 = oc.as_unit(b, 4, tol, "b")
     return tau_block(i, j, a4, b4, tol) not in ("D17", "D8")
 
 
 def in_S(a1, b1, a2, b2, tol=DEFAULT_TOL):
     """True iff not all four unit quaternions lie in {1, -1}."""
-    return not all(_vanishes(oc.as_unit_quaternion(x, tol, "parameter")[1:], tol)
+    return not all(_vanishes(oc.as_unit(x, 4, tol, "parameter")[1:], tol)
                    for x in (a1, b1, a2, b2))
 
 

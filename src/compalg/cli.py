@@ -35,18 +35,18 @@ def _tolerance_arg(text):
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _seed_arg(text):
-    value = int(text, 0)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _int_arg(minimum, base=10):
+    """An argparse type for integers of at least `minimum`; int(text, base)
+    reads the text, and any other text gets a plain usage message."""
+    def parse(text):
+        try:
+            value = int(text, base)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
 
 
 def _load_algebra(path):
@@ -214,7 +214,7 @@ def build_parser():
 
     p = sub.add_parser("enumerate", help="stream canonical representatives of a block")
     p.add_argument("--block", required=True, choices=cl.BLOCK_KINDS)
-    p.add_argument("--grid", type=_positive_int, default=3,
+    p.add_argument("--grid", type=_int_arg(1), default=3,
                    help="grid resolution for moduli (at least 1)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("-o", "--output", default=None)
@@ -223,7 +223,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the deterministic verification suite")
     p.add_argument("--fast", action="store_true", help="reduced trial counts")
-    p.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED,
+    p.add_argument("--seed", type=_int_arg(0, base=0), default=DEFAULT_SEED,
                    help="seed of the checks' random draws (default 0xC0FFEE)")
     p.set_defaults(func=_cmd_verify)
 

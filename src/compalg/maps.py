@@ -7,7 +7,9 @@ Triality components are read off the matrix too.
 
 The families tau, kappa_hat, T and lambda are closed forms: direct sums of
 blocks of the one multiplication kernel (octonion.left_mul_matrix and
-right_mul_matrix on C, H or O) and of K.
+right_mul_matrix on C, H or O) and of K.  Every unit parameter is read by
+octonion.as_unit and every sign index by numerics.as_indices, so a value
+other than 0 or 1 raises BadIndices instead of being truncated.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import octonion as oc
-from .errors import NearSingular, NotOrthogonal, NotOrthonormal, NotUnitNorm
-from .numerics import DEFAULT_TOL, det_sign, is_orthogonal
+from .errors import NearSingular, NotOrthogonal, NotOrthonormal
+from .numerics import DEFAULT_TOL, as_indices, det_sign, is_orthogonal
 
 
 class OrthoMap8:
@@ -56,8 +58,9 @@ def conj_map():
 
 
 def _conj_power(n, k):
-    """K^k on the leading n coordinates: C, H or O."""
-    return oc.conj_matrix()[:n, :n] if int(k) % 2 else np.eye(n)
+    """K^k on the leading n coordinates: C, H or O; k is 0 or 1."""
+    (k,) = as_indices(k)
+    return oc.conj_matrix()[:n, :n] if k else np.eye(n)
 
 
 def _direct_sum(top, rest):
@@ -70,7 +73,7 @@ def _direct_sum(top, rest):
 
 def lambda_map(t, k, tol=DEFAULT_TOL):
     """L_t K^k on C = span(1, u), identity on the complement; t is unit complex."""
-    t2 = oc.as_unit_complex(t, tol, "lambda parameter")
+    t2 = oc.as_unit(t, 2, tol, "lambda parameter")
     return _direct_sum(oc.left_mul_matrix(t2) @ _conj_power(2, k), np.eye(6))
 
 
@@ -93,13 +96,13 @@ def tau_map(p, tol=DEFAULT_TOL):
 
     In closed form I_4 + L_conj(p): z p = conj(p) z, so x z -> (conj(p) x) z on Hz.
     """
-    p4 = oc.as_unit_quaternion(p, tol, "tau parameter")
+    p4 = oc.as_unit(p, 4, tol, "tau parameter")
     return _direct_sum(np.eye(4), oc.left_mul_matrix(oc.quat_conj(p4)))
 
 
 def kappa4(q, tol=DEFAULT_TOL):
     """4x4 matrix L_q R_conj(q) of x -> q x conj(q) on H."""
-    q4 = oc.as_unit_quaternion(q, tol, "kappa parameter")
+    q4 = oc.as_unit(q, 4, tol, "kappa parameter")
     return oc.left_mul_matrix(q4) @ oc.right_mul_matrix(oc.quat_conj(q4))
 
 
@@ -111,19 +114,16 @@ def kappa_hat_map(q, tol=DEFAULT_TOL):
 
 
 def eps_hat(eps):
-    """The automorphism (u, v, z) -> ((-1)^eps u, v, z)."""
-    eps = int(eps) % 2
-    if eps == 0:
-        mat = np.eye(8)
-    else:
-        mat = np.diag([1.0, -1, 1, -1, 1, -1, 1, -1])
+    """The automorphism (u, v, z) -> ((-1)^eps u, v, z); eps is 0 or 1."""
+    (eps,) = as_indices(eps)
+    mat = np.diag([1.0, -1, 1, -1, 1, -1, 1, -1]) if eps else np.eye(8)
     return OrthoMap8(mat, check=False)
 
 
 def T_map(a, b, k, tol=DEFAULT_TOL):
     """L_a R_b K^k: x -> a K^k(x) b on H, identity on the complement; a, b unit quaternions."""
-    a4 = oc.as_unit_quaternion(a, tol, "T parameter a")
-    b4 = oc.as_unit_quaternion(b, tol, "T parameter b")
+    a4 = oc.as_unit(a, 4, tol, "T parameter a")
+    b4 = oc.as_unit(b, 4, tol, "T parameter b")
     block = oc.left_mul_matrix(a4) @ oc.right_mul_matrix(b4) @ _conj_power(4, k)
     return _direct_sum(block, np.eye(4))
 
@@ -161,26 +161,17 @@ def sigma_uw():
     return sigma_map([oc.UV, oc.UZ, oc.UVZ])
 
 
-def _as_unit_octonion(a, tol, what):
-    """An Octonion from an Octonion, 8-vector or quaternion 4-vector of unit
-    norm; NotUnitNorm otherwise, non-finite input included."""
-    arr = oc.as_coords(a)
-    if not abs(np.linalg.norm(arr) - 1.0) < tol.eq_tol:
-        raise NotUnitNorm(f"{what} needs a unit element")
-    return oc.Octonion(arr) if arr.shape == (8,) else oc.Octonion.from_quaternion(arr)
-
-
 def B_map(a, tol=DEFAULT_TOL):
     """Bimultiplication x -> a (x a) for unit a; equals B_{-a}."""
-    a = _as_unit_octonion(a, tol, "bimultiplication")
+    a = oc.as_unit(a, 8, tol, "bimultiplication")
     mat = oc.left_mul_matrix(a) @ oc.right_mul_matrix(a)
     return OrthoMap8(mat, check=False)
 
 
 def C_map(a, tol=DEFAULT_TOL):
     """Conjugation x -> a (x conj(a)) for unit a; fixes 1."""
-    a = _as_unit_octonion(a, tol, "conjugation")
-    mat = oc.left_mul_matrix(a) @ oc.right_mul_matrix(a.conj())
+    a = oc.as_unit(a, 8, tol, "conjugation")
+    mat = oc.left_mul_matrix(a) @ oc.right_mul_matrix(oc.conj_matrix() @ a)
     return OrthoMap8(mat, check=False)
 
 
@@ -189,7 +180,7 @@ def G_map(theta, gamma, k1, k2, tol=DEFAULT_TOL):
 
     w(gamma) = vz sin(gamma) - (uv)z cos(gamma).  theta enters with period pi.
     """
-    k1, k2 = int(k1) % 2, int(k2) % 2
+    k1, k2 = as_indices(k1, k2)
     mat = B_map(oc.complex_unit(theta), tol).mat
     if k1:
         mat = mat @ sigma_u().mat
@@ -204,7 +195,7 @@ def G_map(theta, gamma, k1, k2, tol=DEFAULT_TOL):
 
 def F_map(theta, k1, k2, tol=DEFAULT_TOL):
     """C_{cos theta + u sin theta} sigma_u^{k1} sigma_uw^{k2}."""
-    k1, k2 = int(k1) % 2, int(k2) % 2
+    k1, k2 = as_indices(k1, k2)
     mat = C_map(oc.complex_unit(theta), tol).mat
     if k1:
         mat = mat @ sigma_u().mat
@@ -222,7 +213,7 @@ def f_block_matrix(theta, k1, k2):
         return np.array([[np.cos(zeta), -sign * np.sin(zeta)],
                          [np.sin(zeta), sign * np.cos(zeta)]])
 
-    k1, k2 = int(k1) % 2, int(k2) % 2
+    k1, k2 = as_indices(k1, k2)
     mat = np.zeros((8, 8))
     mat[0, 0] = 1.0
     mat[1, 1] = -1.0 if k1 else 1.0
@@ -237,15 +228,15 @@ def left_right_mul_map(t, s, rho, tol=DEFAULT_TOL):
 
     Its triality components are (B_t R_{conj s} rho, L_{conj t} B_s rho).
     """
-    t = _as_unit_octonion(t, tol, "isotopy factor t")
-    s = _as_unit_octonion(s, tol, "isotopy factor s")
+    t = oc.as_unit(t, 8, tol, "isotopy factor t")
+    s = oc.as_unit(s, 8, tol, "isotopy factor s")
     mat = oc.left_mul_matrix(t) @ oc.right_mul_matrix(s) @ as_matrix(rho)
     return OrthoMap8(mat, check=False)
 
 
 def bimul_map(c, rho, tol=DEFAULT_TOL):
     """B_c rho for unit c and an automorphism rho; triality components (L_c rho, R_c rho)."""
-    c = _as_unit_octonion(c, tol, "bimultiplication factor")
+    c = oc.as_unit(c, 8, tol, "bimultiplication factor")
     mat = oc.left_mul_matrix(c) @ oc.right_mul_matrix(c) @ as_matrix(rho)
     return OrthoMap8(mat, check=False)
 

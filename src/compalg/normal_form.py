@@ -40,6 +40,7 @@ ONE4 = np.array([1.0, 0.0, 0.0, 0.0])
 U4 = np.array([0.0, 1.0, 0.0, 0.0])
 V4 = np.array([0.0, 0.0, 1.0, 0.0])
 UV4 = np.array([0.0, 0.0, 0.0, 1.0])
+_FLIP = np.array([-1.0, 1.0, 1.0, -1.0])  # -kappa_uv on coordinates
 
 BOUNDARY_FACTOR = 10.0
 
@@ -331,54 +332,54 @@ def _snap_sign(q):
 def nf_TxT(pair, tol=DEFAULT_TOL):
     """Reduce a point of T x T into the transversal M.
 
-    If the first component is real, rotate the second one's imaginary part
-    onto the u-axis; otherwise rotate the first one onto the u-axis and then
-    turn about u until the second one's (v, uv)-part lies on the +v ray.
+    Rotate the imaginary part of the first component that is not +-1 onto
+    the u-axis; if that is the first component, turn about u until the
+    second one's (v, uv)-part lies on the +v ray.  Then snap each +-1
+    component to exactly +-1, the first as read before the rotation (it
+    picks what rotates) and the second as read after it, keeping its signs.
     """
     a, b = pair
-    if is_pm_one(a, tol):
-        a_c = _snap_sign(a)
-        if is_pm_one(b, tol):
-            q = ONE4.copy()
-            canonical = PairTT(a_c, _snap_sign(b))
-        else:
-            im = b.copy()
-            im[0] = 0.0
-            q = rotation_quaternion(im / np.linalg.norm(im), U4, tol)
-            canonical = PairTT(a_c, kappa(q, b))
-    else:
-        im = a.copy()
+    a_pm1 = is_pm_one(a, tol)
+    q, moved = ONE4.copy(), pair
+    if not (a_pm1 and is_pm_one(b, tol)):
+        im = (b if a_pm1 else a).copy()
         im[0] = 0.0
-        q1 = rotation_quaternion(im / np.linalg.norm(im), U4, tol)
-        a1, b1 = kappa(q1, a), kappa(q1, b)
-        if _signs(np.hypot(b1[2], b1[3]), tol) == (0,):
-            q = q1
-            canonical = PairTT(a1, b1)
-        else:
-            q2 = _u_axis_rotation(-np.arctan2(b1[3], b1[2]))
-            q = quat_mul(q2, q1)
-            canonical = PairTT(kappa(q2, a1), kappa(q2, b1))
+        q = rotation_quaternion(im / np.linalg.norm(im), U4, tol)
+        moved = act_TxT(q, pair)
+        b1 = moved.b
+        if not a_pm1 and _signs(np.hypot(b1[2], b1[3]), tol) != (0,):
+            turn = _u_axis_rotation(-np.arctan2(b1[3], b1[2]))
+            q, moved = quat_mul(turn, q), act_TxT(turn, moved)
+    a1, b1 = moved
+    canonical = PairTT(_snap_sign(a1) if a_pm1 else a1,
+                       _snap_sign(b1) if is_pm_one(b1, tol) else b1)
     ok, tag = in_M(canonical, tol)
     return NFResult(canonical=canonical, witness_q=q, tag=tag,
                     boundary_flag=_boundary_flag([canonical], tol))
 
 
 def nf_M1(bracket, tol=DEFAULT_TOL):
-    """Reduce a sign class into M1: run nf_TxT on both sign representatives
-    and keep the one landing in M1 (ties give the same canonical point)."""
+    """Reduce a sign class into M1 by one nf_TxT pass.
+
+    If its point misses M1, the other representative's point is the flip
+    x -> (-x0, x1, x2, -x3) = -kappa_uv(x) of both components, with witness
+    uv q.  If both miss, the class sits on a deadband boundary: keep the
+    point with the larger (a0, b0), tagged "boundary" and flagged."""
     pair = bracket.pair() if isinstance(bracket, BracketTT) else bracket
-    tried = []
-    for rep in (pair, PairTT(-pair.a, -pair.b)):
-        res = nf_TxT(rep, tol)
-        ok, tag = in_M1(res.canonical, tol)
-        if ok:
-            return NFResult(canonical=res.canonical, witness_q=res.witness_q, tag=tag,
-                            boundary_flag=res.boundary_flag)
-        tried.append(res)
-    # Both representatives sit on a deadband boundary; take the larger key.
-    pick = max(tried, key=lambda r: (r.canonical.a[0], r.canonical.b[0]))
-    return NFResult(canonical=pick.canonical, witness_q=pick.witness_q, tag="boundary",
-                    boundary_flag=True)
+    res = nf_TxT(pair, tol)
+    first = res.canonical
+    ok, tag = in_M1(first, tol)
+    if ok:
+        return NFResult(canonical=first, witness_q=res.witness_q, tag=tag,
+                        boundary_flag=res.boundary_flag)
+    flipped = PairTT(first.a * _FLIP, first.b * _FLIP)
+    ok, tag = in_M1(flipped, tol)
+    if ok or (flipped.a[0], flipped.b[0]) > (first.a[0], first.b[0]):
+        canonical, q = flipped, quat_mul(UV4, res.witness_q)
+    else:
+        canonical, q = first, res.witness_q
+    return NFResult(canonical=canonical, witness_q=q, tag=tag if ok else "boundary",
+                    boundary_flag=res.boundary_flag or not ok)
 
 
 def _u_rotations(pair, tol):
@@ -397,11 +398,10 @@ def _reduce_with_cosets(pair, cosets, member, circle, tol):
     Enumerates coset representative x sign x angle placement, filters by the
     target transversal; transversality makes any hit canonical."""
     for coset in cosets:
-        base = PairTT(kappa(coset, pair.a), kappa(coset, pair.b)) \
-            if np.max(np.abs(coset - ONE4)) > 0 else pair
+        base = act_TxT(coset, pair) if np.max(np.abs(coset - ONE4)) > 0 else pair
         for rep in (base, PairTT(-base.a, -base.b)):
             for qu in _u_rotations(rep, tol) if circle else (None,):
-                cand = rep if qu is None else PairTT(kappa(qu, rep.a), kappa(qu, rep.b))
+                cand = rep if qu is None else act_TxT(qu, rep)
                 ok, tag = member(cand, tol)
                 if ok:
                     return cand, coset if qu is None else quat_mul(qu, coset), tag
@@ -419,7 +419,7 @@ def nf_pair(brackets, tol=DEFAULT_TOL):
     first = nf_M1(br1, tol)
     q1 = first.witness_q
     pair2 = br2.pair() if isinstance(br2, BracketTT) else br2
-    moved = PairTT(kappa(q1, pair2.a), kappa(q1, pair2.b))
+    moved = act_TxT(q1, pair2)
     case = stabilizer_case(first.canonical, tol)
 
     if case is StabilizerCase.FULL:

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotCayleyTriple, NotImaginaryUnit
+from .errors import (NotCayleyTriple, NotImaginaryUnit, NotUnitComplex, NotUnitNorm,
+                     NotUnitQuaternion)
 from .numerics import DEFAULT_TOL
 
 
@@ -200,28 +201,27 @@ def homomorphism_residual(phi, phi1, phi2, source=_STRUCTURE_F, target=_STRUCTUR
 
 
 def is_cayley_triple(a, b, c, tol=DEFAULT_TOL):
-    """True iff (a, b, c) is orthonormal, imaginary, and c is orthogonal to ab."""
-    vecs = [x.coords for x in (a, b, c)]
-    for x in vecs:
-        if abs(x @ x - 1.0) >= tol.eq_tol or abs(x[0]) >= tol.eq_tol:
-            return False
-    if abs(vecs[0] @ vecs[1]) >= tol.eq_tol:
+    """True iff (a, b, c) is orthonormal, imaginary, and c is orthogonal to ab.
+
+    Entries are Octonions or 8-vectors; checks read `not x < tol`, so that
+    non-finite input fails them."""
+    vecs = [as_coords(x) for x in (a, b, c)]
+    if any(x.shape != (8,) or not (abs(x @ x - 1.0) < tol.eq_tol and abs(x[0]) < tol.eq_tol)
+           for x in vecs):
         return False
-    if abs(vecs[0] @ vecs[2]) >= tol.eq_tol or abs(vecs[1] @ vecs[2]) >= tol.eq_tol:
-        return False
-    ab = (a * b).coords
-    return bool(abs(ab @ vecs[2]) < tol.eq_tol)
+    a, b, c = vecs
+    return bool(max(abs(a @ b), abs(a @ c), abs(b @ c), abs(mul(a, b) @ c)) < tol.eq_tol)
 
 
 class CayleyTriple:
-    """An ordered orthonormal triple (a, b, c) generating O."""
+    """An ordered orthonormal triple (a, b, c) of Octonions generating O."""
 
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a, b, c, tol=DEFAULT_TOL):
         if not is_cayley_triple(a, b, c, tol):
             raise NotCayleyTriple("triple fails orthonormality or c is not orthogonal to ab")
-        self.a, self.b, self.c = a, b, c
+        self.a, self.b, self.c = (x if isinstance(x, Octonion) else Octonion(x) for x in (a, b, c))
 
     @classmethod
     def fixed(cls):
@@ -284,35 +284,27 @@ def _as_imaginary_unit(w, tol):
     return out / np.linalg.norm(out)
 
 
-def as_unit_quaternion(p, tol=DEFAULT_TOL, what="parameter"):
-    """Coerce an Octonion / 4-vector / 8-vector to a unit quaternion 4-vector.
-
-    Checks here read `not x < tol`, so that non-finite input fails them."""
-    from .errors import NotUnitQuaternion
-
-    p = as_coords(p)
-    if p.shape == (8,):
-        if not np.max(np.abs(p[4:])) < tol.eq_tol:
-            raise NotUnitQuaternion(f"{what}: coordinates outside H are nonzero")
-        p = p[:4]
-    if p.shape != (4,):
-        raise NotUnitQuaternion(f"{what}: expected 4 coordinates, got shape {p.shape}")
-    if not abs(p @ p - 1.0) < tol.eq_tol:
-        raise NotUnitQuaternion(f"{what}: norm differs from 1 by {abs(np.linalg.norm(p) - 1):g}")
-    return p.astype(float)
+#: C, H and O by dimension: the name and the unit-check error.
+_UNIT_SPACES = {2: ("C", NotUnitComplex), 4: ("H", NotUnitQuaternion), 8: ("O", NotUnitNorm)}
 
 
-def as_unit_complex(t, tol=DEFAULT_TOL, what="parameter"):
-    """Coerce to a unit element of C = span(1, u), returned as a 2-vector."""
-    from .errors import NotUnitComplex
+def as_unit(x, n, tol=DEFAULT_TOL, what="parameter"):
+    """Coerce an Octonion or array to a unit element of C, H or O (n = 2, 4
+    or 8), returned as an n-vector.
 
-    t = as_coords(t)
-    if t.shape in ((8,), (4,)):
-        if not np.max(np.abs(t[2:])) < tol.eq_tol:
-            raise NotUnitComplex(f"{what}: coordinates outside C are nonzero")
-        t = t[:2]
-    if t.shape != (2,):
-        raise NotUnitComplex(f"{what}: expected 2 coordinates, got shape {t.shape}")
-    if not abs(t @ t - 1.0) < tol.eq_tol:
-        raise NotUnitComplex(f"{what}: not unit norm")
-    return t.astype(float)
+    A 4- or 8-vector is cut to n coordinates when its tail vanishes; for O a
+    quaternion is padded with zeros.  Checks read `not x < tol`, so that
+    non-finite input fails them."""
+    name, error = _UNIT_SPACES[n]
+    x = as_coords(x)
+    if x.shape in ((4,), (8,)) and len(x) > n:
+        if not np.max(np.abs(x[n:])) < tol.eq_tol:
+            raise error(f"{what}: coordinates outside {name} are nonzero")
+        x = x[:n]
+    elif n == 8 and x.shape == (4,):
+        x = np.concatenate([x, np.zeros(4)])
+    if x.shape != (n,):
+        raise error(f"{what}: expected {n} coordinates, got shape {x.shape}")
+    if not abs(x @ x - 1.0) < tol.eq_tol:
+        raise error(f"{what}: norm differs from 1 by {abs(np.linalg.norm(x) - 1):g}")
+    return x.astype(float)

@@ -285,6 +285,19 @@ def test_negative_seed_exit_code(capsys):
     assert "--seed" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["verify", "--seed", "abc"],
+                                  ["enumerate", "--block", "D8", "--grid", "x"]])
+def test_non_numeric_integer_option_exit_code(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "expected an integer" in err
+    # argparse names a type function that raises ValueError: no such name may leak
+    assert "_seed_arg" not in err and "_positive_int" not in err
+    assert " value: " not in err
+
+
 def test_fractional_index_exit_code(capsys):
     for family, params in (("quat4", '{"i": 0.5, "j": 0}'),
                            ("g_family", '{"i1": 0.9, "j1": 0, "i2": 1.2, "j2": 0, '

@@ -4,8 +4,8 @@ import pytest
 from compalg import algebra as al
 from compalg import maps as mp
 from compalg import octonion as oc
-from compalg.errors import (NotCayleyTriple, NotImaginaryUnit, NotOrthogonal, NotOrthonormal,
-                            NotUnitComplex, NotUnitNorm, NotUnitQuaternion)
+from compalg.errors import (BadIndices, NotCayleyTriple, NotImaginaryUnit, NotOrthogonal,
+                            NotOrthonormal, NotUnitComplex, NotUnitNorm, NotUnitQuaternion)
 from compalg.numerics import is_orthogonal
 
 from conftest import unit
@@ -200,10 +200,10 @@ OUTSIDE_H = np.r_[0.0, 1.0, 0, 0, np.nan, 0, 0, 0]  # unit in H, NaN outside
 
 
 @pytest.mark.parametrize("call, error", [
-    (lambda: oc.as_unit_quaternion(NAN4), NotUnitQuaternion),
-    (lambda: oc.as_unit_quaternion(OUTSIDE_H), NotUnitQuaternion),
-    (lambda: oc.as_unit_complex(np.full(2, np.nan)), NotUnitComplex),
-    (lambda: oc.as_unit_complex(OUTSIDE_H), NotUnitComplex),
+    (lambda: oc.as_unit(NAN4, 4), NotUnitQuaternion),
+    (lambda: oc.as_unit(OUTSIDE_H, 4), NotUnitQuaternion),
+    (lambda: oc.as_unit(np.full(2, np.nan), 2), NotUnitComplex),
+    (lambda: oc.as_unit(OUTSIDE_H, 2), NotUnitComplex),
     (lambda: oc.rotation_quaternion(NAN4, oc.U), NotImaginaryUnit),
     (lambda: oc.rotation_quaternion(OUTSIDE_H, oc.U), NotImaginaryUnit),
     (lambda: al.in_TxT_ij(0, 0, NAN4, ONE4), NotUnitQuaternion),
@@ -263,3 +263,76 @@ def test_eps_conjugates_lambda_to_conjugate_parameter(gen):
         lhs = e @ mp.lambda_map(t, k).mat @ e.T
         rhs = mp.lambda_map(np.array([t[0], -t[1]]), k).mat
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+ERRORS = {2: NotUnitComplex, 4: NotUnitQuaternion, 8: NotUnitNorm}
+
+
+@pytest.mark.parametrize("n, x", [
+    (2, [1.0, 0, 0.5, 0]),                  # nonzero tail outside C
+    (2, [1.0, 0, 0, 0, 0, 0, 0, 0.5]),
+    (4, [1.0, 0, 0, 0, 0.5, 0, 0, 0]),      # nonzero tail outside H
+    (2, [1.0, 0, 0]),                       # wrong lengths
+    (4, [1.0, 0]),
+    (4, [1.0, 0, 0, 0, 0]),
+    (8, [1.0, 0]),
+    (8, [1.0, 0, 0, 0, 0]),
+    (8, np.eye(8)),
+])
+def test_as_unit_rejects_tails_and_wrong_shapes(n, x):
+    with pytest.raises(ERRORS[n]):
+        oc.as_unit(np.asarray(x, dtype=float), n)
+
+
+@pytest.mark.parametrize("n, x, want", [
+    (2, [0.6, 0.8, 0, 0], [0.6, 0.8]),
+    (2, oc.U, [0.0, 1.0]),
+    (4, [0.0, 0.6, 0.8, 0, 0, 0, 0, 0], [0.0, 0.6, 0.8, 0]),
+    (8, [0.0, 0.6, 0.8, 0], [0.0, 0.6, 0.8, 0, 0, 0, 0, 0]),  # a quaternion pads
+    (8, oc.Z, oc.Z.coords),
+])
+def test_as_unit_cuts_vanishing_tails_and_pads_quaternions(n, x, want):
+    got = oc.as_unit(x, n)
+    assert got.shape == (n,)
+    assert np.array_equal(got, want)
+
+
+def test_as_unit_norm_margin_is_on_the_square():
+    for n in (2, 4, 8):
+        x = np.zeros(n)
+        x[0] = np.sqrt(1.0 + 0.9e-9)
+        assert oc.as_unit(x, n)[0] == x[0]
+        x[0] = np.sqrt(1.0 + 1.1e-9)
+        with pytest.raises(ERRORS[n]):
+            oc.as_unit(x, n)
+
+
+Q = np.array([0.6, 0.8, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mp.T_map(Q, Q, 0.5),
+    lambda: mp.lambda_map([0.6, 0.8], 2),
+    lambda: mp.G_map(0.3, 0.2, 1.9, 0),
+    lambda: mp.F_map(0.3, -1, 0),
+    lambda: mp.eps_hat(-1),
+    lambda: mp.f_block_matrix(0.3, 0, 2),
+], ids=["T_map", "lambda_map", "G_map", "F_map", "eps_hat", "f_block_matrix"])
+def test_map_sign_indices_are_0_or_1(call):
+    with pytest.raises(BadIndices):
+        call()
+
+
+def test_cayley_triples_of_coordinate_arrays(gen):
+    e1, e2, e4 = (np.eye(8)[k] for k in (1, 2, 4))
+    swap = mp.g2_from_triples((e1, e2, e4), (e2, e1, e4))
+    assert np.array_equal(swap.mat, mp.g2_from_triples((oc.U, oc.V, oc.Z), (oc.V, oc.U, oc.Z)).mat)
+    for _ in range(5):
+        k = mp.kappa_hat_map(unit(gen, 4)).mat
+        images = [k @ x for x in (e1, e2, e4)]
+        by_array = mp.g2_from_triples((e1, e2, e4), images)
+        by_octonion = mp.g2_from_triples(oc.CayleyTriple.fixed(), [oc.Octonion(x) for x in images])
+        assert np.array_equal(by_array.mat, by_octonion.mat)
+    with pytest.raises(NotCayleyTriple):
+        mp.g2_from_triples((np.full(8, np.nan), e2, e4), oc.CayleyTriple.fixed())
+    assert not oc.is_cayley_triple(e1[:4], e2[:4], e4[:4])

@@ -88,6 +88,28 @@ def test_nf_M1_examples():
     assert r.canonical.a[0] > 0 or r.canonical.b[0] > 0
 
 
+def _p0(t):
+    return np.array([np.cos(t), np.sin(t), 0.0, 0.0])
+
+
+@pytest.mark.parametrize("a, b, tag", [
+    (-ONE4, _p0(0.7), "1_P0"),
+    ([0.5, -0.1, 0.7, 0.5], -ONE4, "P0_1"),
+    (-_p0(0.4), [-0.28, -0.6, -0.75, 0.0], "P0_P_plus"),  # -(a, b), a in P0, b in P
+    (-_p0(1.1), [0.36, -0.48, -0.8, 0.0], "P0_P_plus"),
+], ids=["-1_P0", "a_-1", "-(P0_P)", "-(P0_P)-negative-b0"])
+def test_nf_M1_other_representative_by_flip(a, b, tag):
+    pair = nf.make_pair(*(np.divide(x, np.linalg.norm(x)) for x in (a, b)))
+    assert not nf.in_M1(nf.nf_TxT(pair).canonical)[0]  # the flip path runs
+    r = nf.nf_M1(pair)
+    assert r.tag == tag and nf.in_M1(r.canonical) == (True, tag)
+    moved = nf.act_TxT(r.witness_q, pair)
+    assert moved.close_to(r.canonical, 1e-12) or \
+        nf.PairTT(-moved.a, -moved.b).close_to(r.canonical, 1e-12)
+    other = nf.nf_M1(nf.PairTT(-pair.a, -pair.b))
+    assert other.tag == tag and other.canonical.close_to(r.canonical, 1e-12)
+
+
 def test_nf_M1_invariance(gen):
     for _ in range(300):
         a, b = unit(gen, 4), unit(gen, 4)
