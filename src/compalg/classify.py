@@ -226,7 +226,10 @@ def _bracket_grid(kind, grid):
     D11114's b2 included.  So the T kinds skip s1 > m / 2, and at an odd
     grid's self-mirrored middle s1 = m / 2 keep (t1, s2) only when it is not
     after (m - t1, m - s2).  D1124 skips j = 0 with t1 = s1, where b1 = a1 is
-    the alignment of D116."""
+    the alignment of D116.  The grids walk a 3-parameter subfamily: every
+    D1124 point has b2 = +-a2 and every D11114 point b1 = +-a1, while
+    k_family(i, j, cx(.5), cx(.8), cx(.7), cx(1.1)) is a D1124 point (all four
+    sign pairs) whose canonical b2 is not +-a2."""
     angles, m = _grid_open(grid), grid - 1
     for (i, j), s1, (t1, s2) in product(_SIGN_PAIRS, range((grid + 1) // 2),
                                         product(range(grid), repeat=2)):
@@ -408,7 +411,9 @@ def enumerate_block(kind, grid=3, tol=DEFAULT_TOL):
     non-isomorphic.  Each grid point goes to _canonical_params, building no
     tensor; points of another block are dropped.  No two grid points share a
     class (the T grids drop their mirror pairs by index), so no form is
-    compared with another.
+    compared with another.  The D1124 and D11114 grids cover a 3-parameter
+    subfamily (b2 = +-a2, resp. b1 = +-a1; see _bracket_grid), so canonical
+    reaches classes of those blocks that are never listed.
     """
     if grid < 1:
         raise ValueError("grid resolution must be at least 1")

@@ -1,12 +1,13 @@
 """Derivation Lie algebras and module decompositions, one factorization each.
 
 derivation_basis solves the Leibniz system, built in so(n) coordinates when
-algebra.norm_multiplicative holds and in gl(n) otherwise; lie_type reads the
-label off invariants (derived algebra, center, Killing signature) that
-separate the five types here.  decompose splits off the common kernel and its
-complement with one SVD, then eigen-splits along symmetric commutant elements
-solved in sym(d) once per module; by Schur a piece is irreducible exactly
-when its symmetric commutant is the scalars.
+algebra.norm_multiplicative holds and in gl(n) otherwise.  For every algebra
+isomorphic to a composition algebra, in any basis, Der(A) is compact (skew in
+an orthonormal basis of the norm), so the bracket rank alone gives the center,
+the Killing signature and lie_type's label.  decompose splits off the common
+kernel and its complement with one SVD, then eigen-splits along symmetric
+commutant elements solved in sym(d) once per module; by Schur a piece is
+irreducible exactly when its symmetric commutant is the scalars.
 Nothing here is random: every result is a function of the tensor and tol.
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import algebra as al
 from .errors import AbelianDerivations, NotInvariant
-from .numerics import CLUSTER_TOL, DEFAULT_TOL, nullspace, rank, row_and_null_space, sym_eigen
+from .numerics import DEFAULT_TOL, nullspace, rank, row_and_null_space, sym_eigen
 
 #: Residual accepted for invariance of subspaces under derivations.
 INVARIANCE_TOL = 1e-7
@@ -31,9 +32,9 @@ _triu_indices = functools.lru_cache(maxsize=None)(np.triu_indices)
 
 @dataclass
 class DerivationAlgebra:
-    """Orthonormal basis of Der(A) with its structural invariants."""
+    """Orthonormal basis of Der(A), one (dim, n, n) stack, with its invariants."""
 
-    basis: list
+    basis: np.ndarray
     dim: int
     killing_signature: tuple
     derived_dim: int
@@ -136,51 +137,35 @@ def derivation_basis(algebra, tol=DEFAULT_TOL):
 
 def _structure(stack, tol):
     """Invariants of the Lie algebra spanned by the d x n x n stack, which is
-    orthonormal under the trace form."""
+    orthonormal under the trace form, from one decision: the bracket rank.
+    A compact Lie algebra is z(g) + [g, g], its Killing form negative definite
+    on [g, g] and zero on z(g): center d - rank, signature (rank, d - rank, 0).
+    Der(A) is compact for every algebra isomorphic to a composition algebra;
+    any other stack gets this compact reading."""
     d, n = stack.shape[:2]
-    if d == 0:
-        return DerivationAlgebra([], 0, (0, 0, 0), 0, 0, np.zeros((0, 0, 0)))
     # every S_a S_b in one GEMM; t[a, b, e] = <S_a S_b, S_e>
     prod = (stack.reshape(d * n, n) @ stack.transpose(1, 0, 2).reshape(n, d * n)).reshape(d, n, d, n)
     t = (prod.transpose(0, 2, 1, 3).reshape(d * d, n * n) @ stack.reshape(d, n * n).T).reshape(d, d, d)
     struct = t - t.transpose(1, 0, 2)
+    derived = rank(struct[_triu_indices(d, 1)], tol) if d > 1 else 0
+    return DerivationAlgebra(stack, d, (derived, d - derived, 0), derived, d - derived, struct)
 
-    # derived algebra: span of the commutators
-    derived_dim = rank(struct[_triu_indices(d, 1)], tol) if d > 1 else 0
 
-    # center: x with [x, basis_b] = 0 for all b
-    ad = struct.transpose(1, 2, 0)  # ad matrix of x: sum_a x_a struct[a, b, e]
-    center_dim = nullspace(ad.reshape(d * d, d), tol).shape[1]
-
-    # kappa(x, y) = tr(ad_x ad_y); ad_a[e, b] = struct[a, b, e]
-    killing = struct.reshape(d, d * d) @ struct.transpose(0, 2, 1).reshape(d, d * d).T
-    eig = np.linalg.eigvalsh(0.5 * (killing + killing.T))
-    scale = max(1.0, float(np.max(np.abs(eig))))
-    neg = int(np.sum(eig < -CLUSTER_TOL * scale))
-    pos = int(np.sum(eig > CLUSTER_TOL * scale))
-    zero = d - neg - pos
-    return DerivationAlgebra(list(stack), d, (neg, zero, pos), derived_dim, center_dim, struct)
+#: Compact Lie algebras by (dim, derived dim): semisimple when the two agree.
+_COMPACT_TYPES = {(14, 14): LieTypeLabel.G2, (8, 8): LieTypeLabel.SU3,
+                  (6, 6): LieTypeLabel.SU2xSU2, (3, 3): LieTypeLabel.SU2,
+                  (4, 3): LieTypeLabel.SU2xA1}
 
 
 def lie_type(der):
-    """Label the Lie algebra by dimension, derived dimension, center and
-    Killing signature; negative-definite Killing form means compact semisimple."""
-    d = der.dim
-    neg, zero, pos = der.killing_signature
-    semisimple = (zero == 0 and pos == 0 and d > 0)
+    """Label a compact Lie algebra by (dim, derived_dim): abelian when the
+    brackets vanish; g2, su3, su2+su2 or su2 when it is its own derived
+    algebra of dimension 14, 8, 6 or 3; su2+center at (4, 3); else other.
+    A non-compact Der(A) (no algebra isomorphic to a composition algebra has
+    one) gets the compact reading of the two integers."""
     if der.derived_dim == 0:
         return LieTypeLabel.ABELIAN
-    if d == 14 and semisimple:
-        return LieTypeLabel.G2
-    if d == 8 and semisimple:
-        return LieTypeLabel.SU3
-    if d == 6 and der.derived_dim == 6 and der.center_dim == 0:
-        return LieTypeLabel.SU2xSU2
-    if d == 4 and der.derived_dim == 3 and der.center_dim == 1:
-        return LieTypeLabel.SU2xA1
-    if d == 3 and semisimple:
-        return LieTypeLabel.SU2
-    return LieTypeLabel.OTHER
+    return _COMPACT_TYPES.get((der.dim, der.derived_dim), LieTypeLabel.OTHER)
 
 
 def leibniz_residual(algebra, delta):
@@ -197,7 +182,7 @@ def trivial_submodule(algebra, der=None, tol=DEFAULT_TOL):
         der = derivation_basis(algebra, tol)
     if der.dim == 0:
         return np.eye(algebra.dim)
-    return nullspace(np.vstack(der.basis), tol)
+    return nullspace(der.basis.reshape(-1, algebra.dim), tol)
 
 
 def commutant_basis(restricted, d, tol=DEFAULT_TOL):
@@ -223,14 +208,13 @@ def commutant_basis(restricted, d, tol=DEFAULT_TOL):
     if skew:
         return comm
     sym = (comm + comm.transpose(0, 2, 1)).reshape(len(comm), d * d)
-    return np.linalg.svd(sym, full_matrices=False)[2][:rank(sym, tol)].reshape(-1, d, d)
+    return row_and_null_space(sym, tol)[0].T.reshape(-1, d, d)
 
 
 def _restrict(subspace, der):
     """The derivations restricted to the subspace, in its orthonormal basis;
     NotInvariant when the subspace is not invariant under them."""
-    n = subspace.shape[0]
-    image = np.reshape(der.basis, (-1, n, n)) @ subspace
+    image = der.basis @ subspace
     restricted = subspace.T @ image
     if np.max(np.abs(image - subspace @ restricted), initial=0.0) >= INVARIANCE_TOL:
         raise NotInvariant("subspace is not invariant under the derivations")
@@ -272,7 +256,7 @@ def decompose(algebra, tol=DEFAULT_TOL, der=None):
         der = derivation_basis(algebra, tol)
     if der.derived_dim == 0:
         raise AbelianDerivations("derivation algebra is abelian")
-    complement, triv = row_and_null_space(np.vstack(der.basis), tol)
+    complement, triv = row_and_null_space(der.basis.reshape(-1, algebra.dim), tol)
     pieces = [triv[:, [k]] for k in range(triv.shape[1])]
     queue = [(complement, False)]  # a non-abelian Der(A) moves some vector
     while queue:

@@ -26,6 +26,7 @@ nf_pair both read it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -169,7 +170,10 @@ def _T(s, m, n):
 
 
 def is_pm_one(q, tol=DEFAULT_TOL):
-    return _pm1(_signs(q, tol))
+    """The imaginary part's norm lies in the closed zero_tol deadband: a
+    rotation keeps the norm, where it moves the coordinates' signs."""
+    _, x, y, z = np.asarray(q, dtype=float).tolist()
+    return math.hypot(x, y, z) <= tol.zero_tol
 
 
 def in_P0(q, tol=DEFAULT_TOL):

@@ -7,6 +7,7 @@ from compalg import derivations as dv
 from compalg import octonion as oc
 from compalg.errors import AbelianDerivations, NotInvariant
 from compalg.numerics import DEFAULT_TOL, nullspace, rank
+from compalg.numerics import CLUSTER_TOL
 
 from conftest import unit
 from test_triality import random_g2
@@ -571,3 +572,55 @@ def test_k_family_partitions(gen):
     alg = al.k_family(0, 1, a, -a, u, u)
     assert not al.in_S_ij(0, 1, a, -a, u, u) and al.in_S(a, -a, u, u)
     assert dv.decompose(alg).partition == (1, 1, 6)
+
+
+#: lie_type of each fixture, read off its measured Killing form and center.
+FIXTURE_LIE_TYPES = {
+    "octonions": "g2", "standard-11": "g2", "quat4-10": "su2", "tau-generic": "su2",
+    "tau-common-axis": "su2+center", "tau-sign": "su2+su2", "t-one-axis": "su2+center",
+    "t-spread": "su2", "t-aligned": "su3", "lambda": "su3", "okubo": "su3",
+    "p35-00": "su2", "p35-01": "su2", "g": "su2",
+}
+
+
+def _compact_reading_cases():
+    """Every fixture with its raw G2 (H-automorphism in dimension 4) and SO(n)
+    transports, 2 O, and the gl(n)-path transports of O and p35."""
+    from compalg.maps import kappa4
+
+    gen = np.random.default_rng(11)
+    cases = []
+    for name, build in FAMILY_FIXTURES.items():
+        a = build()
+        automorphism = random_g2(gen).mat if a.dim == 8 else kappa4(unit(gen, 4))
+        rotation = _special_orthogonal(gen, a.dim)
+        for suffix, b in (("", a), ("-raw", _conjugate(a, automorphism)),
+                          ("-so", _conjugate(a, rotation))):
+            cases.append(pytest.param(b, FIXTURE_LIE_TYPES[name], id=name + suffix))
+    o = al.octonion_algebra()
+    g = random_g2(np.random.default_rng(5)).mat
+    diag = np.eye(8)
+    diag[1:, 1:] += 0.3 * np.eye(7, k=1)
+    cases += [pytest.param(al.Algebra(2 * o.sc), "g2", id="doubled-octonions"),
+              pytest.param(_conjugate(o, diag @ g), "g2", id="octonions-diag-gl"),
+              pytest.param(_conjugate(o, (np.eye(8) + 0.3 * np.eye(8, k=1)) @ g), "g2",
+                           id="octonions-tilted-gl"),
+              pytest.param(_oblique_p35(), "su2", id="oblique-p35-gl")]
+    return cases
+
+
+@pytest.mark.parametrize("a, label", _compact_reading_cases())
+def test_compact_reading_matches_measured_center_and_killing_form(a, label):
+    # the center as the kernel of the ad system and the Killing signature by
+    # eigvalsh cut at CLUSTER_TOL times the largest |eigenvalue|, measured on
+    # the structure constants, equal the closed forms of the bracket rank
+    der = dv.derivation_basis(a)
+    d, struct = der.dim, der.structure
+    center = nullspace(struct.transpose(1, 2, 0).reshape(d * d, d)).shape[1]
+    killing = struct.reshape(d, d * d) @ struct.transpose(0, 2, 1).reshape(d, d * d).T
+    eig = np.linalg.eigvalsh(0.5 * (killing + killing.T))
+    cut = CLUSTER_TOL * max(1.0, float(np.max(np.abs(eig))))
+    neg, pos = int(np.sum(eig < -cut)), int(np.sum(eig > cut))
+    assert der.center_dim == center
+    assert der.killing_signature == (neg, d - neg - pos, pos)
+    assert dv.lie_type(der).value == label

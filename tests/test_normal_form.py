@@ -300,3 +300,29 @@ def test_boundary_flag_at_its_thresholds(tol):
         pair = nf.PairTT(np.array([1.0, x, 0.0, 0.0]), np.array([x, 0.0, 1.0, 0.0]))
         assert nf._boundary_flag([pair], tol) is flagged
         assert nf._boundary_flag((nf.PairTT(pair.b, pair.a), pair), tol) is flagged
+
+
+def test_is_pm_one_reads_the_imaginary_norm(tol):
+    # the closed deadband on |Im q|: a rotation keeps it, so it cannot move
+    # a component across the +-1 test the way per-coordinate signs can
+    z = tol.zero_tol
+    assert nf.is_pm_one(np.array([1.0, z, 0.0, 0.0]))
+    assert nf.is_pm_one(np.array([-1.0, 0.0, 0.6 * z, -0.8 * z]))
+    assert not nf.is_pm_one(np.array([1.0, 0.9 * z, 0.9 * z, 0.0]))
+    assert not nf.is_pm_one(np.array([1.0, np.nextafter(z, 1.0), 0.0, 0.0]))
+
+
+def test_nf_M1_tag_survives_a_rotation_inside_the_deadband():
+    # kappa_q a has every imaginary coordinate within zero_tol, but its
+    # imaginary norm (1.25e-9) is not: both orbit points read P0 x P
+    a = np.array([1.0, -1.2534902714072827e-09, 0.0, 0.0])
+    b = np.array([-0.71905637832721125, -0.29362080951591624,
+                  -0.62987676969878215, -1.9405503184632780e-09])
+    q = np.array([-0.7807132733189112, -0.16799827354173189,
+                  -0.26449296598906996, 0.5406540815465776])
+    pair = nf.make_pair(a, b)
+    moved = nf.act_TxT(q, pair)
+    assert np.max(np.abs(moved.a[1:])) <= 1e-9 < np.linalg.norm(moved.a[1:])
+    first, second = nf.nf_M1(pair), nf.nf_M1(moved)
+    assert first.tag == second.tag == "P0_P_plus"
+    assert first.canonical.close_to(second.canonical, 1e-8)
