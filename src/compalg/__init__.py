@@ -19,7 +19,7 @@ from .normal_form import (BracketTT, NFResult, PairTT, StabilizerCase, act_TxT,
                           nf_pair, stabilizer_case)
 from .numerics import (DEFAULT_SEED, TolerancePolicy, det_sign, is_orthogonal,
                        nullspace, sym_eigen)
-from .octonion import CayleyTriple, Octonion, is_cayley_triple, rotation_quaternion
+from .octonion import CayleyTriple, Octonion, is_cayley_triple
 from .triality import TrialityPair, is_triality_pair, iso_isotopes, triality_pair
 from .verify import verify_suite
 

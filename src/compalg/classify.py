@@ -27,9 +27,9 @@ from . import d1133 as d33
 from . import derivations as dv
 from . import maps as mp
 from . import normal_form as nf
-from . import octonion as oc
 from .errors import NotInBlock, RawTensorNotSupported
 from .numerics import DEFAULT_TOL
+from .triality import PAIR_TOL, witness_residual
 
 _SIGN_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -59,7 +59,7 @@ class BlockLabel:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalysisReport:
     double_sign: al.DoubleSign
     der_dim: int
@@ -338,12 +338,6 @@ def _params_close(kind, left, right, tol=1e-8):
     return _SPACES[kind].close(left, right, tol)
 
 
-def witness_residual(phi, source, target):
-    """Max basis-pair deviation of phi from being a homomorphism source -> target."""
-    m = mp.as_matrix(phi)
-    return oc.homomorphism_residual(m, m, m, source.sc, target.sc)
-
-
 @dataclass
 class IsoVerdict:
     verdict: str                     # "yes" | "no" | "unknown"
@@ -385,7 +379,7 @@ def isomorphic(a, b, tol=DEFAULT_TOL):
             return IsoVerdict("no", reason="canonical parameters differ")
         witness = mp.OrthoMap8(cb.witness.mat.T @ ca.witness.mat, check=False)
         residual = witness_residual(witness, a, b)
-        if residual < 1e-8:
+        if residual < PAIR_TOL:
             return IsoVerdict("yes", witness=witness)
         return IsoVerdict("unknown", reason=f"canonical forms agree but witness residual {residual:g}")
     ds_a = ca.block.sign if ca else al.double_sign(a, tol)

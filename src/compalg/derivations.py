@@ -30,7 +30,7 @@ INVARIANCE_TOL = 1e-7
 _triu_indices = functools.lru_cache(maxsize=None)(np.triu_indices)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DerivationAlgebra:
     """Orthonormal basis of Der(A), one (dim, n, n) stack, with its invariants."""
 
@@ -148,6 +148,7 @@ def _structure(stack, tol):
     t = (prod.transpose(0, 2, 1, 3).reshape(d * d, n * n) @ stack.reshape(d, n * n).T).reshape(d, d, d)
     struct = t - t.transpose(1, 0, 2)
     derived = rank(struct[_triu_indices(d, 1)], tol) if d > 1 else 0
+    stack.flags.writeable = False
     return DerivationAlgebra(stack, d, (derived, d - derived, 0), derived, d - derived, struct)
 
 

@@ -13,10 +13,6 @@ class NearSingular(CompalgError):
     pass
 
 
-class NotImaginaryUnit(CompalgError):
-    pass
-
-
 class NotUnitComplex(CompalgError):
     pass
 

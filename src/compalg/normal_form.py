@@ -15,13 +15,13 @@ counts as 0, so each coordinate has exactly one sign.  Results with a
 coordinate in [zero_tol, 10 zero_tol) are flagged as near a boundary.
 
 The reductions are constructive: rotate the first imaginary part onto the
-u-axis, then rotate about u to push the second component's (v, uv)-part onto
-the +v ray.  Reductions modulo a stabilizer subgroup enumerate its finitely
-many cosets combined with the same closed-form angle placements, and keep
-the candidate that lands in the target transversal; transversality makes
-that candidate unique.  One table maps each stabilizer case of the first
-class of a pair to the second class's transversal and cosets; in_N and
-nf_pair both read it.
+u-axis by one closed form, then rotate about u to push the second
+component's (v, uv)-part onto the +v ray.  Reductions modulo a stabilizer
+subgroup enumerate its finitely many cosets combined with the same
+closed-form angle placements, and keep the candidate that lands in the
+target transversal; transversality makes that candidate unique.  One table
+maps each stabilizer case of the first class of a pair to the second class's
+transversal and cosets; in_N and nf_pair both read it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import NotCanonical
 from .numerics import DEFAULT_TOL, deadband_signs, leading_sign
 from .octonion import quat_kappa as kappa
-from .octonion import quat_mul, rotation_quaternion
+from .octonion import quat_mul
 
 ONE4 = np.array([1.0, 0.0, 0.0, 0.0])
 U4 = np.array([0.0, 1.0, 0.0, 0.0])
@@ -325,12 +325,31 @@ def _boundary_flag(pairs, tol):
 # Normal forms
 # ---------------------------------------------------------------------------
 
-def _u_axis_rotation(phi):
-    return np.array([np.cos(phi / 2.0), np.sin(phi / 2.0), 0.0, 0.0])
-
-
 def _snap_sign(q):
     return np.array([1.0 if q[0] > 0 else -1.0, 0.0, 0.0, 0.0])
+
+
+def _onto_u(im):
+    """The unit quaternion q with q w conj(q) = u, w = (x, y, z) the unit
+    direction of the nonzero imaginary part im, in closed form.
+
+    For x >= 0 it is the half-way quaternion 1 - u w = (1 + x, 0, z, -y);
+    otherwise that formula after the half-turn about v, (x, y, z) ->
+    (-x, y, -z), times v: (1 - x, 0, -z, -y) v = (z, y, 1 - x, 0).  Both
+    have norm at least 1 before normalizing, so nothing cancels.
+    """
+    x, y, z = (im / np.linalg.norm(im)).tolist()
+    q = np.array([1.0 + x, 0.0, z, -y] if x >= 0.0 else [z, y, 1.0 - x, 0.0])
+    return q / np.linalg.norm(q)
+
+
+def _v_turn(q, tol):
+    """The rotation about u that puts q's (v, uv)-part on the +v ray, or
+    None when that part lies in the deadband."""
+    if _signs(np.hypot(q[2], q[3]), tol) == (0,):
+        return None
+    half = -np.arctan2(q[3], q[2]) / 2.0
+    return np.array([np.cos(half), np.sin(half), 0.0, 0.0])
 
 
 def nf_TxT(pair, tol=DEFAULT_TOL):
@@ -346,13 +365,10 @@ def nf_TxT(pair, tol=DEFAULT_TOL):
     a_pm1 = is_pm_one(a, tol)
     q, moved = ONE4.copy(), pair
     if not (a_pm1 and is_pm_one(b, tol)):
-        im = (b if a_pm1 else a).copy()
-        im[0] = 0.0
-        q = rotation_quaternion(im / np.linalg.norm(im), U4, tol)
+        q = _onto_u((b if a_pm1 else a)[1:])
         moved = act_TxT(q, pair)
-        b1 = moved.b
-        if not a_pm1 and _signs(np.hypot(b1[2], b1[3]), tol) != (0,):
-            turn = _u_axis_rotation(-np.arctan2(b1[3], b1[2]))
+        turn = None if a_pm1 else _v_turn(moved.b, tol)
+        if turn is not None:
             q, moved = quat_mul(turn, q), act_TxT(turn, moved)
     a1, b1 = moved
     canonical = PairTT(_snap_sign(a1) if a_pm1 else a1,
@@ -390,9 +406,9 @@ def _u_rotations(pair, tol):
     """Closed-form rotations about the u-axis placing either component's
     (v, uv)-part on the +v ray, then the identity."""
     for q in pair:
-        if _signs(np.hypot(q[2], q[3]), tol) != (0,):
-            phi = -np.arctan2(q[3], q[2])
-            yield _u_axis_rotation(phi) if phi != 0.0 else ONE4
+        turn = _v_turn(q, tol)
+        if turn is not None:
+            yield turn
     yield ONE4
 
 

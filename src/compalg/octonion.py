@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (NotCayleyTriple, NotImaginaryUnit, NotUnitComplex, NotUnitNorm,
-                     NotUnitQuaternion)
+from .errors import NotCayleyTriple, NotUnitComplex, NotUnitNorm, NotUnitQuaternion
 from .numerics import DEFAULT_TOL
 
 
@@ -232,56 +231,6 @@ class CayleyTriple:
         a, b, c = self.a, self.b, self.c
         cols = [ONE, a, b, a * b, c, a * c, b * c, (a * b) * c]
         return np.column_stack([x.coords for x in cols])
-
-
-def rotation_quaternion(w_from, w_to, tol=DEFAULT_TOL):
-    """Unit quaternion q with q w_from conj(q) = w_to, for unit imaginary
-    quaternions w_from, w_to.
-
-    Ties are deterministic: aligned inputs give q = 1; for inputs in the
-    antipodal hemisphere the rotation goes through a half-turn about the
-    first of (u, v, uv) surviving Gram-Schmidt against w_to, followed by a
-    short arc.  The two-step route keeps the result well-conditioned near
-    exact antipodes, where the one-step formula would cancel.
-    """
-    wf4 = _as_imaginary_unit(as_coords(w_from), tol)
-    wt4 = _as_imaginary_unit(as_coords(w_to), tol)
-    if np.linalg.norm(wf4 - wt4) < tol.zero_tol:
-        return np.array([1.0, 0, 0, 0])
-    pre = np.array([1.0, 0, 0, 0])
-    if wf4 @ wt4 < 0.0:
-        for k in (1, 2, 3):
-            axis = np.zeros(4)
-            axis[k] = 1.0
-            axis -= (axis @ wt4) * wt4
-            n = np.linalg.norm(axis)
-            if n > tol.zero_tol:
-                pre = axis / n
-                break
-        else:  # unreachable for unit input
-            raise NotImaginaryUnit("no axis orthogonal to w_to")
-        wf4 = quat_kappa(pre, wf4)
-        if np.linalg.norm(wf4 - wt4) < tol.zero_tol:
-            return pre
-    q = np.array([1.0, 0, 0, 0]) - quat_mul(wt4, wf4)
-    q = q / np.linalg.norm(q)
-    return quat_mul(q, pre)
-
-
-def _as_imaginary_unit(w, tol):
-    if w.shape == (8,):
-        if not np.max(np.abs(w[4:])) < tol.eq_tol:
-            raise NotImaginaryUnit("coordinates outside H are nonzero")
-        w = w[:4]
-    if w.shape != (4,):
-        raise NotImaginaryUnit(f"expected a quaternion, got shape {w.shape}")
-    if not abs(w[0]) < tol.eq_tol:
-        raise NotImaginaryUnit("real part is nonzero")
-    if not abs(w @ w - 1.0) < tol.eq_tol:
-        raise NotImaginaryUnit("not unit norm")
-    out = w.copy()
-    out[0] = 0.0
-    return out / np.linalg.norm(out)
 
 
 #: C, H and O by dimension: the name and the unit-check error.

@@ -106,6 +106,12 @@ def triality_pair(phi, tol=DEFAULT_TOL):
     return TrialityPair(phi1=phi1, phi2=phi2, residual=res)
 
 
+def witness_residual(phi, source, target):
+    """Max basis-pair deviation of phi from being a homomorphism source -> target."""
+    m = mp.as_matrix(phi)
+    return oc.homomorphism_residual(m, m, m, source.sc, target.sc)
+
+
 def iso_isotopes(a, b, phi, tol=DEFAULT_TOL):
     """Is phi in SO(8) an isomorphism from the 8-dimensional algebra a to b?
 
@@ -118,5 +124,4 @@ def iso_isotopes(a, b, phi, tol=DEFAULT_TOL):
     if (m.shape != (8, 8) or a.dim != 8 or b.dim != 8
             or not is_special_orthogonal(m, tol)):
         return False
-    return oc.homomorphism_residual(m, m, m, a.sc, b.sc) < PAIR_TOL
-
+    return witness_residual(m, a, b) < PAIR_TOL

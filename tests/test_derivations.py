@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -624,3 +626,14 @@ def test_compact_reading_matches_measured_center_and_killing_form(a, label):
     assert der.center_dim == center
     assert der.killing_signature == (neg, d - neg - pos, pos)
     assert dv.lie_type(der).value == label
+
+
+def test_analysis_records_are_immutable():
+    a = al.octonion_algebra()
+    der = dv.derivation_basis(a)
+    with pytest.raises(ValueError):
+        der.basis[0, 0, 1] = 7.0
+    with pytest.raises(FrozenInstanceError):
+        der.dim = 3
+    with pytest.raises(FrozenInstanceError):
+        cl.analyze(a).der_dim = 1

@@ -326,3 +326,31 @@ def test_nf_M1_tag_survives_a_rotation_inside_the_deadband():
     first, second = nf.nf_M1(pair), nf.nf_M1(moved)
     assert first.tag == second.tag == "P0_P_plus"
     assert first.canonical.close_to(second.canonical, 1e-8)
+
+
+HALVES = np.full(4, 0.5)
+
+
+@pytest.mark.parametrize("direction", [
+    (-1.0, 0.0, 0.0),            # x = -1: the half-turn branch, exactly
+    (-1.0, 6e-13, 8e-13),        # -u tilted by 1e-12 into (v, uv)
+    (1.0, 0.0, 0.0),             # +u: the identity
+    (0.0, -1.0, 0.0),            # -v: x = 0 exactly, the x >= 0 branch
+], ids=["minus-u", "minus-u-tilted", "plus-u", "minus-v"])
+def test_nf_TxT_rotates_the_first_component_onto_u(direction):
+    w = np.array(direction) / np.linalg.norm(direction)
+    pair = nf.make_pair(np.r_[0.6, 0.8 * w], HALVES)
+    r = nf.nf_TxT(pair)
+    assert np.max(np.abs(r.canonical.a - [0.6, 0.8, 0.0, 0.0])) < 1e-15
+    assert nf.act_TxT(r.witness_q, pair).close_to(r.canonical, 1e-15)
+    assert nf.in_M(r.canonical) == (True, "P0_P")
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.full(4, np.nan), HALVES),
+    (HALVES, np.full(4, np.nan)),
+    (ONE4, np.array([0.5, np.nan, 0.5, 0.5])),
+], ids=["first", "second", "second-after-one"])
+def test_nf_TxT_rejects_nan(a, b):
+    with pytest.raises(ValueError):
+        nf.nf_TxT(nf.make_pair(a, b))

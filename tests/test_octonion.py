@@ -1,11 +1,9 @@
 import numpy as np
-import pytest
 
 from compalg import octonion as oc
-from compalg.errors import NotImaginaryUnit
 from compalg.numerics import det_sign
 
-from conftest import imaginary_unit_quaternion, unit
+from conftest import unit
 
 
 def test_basis_products():
@@ -159,41 +157,6 @@ def test_kappa_hat_compatibility(gen):
         lhs = kappa_hat_map(q).mat @ xz.coords
         rhs = oc.Octonion.from_quaternion(kappa4(q) @ x) * oc.Z
         assert np.allclose(lhs, rhs.coords, atol=1e-12)
-
-
-def test_rotation_quaternion_aligned():
-    q = oc.rotation_quaternion(oc.U, oc.U)
-    assert np.array_equal(q, np.array([1.0, 0, 0, 0]))
-
-
-def test_rotation_quaternion_generic(gen):
-    for _ in range(50):
-        wf = imaginary_unit_quaternion(gen)
-        wt = imaginary_unit_quaternion(gen)
-        q = oc.rotation_quaternion(wf, wt)
-        moved = oc.quat_mul(oc.quat_mul(q, wf), oc.quat_conj(q))
-        assert np.max(np.abs(moved - wt)) < 1e-10
-
-
-def test_rotation_quaternion_v_to_u():
-    q = oc.rotation_quaternion(oc.V, oc.U)
-    moved = oc.quat_mul(oc.quat_mul(q, oc.V.coords[:4]), oc.quat_conj(q))
-    assert np.max(np.abs(moved - oc.U.coords[:4])) < 1e-10
-
-
-def test_rotation_quaternion_antipodal():
-    q = oc.rotation_quaternion(oc.U, oc.Octonion(-oc.U.coords))
-    # deterministic axis: v survives the projection first
-    assert np.allclose(q, oc.V.coords[:4])
-    moved = oc.quat_mul(oc.quat_mul(q, oc.U.coords[:4]), oc.quat_conj(q))
-    assert np.max(np.abs(moved + oc.U.coords[:4])) < 1e-12
-
-
-def test_rotation_quaternion_rejects_bad_input():
-    with pytest.raises(NotImaginaryUnit):
-        oc.rotation_quaternion(oc.ONE, oc.U)
-    with pytest.raises(NotImaginaryUnit):
-        oc.rotation_quaternion(oc.Z, oc.U)
 
 
 def test_homomorphism_residual_matches_einsum_reference(gen):
