@@ -276,13 +276,13 @@ def quat4(i, j):
                      FamilyLabel("quat4", {"i": i, "j": j}))
 
 
-def j_family(i, j, a, b, tol=DEFAULT_TOL):
+def j_family(i, j, a, b):
     """O with pair (K^j tau_a, K^i tau_b) for unit quaternions a, b."""
     i, j = as_indices(i, j)
-    a4 = oc.as_unit(a, 4, tol, "parameter a")
-    b4 = oc.as_unit(b, 4, tol, "parameter b")
-    f = mp.tau_map(a4, tol).mat
-    g = mp.tau_map(b4, tol).mat
+    a4 = oc.as_unit(a, 4, "parameter a")
+    b4 = oc.as_unit(b, 4, "parameter b")
+    f = mp.tau_map(a4).mat
+    g = mp.tau_map(b4).mat
     if j:
         f = oc.conj_matrix() @ f
     if i:
@@ -291,23 +291,23 @@ def j_family(i, j, a, b, tol=DEFAULT_TOL):
                      FamilyLabel("tau_family", {"i": i, "j": j, "a": a4, "b": b4}))
 
 
-def k_family(i, j, a1, b1, a2, b2, tol=DEFAULT_TOL):
+def k_family(i, j, a1, b1, a2, b2):
     """O with pair (T^(j)_{a1,b1}, T^(i)_{a2,b2}) for unit quaternions."""
     i, j = as_indices(i, j)
-    qs = [oc.as_unit(x, 4, tol, f"parameter {n}")
+    qs = [oc.as_unit(x, 4, f"parameter {n}")
           for x, n in ((a1, "a1"), (b1, "b1"), (a2, "a2"), (b2, "b2"))]
-    f = mp.T_map(qs[0], qs[1], j, tol)
-    g = mp.T_map(qs[2], qs[3], i, tol)
+    f = mp.T_map(qs[0], qs[1], j)
+    g = mp.T_map(qs[2], qs[3], i)
     return _labelled(from_isotope(f, g), FamilyLabel(
         "t_family", {"i": i, "j": j, "a1": qs[0], "b1": qs[1], "a2": qs[2], "b2": qs[3]}))
 
 
-def lambda_family(i, j, a, b, tol=DEFAULT_TOL):
+def lambda_family(i, j, a, b):
     """O with pair (lambda_a^(j), lambda_b^(i)) for unit complex a, b."""
     i, j = as_indices(i, j)
-    a2 = oc.as_unit(a, 2, tol, "parameter a")
-    b2 = oc.as_unit(b, 2, tol, "parameter b")
-    return _labelled(from_isotope(mp.lambda_map(a2, j, tol), mp.lambda_map(b2, i, tol)),
+    a2 = oc.as_unit(a, 2, "parameter a")
+    b2 = oc.as_unit(b, 2, "parameter b")
+    return _labelled(from_isotope(mp.lambda_map(a2, j), mp.lambda_map(b2, i)),
                      FamilyLabel("lambda_family", {"i": i, "j": j, "a": a2, "b": b2}))
 
 
@@ -315,39 +315,39 @@ def lambda_family(i, j, a, b, tol=DEFAULT_TOL):
 OKUBO_TWIST = np.array([-0.5, np.sqrt(3.0) / 2.0, 0.0, 0.0])
 
 
-def _okubo_pair(tol):
+def _okubo_pair():
     """The pair (K tau, K tau^-1) of the cube-root twist tau."""
     k = oc.conj_matrix()
-    return (k @ mp.tau_map(OKUBO_TWIST, tol).mat,
-            k @ mp.tau_map(oc.quat_mul(OKUBO_TWIST, OKUBO_TWIST), tol).mat)
+    return (k @ mp.tau_map(OKUBO_TWIST).mat,
+            k @ mp.tau_map(oc.quat_mul(OKUBO_TWIST, OKUBO_TWIST)).mat)
 
 
-def okubo_p11(tol=DEFAULT_TOL):
+def okubo_p11():
     """The division Okubo model: pair (K tau, K tau^-1) with the cube-root twist."""
-    return _labelled(from_isotope(*_okubo_pair(tol)), FamilyLabel("okubo", {}))
+    return _labelled(from_isotope(*_okubo_pair()), FamilyLabel("okubo", {}))
 
 
-def p35(i, j, tol=DEFAULT_TOL):
+def p35(i, j):
     """Isotopes of the Okubo model by the reflection in the special subspace
     span(v, z, vz); defined for (i, j) != (1, 1)."""
     i, j = as_indices(i, j)
     if (i, j) == (1, 1):
         raise BadParameter("the (1, 1) component of the {3,5} block is empty")
-    f, g = _okubo_pair(tol)
+    f, g = _okubo_pair()
     sw = mp.sigma_w_special().mat
     return _labelled(from_isotope(f @ np.linalg.matrix_power(sw, 1 - j),
                                   g @ np.linalg.matrix_power(sw, 1 - i)),
                      FamilyLabel("p35", {"i": i, "j": j}))
 
 
-def g_family(i1, j1, i2, j2, alpha, beta, tol=DEFAULT_TOL):
+def g_family(i1, j1, i2, j2, alpha, beta):
     """O with the two-parameter block-diagonal pair (G_alpha^{j1,j2}, G_beta^{i1,i2}).
 
     Requires i2 = 1 or j2 = 1; angles are folded into [0, pi).
     """
     gp = d33.GParams(i1, j1, i2, j2, alpha, beta)
-    f = mp.G_map(gp.alpha, 0.0, gp.j1, gp.j2, tol)
-    g = mp.G_map(gp.beta, 0.0, gp.i1, gp.i2, tol)
+    f = mp.G_map(gp.alpha, 0.0, gp.j1, gp.j2)
+    g = mp.G_map(gp.beta, 0.0, gp.i1, gp.i2)
     return _labelled(from_isotope(f, g), FamilyLabel("g_family", asdict(gp)))
 
 
@@ -410,7 +410,7 @@ def t_block(i, j, a1, b1, a2, b2, tol=DEFAULT_TOL):
     D116 under the one-axis alignment b1 = (-1)^j a1, b2 = (-1)^i a2, else
     D1124 or D11114 as the imaginary parts span a line or more."""
     i, j = as_indices(i, j)
-    qs = [oc.as_unit(x, 4, tol, "parameter") for x in (a1, b1, a2, b2)]
+    qs = [oc.as_unit(x, 4, "parameter") for x in (a1, b1, a2, b2)]
     if all(_vanishes(x[1:], tol) for x in qs):
         return None
     span = _imaginary_span_dim(qs, tol)
@@ -434,14 +434,14 @@ def in_TxT_ij(i, j, a, b, tol=DEFAULT_TOL):
     Excludes (1, 1) always, and for (i, j) = (1, 1) also the curve
     (a, a^2) with a^2 + a + 1 = 0 (the Okubo points)."""
     i, j = as_indices(i, j)
-    a4 = oc.as_unit(a, 4, tol, "a")
-    b4 = oc.as_unit(b, 4, tol, "b")
+    a4 = oc.as_unit(a, 4, "a")
+    b4 = oc.as_unit(b, 4, "b")
     return tau_block(i, j, a4, b4, tol) not in ("D17", "D8")
 
 
 def in_S(a1, b1, a2, b2, tol=DEFAULT_TOL):
     """True iff not all four unit quaternions lie in {1, -1}."""
-    return not all(_vanishes(oc.as_unit(x, 4, tol, "parameter")[1:], tol)
+    return not all(_vanishes(oc.as_unit(x, 4, "parameter")[1:], tol)
                    for x in (a1, b1, a2, b2))
 
 

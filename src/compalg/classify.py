@@ -118,7 +118,7 @@ def _analyze_with_sign(algebra, ds, tol):
     return AnalysisReport(ds, der.dim, ltype, dec.trivial_dim, partition, block)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CanonicalForm:
     block: BlockLabel
     params: object                  # None, PairTT, (PairTT, PairTT) or (alpha, beta)
@@ -170,7 +170,7 @@ def _free_space(kind, family, signs, dim=8):
 def _pair_form(kind, p, res, tol):
     """The form of a tau- or T-family point from its normal-form result."""
     return CanonicalForm(BlockLabel(kind, al.DoubleSign(p["i"], p["j"])), res.canonical,
-                         mp.kappa_hat_map(res.witness_q, tol), res.boundary_flag)
+                         mp.kappa_hat_map(res.witness_q), res.boundary_flag)
 
 
 def _tau_reduce(name, p, tol):
@@ -338,7 +338,7 @@ def _params_close(kind, left, right, tol=1e-8):
     return _SPACES[kind].close(left, right, tol)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IsoVerdict:
     verdict: str                     # "yes" | "no" | "unknown"
     witness: Optional[mp.OrthoMap8] = None

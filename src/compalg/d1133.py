@@ -4,7 +4,8 @@ canonical forms for the two-parameter block-diagonal families.
 A point is a 4-tuple of indices (i1, j1, i2, j2) with i2 = 1 or j2 = 1 plus
 angles (alpha, beta) in [0, pi).  Conversion to the conjugation-twisted
 presentation (xi, eta) goes through an explicit special-orthogonal witness
-L_t R_s rho whose triality components conjugate the pair onto block form.
+L_t R_s rho whose triality components conjugate the pair onto block form;
+G, F and rho are planar blocks on C, Cv, Cz and C(vz) (maps.G_map, F_map, rho_map).
 Isomorphism inside a block reduces to (alpha', beta') = (alpha, beta) or
 (-alpha, -beta) mod pi, giving the half-square fundamental region."""
 
@@ -91,30 +92,25 @@ def _xi_eta(i2, j2, theta, zeta, gamma):
     return x / 2.0, y / 2.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class GtoFWitness:
     theta: float
     zeta: float
     phi: mp.OrthoMap8       # L_t R_s rho
 
 
-def g_to_f(params: GParams, gamma=0.0, tol=DEFAULT_TOL):
+def g_to_f(params: GParams, gamma=0.0):
     """Convert block-diagonal parameters (with twist angle gamma) to the
     conjugation-twisted presentation, with the witness isomorphism.
 
-    The witness is phi = L_t R_s rho where rho rotates (v, z) by -gamma/3
-    inside their complex lines; its triality components conjugate the pair
-    (G_alpha,gamma, G_beta,gamma) onto (F_xi, F_eta) exactly.
+    The witness is phi = L_t R_s rho where rho = maps.rho_map(gamma) rotates
+    (v, z) by -gamma/3 inside their complex lines; its triality components
+    conjugate the pair (G_alpha,gamma, G_beta,gamma) onto (F_xi, F_eta) exactly.
     """
     i1, j1, i2, j2 = params.indices
     theta, zeta = _theta_zeta(i1, j1, params.alpha, params.beta)
     xi, eta = _xi_eta(i2, j2, theta, zeta, gamma)
-    c = np.zeros(8)
-    c[0], c[1] = np.cos(gamma / 3.0), -np.sin(gamma / 3.0)
-    c = oc.Octonion(c)
-    rho = mp.g2_from_triples(oc.CayleyTriple.fixed(),
-                             oc.CayleyTriple(oc.U, c * oc.V, c * oc.Z, tol=tol), tol)
-    phi = mp.left_right_mul_map(oc.complex_unit(theta), oc.complex_unit(zeta), rho, tol)
+    phi = mp.left_right_mul_map(oc.complex_unit(theta), oc.complex_unit(zeta), mp.rho_map(gamma))
     return (FParams(i1, j1, i2, j2, xi, eta), GtoFWitness(theta, zeta, phi))
 
 

@@ -52,7 +52,7 @@ class LieTypeLabel(Enum):
     OTHER = "other"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModuleDecomposition:
     """Orthogonal decomposition into irreducible invariant subspaces."""
 

@@ -5,11 +5,12 @@ its matrix alone: transport records the map it pushes a family point through
 as the point's orthogonal frame, so no map carries provenance of its own.
 Triality components are read off the matrix too.
 
-The families tau, kappa_hat, T and lambda are closed forms: direct sums of
-blocks of the one multiplication kernel (octonion.left_mul_matrix and
-right_mul_matrix on C, H or O) and of K.  Every unit parameter is read by
-octonion.as_unit and every sign index by numerics.as_indices, so a value
-other than 0 or 1 raises BadIndices instead of being truncated.
+The families tau, kappa_hat, T and lambda are direct sums of blocks of the
+one multiplication kernel (octonion.left_mul_matrix and right_mul_matrix on
+C, H or O) and of K; G, F and rho are one planar block on each complex line
+C, Cv, Cz and C(vz).  Constructors take no tolerance: they check unit
+parameters and Cayley triples at DEFAULT_TOL, which every label meets where it
+enters, and sign indices by numerics.as_indices (BadIndices unless 0 or 1).
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ class OrthoMap8:
 
     __slots__ = ("mat",)
 
-    def __init__(self, mat, tol=DEFAULT_TOL, check=True):
+    def __init__(self, mat, check=True):
         mat = np.asarray(mat, dtype=float)
-        if check and not is_orthogonal(mat, tol):
+        if check and not is_orthogonal(mat):
             raise NotOrthogonal("matrix is not orthogonal within eq_tol")
         self.mat = mat
 
@@ -71,45 +72,45 @@ def _direct_sum(top, rest):
     return OrthoMap8(mat, check=False)
 
 
-def lambda_map(t, k, tol=DEFAULT_TOL):
+def lambda_map(t, k):
     """L_t K^k on C = span(1, u), identity on the complement; t is unit complex."""
-    t2 = oc.as_unit(t, 2, tol, "lambda parameter")
+    t2 = oc.as_unit(t, 2, "lambda parameter")
     return _direct_sum(oc.left_mul_matrix(t2) @ _conj_power(2, k), np.eye(6))
 
 
-def g2_from_triples(t1, t2, tol=DEFAULT_TOL):
+def g2_from_triples(t1, t2):
     """The unique automorphism of O carrying the Cayley triple t1 to t2.
 
     Images of the induced product bases determine the map: if B1, B2 are the
     bases (1, a, b, ab, c, ac, bc, (ab)c) of the two triples, the map is
     B2 B1^T.
     """
-    t1 = t1 if isinstance(t1, oc.CayleyTriple) else oc.CayleyTriple(*t1, tol=tol)
-    t2 = t2 if isinstance(t2, oc.CayleyTriple) else oc.CayleyTriple(*t2, tol=tol)
+    t1 = t1 if isinstance(t1, oc.CayleyTriple) else oc.CayleyTriple(*t1)
+    t2 = t2 if isinstance(t2, oc.CayleyTriple) else oc.CayleyTriple(*t2)
     b1 = t1.product_basis()
     b2 = t2.product_basis()
     return OrthoMap8(b2 @ b1.T, check=False)
 
 
-def tau_map(p, tol=DEFAULT_TOL):
+def tau_map(p):
     """The automorphism fixing H pointwise with z -> z p, for unit quaternion p.
 
     In closed form I_4 + L_conj(p): z p = conj(p) z, so x z -> (conj(p) x) z on Hz.
     """
-    p4 = oc.as_unit(p, 4, tol, "tau parameter")
+    p4 = oc.as_unit(p, 4, "tau parameter")
     return _direct_sum(np.eye(4), oc.left_mul_matrix(oc.quat_conj(p4)))
 
 
-def kappa4(q, tol=DEFAULT_TOL):
+def kappa4(q):
     """4x4 matrix L_q R_conj(q) of x -> q x conj(q) on H."""
-    q4 = oc.as_unit(q, 4, tol, "kappa parameter")
+    q4 = oc.as_unit(q, 4, "kappa parameter")
     return oc.left_mul_matrix(q4) @ oc.right_mul_matrix(oc.quat_conj(q4))
 
 
-def kappa_hat_map(q, tol=DEFAULT_TOL):
+def kappa_hat_map(q):
     """kappa_q + kappa_q: the automorphism acting as kappa_q on H and as
     x z -> kappa_q(x) z on Hz."""
-    k4 = kappa4(q, tol)
+    k4 = kappa4(q)
     return _direct_sum(k4, k4)
 
 
@@ -120,22 +121,22 @@ def eps_hat(eps):
     return OrthoMap8(mat, check=False)
 
 
-def T_map(a, b, k, tol=DEFAULT_TOL):
+def T_map(a, b, k):
     """L_a R_b K^k: x -> a K^k(x) b on H, identity on the complement; a, b unit quaternions."""
-    a4 = oc.as_unit(a, 4, tol, "T parameter a")
-    b4 = oc.as_unit(b, 4, tol, "T parameter b")
+    a4 = oc.as_unit(a, 4, "T parameter a")
+    b4 = oc.as_unit(b, 4, "T parameter b")
     block = oc.left_mul_matrix(a4) @ oc.right_mul_matrix(b4) @ _conj_power(4, k)
     return _direct_sum(block, np.eye(4))
 
 
-def sigma_map(vectors, tol=DEFAULT_TOL):
+def sigma_map(vectors):
     """Reflection: -1 on the span of the given orthonormal vectors, +1 elsewhere."""
     cols = [oc.as_coords(w) for w in vectors]
     if not cols:
         return identity_map()
     basis = np.column_stack(cols)
     gram = basis.T @ basis
-    if np.max(np.abs(gram - np.eye(basis.shape[1]))) >= tol.eq_tol:
+    if not np.max(np.abs(gram - np.eye(basis.shape[1]))) < DEFAULT_TOL.eq_tol:
         raise NotOrthonormal("reflection vectors must be orthonormal")
     dim = basis.shape[0]
     mat = np.eye(dim) - 2.0 * basis @ basis.T
@@ -161,82 +162,69 @@ def sigma_uw():
     return sigma_map([oc.UV, oc.UZ, oc.UVZ])
 
 
-def B_map(a, tol=DEFAULT_TOL):
+def B_map(a):
     """Bimultiplication x -> a (x a) for unit a; equals B_{-a}."""
-    a = oc.as_unit(a, 8, tol, "bimultiplication")
+    a = oc.as_unit(a, 8, "bimultiplication")
     mat = oc.left_mul_matrix(a) @ oc.right_mul_matrix(a)
     return OrthoMap8(mat, check=False)
 
 
-def C_map(a, tol=DEFAULT_TOL):
+def C_map(a):
     """Conjugation x -> a (x conj(a)) for unit a; fixes 1."""
-    a = oc.as_unit(a, 8, tol, "conjugation")
+    a = oc.as_unit(a, 8, "conjugation")
     mat = oc.left_mul_matrix(a) @ oc.right_mul_matrix(oc.conj_matrix() @ a)
     return OrthoMap8(mat, check=False)
 
 
-def G_map(theta, gamma, k1, k2, tol=DEFAULT_TOL):
-    """B_{cos theta + u sin theta} sigma_u^{k1} (sigma_uv sigma_uz sigma_w(gamma))^{k2}.
-
-    w(gamma) = vz sin(gamma) - (uv)z cos(gamma).  theta enters with period pi.
-    """
-    k1, k2 = as_indices(k1, k2)
-    mat = B_map(oc.complex_unit(theta), tol).mat
-    if k1:
-        mat = mat @ sigma_u().mat
-    if k2:
-        w = np.zeros(8)
-        w[6] = np.sin(gamma)
-        w[7] = -np.cos(gamma)
-        refl = sigma_map([oc.UV, oc.UZ, oc.Octonion(w)], tol)
-        mat = mat @ refl.mat
-    return OrthoMap8(mat, check=False)
-
-
-def F_map(theta, k1, k2, tol=DEFAULT_TOL):
-    """C_{cos theta + u sin theta} sigma_u^{k1} sigma_uw^{k2}."""
-    k1, k2 = as_indices(k1, k2)
-    mat = C_map(oc.complex_unit(theta), tol).mat
-    if k1:
-        mat = mat @ sigma_u().mat
-    if k2:
-        mat = mat @ sigma_uw().mat
-    return OrthoMap8(mat, check=False)
-
-
-def f_block_matrix(theta, k1, k2):
-    """Closed block-diagonal form of F_map: diag(1, (-1)^k1, R(2t), R(2t), R(-2t)),
-    where R(s) is the planar rotation-or-reflection with determinant (-1)^k2."""
-
-    def hat(zeta, k):
-        sign = -1.0 if k else 1.0
-        return np.array([[np.cos(zeta), -sign * np.sin(zeta)],
-                         [np.sin(zeta), sign * np.cos(zeta)]])
-
-    k1, k2 = as_indices(k1, k2)
+def _planar_blocks(*blocks):
+    """The map acting on the lines (1, u), (v, uv), (z, uz) and (vz, (uv)z) by
+    the blocks hat(zeta, k) of the given (zeta, k): the rotation by zeta when
+    k = 0, the reflection [[cos, sin], [sin, -cos]] of zeta when k = 1."""
     mat = np.zeros((8, 8))
-    mat[0, 0] = 1.0
-    mat[1, 1] = -1.0 if k1 else 1.0
-    mat[2:4, 2:4] = hat(2 * theta, k2)
-    mat[4:6, 4:6] = hat(2 * theta, k2)
-    mat[6:8, 6:8] = hat(-2 * theta, k2)
-    return mat
+    for n, (zeta, k) in enumerate(blocks):
+        c, s = np.cos(zeta), np.sin(zeta)
+        sign = -1.0 if k else 1.0
+        mat[2 * n:2 * n + 2, 2 * n:2 * n + 2] = [[c, -sign * s], [s, sign * c]]
+    return OrthoMap8(mat, check=False)
 
 
-def left_right_mul_map(t, s, rho, tol=DEFAULT_TOL):
+def G_map(theta, gamma, k1, k2):
+    """B_c sigma_u^{k1} (sigma_uv sigma_uz sigma_w(gamma))^{k2} for c = cos theta
+    + u sin theta and w(gamma) = vz sin(gamma) - (uv)z cos(gamma), in closed
+    form: hat(2 theta, k1), hat(0, k2), hat(0, k2), hat(2 gamma k2, k2).
+    theta enters with period pi."""
+    k1, k2 = as_indices(k1, k2)
+    return _planar_blocks((2 * theta, k1), (0.0, k2), (0.0, k2), (2 * gamma * k2, k2))
+
+
+def F_map(theta, k1, k2):
+    """C_c sigma_u^{k1} sigma_uw^{k2} for c = cos theta + u sin theta, in closed
+    form: hat(0, k1), hat(2 theta, k2), hat(2 theta, k2), hat(-2 theta, k2)."""
+    k1, k2 = as_indices(k1, k2)
+    return _planar_blocks((0.0, k1), (2 * theta, k2), (2 * theta, k2), (-2 * theta, k2))
+
+
+def rho_map(gamma):
+    """The automorphism carrying (u, v, z) to (u, c v, c z), c = cos(gamma/3) -
+    u sin(gamma/3): hat(0, 0), hat(-gamma/3, 0), hat(-gamma/3, 0),
+    hat(-2 gamma/3, 0).  The twist of the G-to-F witness (d1133.g_to_f)."""
+    return _planar_blocks((0.0, 0), (-gamma / 3, 0), (-gamma / 3, 0), (-2 * gamma / 3, 0))
+
+
+def left_right_mul_map(t, s, rho):
     """L_t R_s rho for unit t, s and an automorphism rho.
 
     Its triality components are (B_t R_{conj s} rho, L_{conj t} B_s rho).
     """
-    t = oc.as_unit(t, 8, tol, "isotopy factor t")
-    s = oc.as_unit(s, 8, tol, "isotopy factor s")
+    t = oc.as_unit(t, 8, "isotopy factor t")
+    s = oc.as_unit(s, 8, "isotopy factor s")
     mat = oc.left_mul_matrix(t) @ oc.right_mul_matrix(s) @ as_matrix(rho)
     return OrthoMap8(mat, check=False)
 
 
-def bimul_map(c, rho, tol=DEFAULT_TOL):
+def bimul_map(c, rho):
     """B_c rho for unit c and an automorphism rho; triality components (L_c rho, R_c rho)."""
-    c = oc.as_unit(c, 8, tol, "bimultiplication factor")
+    c = oc.as_unit(c, 8, "bimultiplication factor")
     mat = oc.left_mul_matrix(c) @ oc.right_mul_matrix(c) @ as_matrix(rho)
     return OrthoMap8(mat, check=False)
 

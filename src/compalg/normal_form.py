@@ -109,7 +109,7 @@ class StabilizerCase(Enum):
     TRIVIAL = "trivial"
 
 
-@dataclass
+@dataclass(frozen=True)
 class NFResult:
     canonical: object            # PairTT, or (PairTT, PairTT) for pair reductions
     witness_q: np.ndarray        # rotation with kappa_q(input) ~ canonical

@@ -217,8 +217,8 @@ class CayleyTriple:
 
     __slots__ = ("a", "b", "c")
 
-    def __init__(self, a, b, c, tol=DEFAULT_TOL):
-        if not is_cayley_triple(a, b, c, tol):
+    def __init__(self, a, b, c):
+        if not is_cayley_triple(a, b, c):
             raise NotCayleyTriple("triple fails orthonormality or c is not orthogonal to ab")
         self.a, self.b, self.c = (x if isinstance(x, Octonion) else Octonion(x) for x in (a, b, c))
 
@@ -237,23 +237,23 @@ class CayleyTriple:
 _UNIT_SPACES = {2: ("C", NotUnitComplex), 4: ("H", NotUnitQuaternion), 8: ("O", NotUnitNorm)}
 
 
-def as_unit(x, n, tol=DEFAULT_TOL, what="parameter"):
+def as_unit(x, n, what="parameter"):
     """Coerce an Octonion or array to a unit element of C, H or O (n = 2, 4
     or 8), returned as an n-vector.
 
     A 4- or 8-vector is cut to n coordinates when its tail vanishes; for O a
-    quaternion is padded with zeros.  Checks read `not x < tol`, so that
-    non-finite input fails them."""
+    quaternion is padded with zeros.  Checks read `not x < eq_tol` of
+    DEFAULT_TOL, so that non-finite input fails them."""
     name, error = _UNIT_SPACES[n]
     x = as_coords(x)
     if x.shape in ((4,), (8,)) and len(x) > n:
-        if not np.max(np.abs(x[n:])) < tol.eq_tol:
+        if not np.max(np.abs(x[n:])) < DEFAULT_TOL.eq_tol:
             raise error(f"{what}: coordinates outside {name} are nonzero")
         x = x[:n]
     elif n == 8 and x.shape == (4,):
         x = np.concatenate([x, np.zeros(4)])
     if x.shape != (n,):
         raise error(f"{what}: expected {n} coordinates, got shape {x.shape}")
-    if not abs(x @ x - 1.0) < tol.eq_tol:
+    if not abs(x @ x - 1.0) < DEFAULT_TOL.eq_tol:
         raise error(f"{what}: norm differs from 1 by {abs(np.linalg.norm(x) - 1):g}")
     return x.astype(float)

@@ -28,7 +28,7 @@ from .numerics import DEFAULT_TOL, is_orthogonal, is_special_orthogonal, leading
 PAIR_TOL = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrialityPair:
     phi1: np.ndarray
     phi2: np.ndarray

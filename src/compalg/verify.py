@@ -170,13 +170,27 @@ def check_maps_T_conjugation(gen, fast):
     return worst < 1e-10, f"max residual {worst:.2e}"
 
 
+def _chain(head, k1, k2, w=oc.UVZ):
+    """head sigma_u^k1 (sigma_uv sigma_uz sigma_w)^k2, the reference for the
+    closed forms: G_map's chain has head B_c and w = vz sin(gamma) - (uv)z
+    cos(gamma), F_map's head C_c and w = (uv)z (sigma_uw); c = complex_unit(theta)."""
+    mat = head.mat
+    if k1:
+        mat = mat @ mp.sigma_u().mat
+    if k2:
+        mat = mat @ mp.sigma_map([oc.UV, oc.UZ, w]).mat
+    return mat
+
+
 def check_maps_block_forms(gen, fast):
+    """G_map and F_map against their reflection chains, and G at k2 = 0 against lambda."""
     worst = 0.0
     for _ in range(20):
-        theta = gen.uniform(0, np.pi)
+        theta, gamma = gen.uniform(0, np.pi, 2)
         k1, k2 = int(gen.integers(0, 2)), int(gen.integers(0, 2))
-        worst = max(worst, np.max(np.abs(mp.F_map(theta, k1, k2).mat
-                                         - mp.f_block_matrix(theta, k1, k2))))
+        c, w = oc.complex_unit(theta), oc.Octonion(np.r_[0, 0, 0, 0, 0, 0, np.sin(gamma), -np.cos(gamma)])
+        worst = max(worst, np.max(np.abs(mp.F_map(theta, k1, k2).mat - _chain(mp.C_map(c), k1, k2))),
+                    np.max(np.abs(mp.G_map(theta, gamma, k1, k2).mat - _chain(mp.B_map(c), k1, k2, w))))
         lam = mp.lambda_map(np.array([np.cos(2 * theta), np.sin(2 * theta)]), k1)
         worst = max(worst, np.max(np.abs(mp.G_map(theta, 0.0, k1, 0).mat - lam.mat)))
     return worst < 1e-12, f"max deviation {worst:.2e}"

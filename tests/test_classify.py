@@ -6,6 +6,7 @@ from compalg import classify as cl
 from compalg import maps as mp
 from compalg import octonion as oc
 from compalg.errors import NotInBlock, RawTensorNotSupported
+from compalg.numerics import TolerancePolicy
 
 from conftest import imaginary_unit_quaternion, unit
 
@@ -128,6 +129,18 @@ def test_canonical_k_family_dichotomy(gen):
     assert cl.canonical(al.k_family(0, 1, a, a, u, u)).block.kind == "D1124"
     b2 = np.array([np.cos(0.9), 0, np.sin(0.9), 0])
     assert cl.canonical(al.k_family(0, 1, a, -a, u, b2)).block.kind == "D11114"
+
+
+def test_tight_tolerance_keeps_a_near_unit_label():
+    # a1 of norm 1 + 1e-10 passes the input check at 1e-9; a decision
+    # tolerance of 1e-12 must not re-run that check, and reaches the same form
+    def cx(angle):
+        return np.array([np.cos(angle), np.sin(angle), 0.0, 0.0])
+
+    k = al.k_family(0, 1, (1 + 1e-10) * cx(0.5), cx(0.8), np.array([0.6, 0, 0.8, 0]), U4)
+    tight = cl.canonical(k, TolerancePolicy(1e-12, 1e-12, 1e-12))
+    assert str(tight.block) == "D11114^(+,-)"
+    assert tight.to_json() == cl.canonical(k).to_json()
 
 
 def test_canonical_lambda_family(gen):

@@ -4,6 +4,7 @@ import pytest
 from compalg import algebra as al
 from compalg import d1133 as d33
 from compalg import maps as mp
+from compalg import octonion as oc
 from compalg import triality as tr
 from compalg.errors import BadIndices, NotInBlock
 
@@ -57,6 +58,14 @@ def test_g_to_f_first_row():
     _, w = d33.g_to_f(p, 0.0)
     assert abs(1.5 * w.theta - (0.4 + 1.8)) < 1e-12
     assert abs(1.5 * w.zeta - (0.8 + 0.9)) < 1e-12
+
+
+def test_rho_map_is_the_triple_map(gen):
+    # rho(gamma) carries (u, v, z) to (u, c v, c z), c = cos(gamma/3) - u sin(gamma/3)
+    for gamma in gen.uniform(-4, 4, 20):
+        c = oc.Octonion(np.r_[np.cos(gamma / 3), -np.sin(gamma / 3), np.zeros(6)])
+        triple_map = mp.g2_from_triples((oc.U, oc.V, oc.Z), (oc.U, c * oc.V, c * oc.Z))
+        assert np.max(np.abs(mp.rho_map(gamma).mat - triple_map.mat)) < 1e-12
 
 
 def test_g_to_f_witness_transports_pairs(gen):

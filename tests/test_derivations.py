@@ -5,8 +5,11 @@ import pytest
 
 from compalg import algebra as al
 from compalg import classify as cl
+from compalg import d1133 as d33
 from compalg import derivations as dv
+from compalg import normal_form as nf
 from compalg import octonion as oc
+from compalg import triality as tr
 from compalg.errors import AbelianDerivations, NotInvariant
 from compalg.numerics import DEFAULT_TOL, nullspace, rank
 from compalg.numerics import CLUSTER_TOL
@@ -637,3 +640,13 @@ def test_analysis_records_are_immutable():
         der.dim = 3
     with pytest.raises(FrozenInstanceError):
         cl.analyze(a).der_dim = 1
+    verdict = cl.isomorphic(al.standard_isotope(0, 0), al.standard_isotope(0, 1))
+    records = [(cl.canonical(al.standard_isotope(0, 0)), "witness"), (verdict, "verdict"),
+               (dv.decompose(a), "partition"),
+               (nf.nf_TxT(nf.make_pair([0.6, 0.8, 0, 0], [0, 0, 1, 0])), "tag"),
+               (tr.triality_pair(np.eye(8)), "residual"),
+               (d33.g_to_f(d33.GParams(0, 0, 0, 1, 0.4, 0.9))[1], "phi")]
+    for record, field in records:
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, field, None)
+    assert not verdict

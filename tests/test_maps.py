@@ -7,6 +7,7 @@ from compalg import octonion as oc
 from compalg.errors import (BadIndices, NotCayleyTriple, NotOrthogonal, NotOrthonormal,
                             NotUnitComplex, NotUnitNorm, NotUnitQuaternion)
 from compalg.numerics import is_orthogonal
+from compalg.verify import _chain
 
 from conftest import unit
 
@@ -151,11 +152,20 @@ def test_G_map_properties(gen):
 
 
 def test_F_map_block_form(gen):
-    for _ in range(10):
-        theta = gen.uniform(0, np.pi)
-        k1, k2 = int(gen.integers(0, 2)), int(gen.integers(0, 2))
-        assert np.max(np.abs(mp.F_map(theta, k1, k2).mat
-                             - mp.f_block_matrix(theta, k1, k2))) < 1e-12
+    # the closed form against its reflection chain C_c sigma_u^k1 sigma_uw^k2
+    for k1, k2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for theta in gen.uniform(-4, 4, 5):
+            chain = _chain(mp.C_map(oc.complex_unit(theta)), k1, k2)
+            assert np.max(np.abs(mp.F_map(theta, k1, k2).mat - chain)) < 1e-12
+
+
+def test_G_map_matches_its_reflection_chain(gen):
+    # B_c sigma_u^k1 (sigma_uv sigma_uz sigma_w(gamma))^k2, gamma live when k2 = 1
+    for k1, k2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for theta, gamma in gen.uniform(-4, 4, (5, 2)):
+            w = oc.Octonion(np.r_[0, 0, 0, 0, 0, 0, np.sin(gamma), -np.cos(gamma)])
+            chain = _chain(mp.B_map(oc.complex_unit(theta)), k1, k2, w)
+            assert np.max(np.abs(mp.G_map(theta, gamma, k1, k2).mat - chain)) < 1e-12
 
 
 def test_eps_hat_and_triples(gen):
@@ -213,10 +223,11 @@ OUTSIDE_H = np.r_[0.0, 1.0, 0, 0, np.nan, 0, 0, 0]  # unit in H, NaN outside
     (lambda: mp.left_right_mul_map(NAN8, oc.ONE, np.eye(8)), NotUnitNorm),
     (lambda: mp.left_right_mul_map(oc.ONE, NAN8, np.eye(8)), NotUnitNorm),
     (lambda: mp.bimul_map(NAN8, np.eye(8)), NotUnitNorm),
+    (lambda: mp.sigma_map([NAN8]), NotOrthonormal),
 ], ids=["quaternion", "quaternion-outside-H", "complex", "complex-outside-C",
         "in_TxT_ij", "in_S", "t_block",
         "kappa_hat_map", "B_map", "C_map-quaternion", "left_right_mul_map-t",
-        "left_right_mul_map-s", "bimul_map"])
+        "left_right_mul_map-s", "bimul_map", "sigma_map"])
 def test_non_finite_input_fails_unit_checks(call, error):
     with pytest.raises(error):
         call()
@@ -314,8 +325,8 @@ Q = np.array([0.6, 0.8, 0.0, 0.0])
     lambda: mp.G_map(0.3, 0.2, 1.9, 0),
     lambda: mp.F_map(0.3, -1, 0),
     lambda: mp.eps_hat(-1),
-    lambda: mp.f_block_matrix(0.3, 0, 2),
-], ids=["T_map", "lambda_map", "G_map", "F_map", "eps_hat", "f_block_matrix"])
+    lambda: mp.F_map(0.3, 0, 2),
+], ids=["T_map", "lambda_map", "G_map", "F_map", "eps_hat", "F_map-k2"])
 def test_map_sign_indices_are_0_or_1(call):
     with pytest.raises(BadIndices):
         call()
