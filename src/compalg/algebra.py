@@ -7,10 +7,10 @@ the frame, one rule for every orthogonal map.  Parametric constructors cover
 the presentations used by the classification: standard isotopes of O and H,
 tau-twisted and T-twisted isotopes, the Okubo model, its special-subspace
 isotopes, the two-parameter block-diagonal family, and the lambda family.
-Provenance is checked where it enters: Algebra rebuilds a given label to 1e-12,
-and only the constructors and transport, whose label made the tensor, attach
-one unchecked.  So a label always describes its tensor; analyze() reads the
-tensor alone.
+Provenance is checked where it enters: Algebra rebuilds a given label to
+REBUILD_TOL, and only the constructors and transport, whose label made the
+tensor, attach one unchecked.  So a label always describes its tensor;
+analyze() reads the tensor alone.
 double_sign and is_division take determinants at fixed sample points, drawn
 once per dimension, so their answers are functions of the tensor alone.
 
@@ -21,6 +21,7 @@ lands in; the membership predicates in_TxT_ij and in_S_ij read them.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import asdict, dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -31,7 +32,11 @@ from . import d1133 as d33
 from . import maps as mp
 from . import octonion as oc
 from .errors import BadParameter, InconsistentSigns, NearSingular, NotOrthogonal
-from .numerics import DEFAULT_TOL, as_indices, deadband_signs, det_sign, is_orthogonal, rng
+from .numerics import DEFAULT_TOL, as_indices, det_sign, is_orthogonal, rng
+
+
+#: How closely a rebuilt label or isotope pair must reproduce the tensor.
+REBUILD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,7 @@ class Algebra:
     sc[i, j, :] holds the coordinates of e_i * e_j, in a read-only copy of
     the input; no attribute can be set.  A family label is kept, as its
     rebuild's label, once that rebuild (from_family, then transport by the
-    frame) reproduces sc within 1e-12, else BadParameter; an isotope pair
+    frame) reproduces sc within REBUILD_TOL, else BadParameter; an isotope pair
     (f, g) given here is checked the same way, by from_isotope.  The pair is
     kept in memory as the presentation, for callers; no library function
     reads it, transport drops it, and it is not serialized (a family label
@@ -113,16 +118,12 @@ class Algebra:
             raise ValueError("structure tensor has non-finite entries")
         sc.flags.writeable = False
         if isotope is not None:
-            rebuilt = from_isotope(*isotope)
-            if rebuilt.sc.shape != sc.shape or np.max(np.abs(rebuilt.sc - sc)) > 1e-12:
-                raise BadParameter("isotope pair does not reproduce the structure tensor")
-            isotope = rebuilt.isotope
+            isotope = _reproducing(from_isotope(*isotope), sc, "isotope pair").isotope
         if family is not None:
             rebuilt = from_family(family.name, family.params)
             if family.frame is not None:
                 rebuilt = transport(family.frame, rebuilt)
-            if rebuilt.sc.shape != sc.shape or np.max(np.abs(rebuilt.sc - sc)) > 1e-12:
-                raise BadParameter("family label does not reproduce the structure tensor")
+            rebuilt = _reproducing(rebuilt, sc, "family label")
             family, isotope = rebuilt.family, rebuilt.isotope if isotope is None else isotope
         for name, value in (("dim", sc.shape[0]), ("sc", sc), ("family", family),
                             ("isotope", isotope)):
@@ -150,6 +151,13 @@ class Algebra:
     def to_json(self):
         return {"dim": self.dim, "sc": self.sc.tolist(),
                 "family": self.family.to_json() if self.family else None}
+
+
+def _reproducing(rebuilt, sc, what):
+    """rebuilt, once its tensor reproduces sc within REBUILD_TOL; else BadParameter."""
+    if rebuilt.sc.shape != sc.shape or np.max(np.abs(rebuilt.sc - sc)) > REBUILD_TOL:
+        raise BadParameter(f"{what} does not reproduce the structure tensor")
+    return rebuilt
 
 
 def octonion_algebra():
@@ -215,7 +223,7 @@ def _sample_points(dim):
 
 def _det_sign_samples(algebra, count, tol):
     """Rows (sgn det L_a, sgn det R_a) at the first count sample points a;
-    NearSingular when any of the determinants is within zero_tol of 0."""
+    NearSingular when any of the determinants is within tol of 0."""
     n, sc = algebra.dim, algebra.sc
     ops = np.einsum("ci,sijk->cskj", _sample_points(n)[:count],
                     np.stack([sc, sc.transpose(1, 0, 2)]))  # ops[c] = (L_a, R_a)
@@ -247,13 +255,13 @@ def is_division(algebra, tol=DEFAULT_TOL):
 
 def norm_multiplicative(algebra, tol=DEFAULT_TOL):
     """|xy| = |x||y| for the standard inner product, polarized: entrywise
-    <e_i e_j, e_l e_m> + <e_i e_m, e_l e_j> = 2 d_il d_jm within eq_tol."""
+    <e_i e_j, e_l e_m> + <e_i e_m, e_l e_j> = 2 d_il d_jm within tol."""
     n = algebra.dim
     flat = algebra.sc.reshape(n * n, n)
     gram = (flat @ flat.T).reshape(n, n, n, n)
     polar = (gram + gram.transpose(0, 3, 2, 1)).reshape(n * n, n * n)
     polar.flat[:: n * n + 1] -= 2.0
-    return bool(np.abs(polar).max() < tol.eq_tol)
+    return bool(np.abs(polar).max() < tol.value)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +397,8 @@ def from_json(obj):
 # ---------------------------------------------------------------------------
 
 def _vanishes(x, tol):
-    """Every entry of x inside the closed eq_tol deadband of 0."""
-    return not any(deadband_signs(x, tol.eq_tol))
+    """The norm of x, which a rotation keeps, lies in the closed deadband of tol."""
+    return math.hypot(*x.tolist()) <= tol.value
 
 
 def tau_block(i, j, a, b, tol=DEFAULT_TOL):
@@ -422,10 +430,8 @@ def t_block(i, j, a1, b1, a2, b2, tol=DEFAULT_TOL):
 
 def _imaginary_span_dim(quats, tol=DEFAULT_TOL):
     ims = np.array([np.asarray(x, float)[1:] for x in quats])
-    if _vanishes(ims, tol):
-        return 0
     s = np.linalg.svd(ims, compute_uv=False)
-    return int(np.sum(s > tol.rank_tol * max(s[0], 1.0)))
+    return int(np.sum(s > tol.value * max(s[0], 1.0)))
 
 
 def in_TxT_ij(i, j, a, b, tol=DEFAULT_TOL):

@@ -9,7 +9,7 @@ entries and the enumeration grid.  canonical() needs a family label, and
 composes the witness with the transpose of the label's frame.  Labels are
 checked against their tensors where they enter an Algebra, so isomorphic()
 trusts the forms: with a form on both sides, differing blocks or parameters
-give No and a witness with residual below 1e-8 gives Yes, with no derivation
+give No and a witness with residual below PAIR_TOL gives Yes, with no derivation
 work.  The other pairs compare invariants, the double sign first, a form
 standing in for its side's: differing ones give No, equal ones Unknown.
 """
@@ -28,8 +28,8 @@ from . import derivations as dv
 from . import maps as mp
 from . import normal_form as nf
 from .errors import NotInBlock, RawTensorNotSupported
-from .numerics import DEFAULT_TOL
-from .triality import PAIR_TOL, witness_residual
+from .numerics import DEFAULT_TOL, PAIR_TOL
+from .triality import witness_residual
 
 _SIGN_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -260,7 +260,7 @@ def _angle_grid(kind, grid):
     """Index tuples with i2 = 1 or j2 = 1, alpha on the open grid of (0, pi/2),
     beta on that of (0, pi).  alpha stays pi/(2(grid+1)) from 0 and pi/2, the
     excluded point's alpha and the fold region's edge; up to grid 1569 that is
-    above every admissible zero_tol (< 1e-3), so each point is in_d1133 and its
+    above every admissible tol (< 1e-3), so each point is in_d1133 and its
     own canonical_1133."""
     for (i1, j1), (i2, j2), alpha, beta in product(
             _SIGN_PAIRS, _SIGN_PAIRS[1:], _grid_open(grid, 0.0, np.pi / 2), _grid_open(grid)):
@@ -334,7 +334,7 @@ def _canonical_params(name, p, tol=DEFAULT_TOL):
     return _BY_FAMILY[name].reduce(name, p, tol)
 
 
-def _params_close(kind, left, right, tol=1e-8):
+def _params_close(kind, left, right, tol=PAIR_TOL):
     return _SPACES[kind].close(left, right, tol)
 
 
@@ -364,7 +364,7 @@ def isomorphic(a, b, tol=DEFAULT_TOL):
     Forms of both inputs decide without derivation work, since every label
     was checked against its tensor: No when the blocks or the parameters
     differ, Yes when the composed witness has a tensor-level residual below
-    1e-8, else Unknown.  Every other pair compares invariants, a form's block
+    PAIR_TOL, else Unknown.  Every other pair compares invariants, a form's block
     and sign standing in for its side's analyze(): the double sign first, No
     when they differ, then No on differing blocks, else Unknown (a raw tensor
     or a label outside the covered blocks).

@@ -30,7 +30,7 @@ class BadInput(Exception):
 def _tolerance_arg(text):
     try:
         t = float(text)
-        return TolerancePolicy(rank_tol=t, eq_tol=t, zero_tol=t)
+        return TolerancePolicy(t)
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
 

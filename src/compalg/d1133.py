@@ -18,7 +18,7 @@ import numpy as np
 from . import maps as mp
 from . import octonion as oc
 from .errors import BadIndices, NotInBlock
-from .numerics import DEFAULT_TOL, as_indices, deadband_signs
+from .numerics import DEFAULT_TOL, PAIR_TOL, as_indices, deadband_signs
 
 PI = np.pi
 
@@ -163,11 +163,11 @@ def in_d1133(params: GParams, tol=DEFAULT_TOL):
     # the deadband on the angle distance rather than on the cosine residual
     alpha0, beta0 = excluded_point(*params.indices)
     return any(deadband_signs((circle_distance(params.alpha, alpha0),
-                               circle_distance(params.beta, beta0)), tol.zero_tol))
+                               circle_distance(params.beta, beta0)), tol.value))
 
 
 def _region_member(alpha, beta, tol):
-    return deadband_signs((alpha - PI / 2, beta - PI / 2), tol.zero_tol) <= (0, 0)
+    return deadband_signs((alpha - PI / 2, beta - PI / 2), tol.value) <= (0, 0)
 
 
 def canonical_1133(params: GParams, tol=DEFAULT_TOL):
@@ -197,7 +197,7 @@ def _angle_mod(x, modulus, tol):
     return min(r, modulus - r) < tol
 
 
-def iso_1133_lattice_oracle(p: GParams, q: GParams, tol=1e-8):
+def iso_1133_lattice_oracle(p: GParams, q: GParams):
     """Independent isomorphism test through the conjugation-twisted angles.
 
     Converts both points at gamma = 0 and checks the sign-and-lattice
@@ -213,15 +213,14 @@ def iso_1133_lattice_oracle(p: GParams, q: GParams, tol=1e-8):
     for sign in (1.0, -1.0):
         dx = xip - sign * xi
         dy = etap - sign * eta
-        if (i1, j1) != (1, 1):
-            if (i2, j2) == (0, 1):
-                ok = _angle_mod(dx, PI / 3, tol) and _angle_mod(dy, PI, tol)
-            elif (i2, j2) == (1, 0):
-                ok = _angle_mod(dx, PI, tol) and _angle_mod(dy, PI / 3, tol)
-            else:
-                ok = _angle_mod(dx, PI / 3, tol) and _angle_mod(dy - dx, PI, tol)
+        if (i1, j1) == (1, 1):
+            residues = ((dx, PI / 3), (dy, PI / 3))
+        elif (i2, j2) == (0, 1):
+            residues = ((dx, PI / 3), (dy, PI))
+        elif (i2, j2) == (1, 0):
+            residues = ((dx, PI), (dy, PI / 3))
         else:
-            ok = _angle_mod(dx, PI / 3, tol) and _angle_mod(dy, PI / 3, tol)
-        if ok:
+            residues = ((dx, PI / 3), (dy - dx, PI))
+        if all(_angle_mod(x, modulus, PAIR_TOL) for x, modulus in residues):
             return True
     return False

@@ -64,9 +64,6 @@ class ModuleDecomposition:
     def trivial_dim(self):
         return self.trivial.shape[1]
 
-    def to_json(self):
-        return {"partition": list(self.partition), "trivial_dim": self.trivial_dim}
-
 
 def leibniz_matrix(algebra, skew=False):
     """The dim^3 x dim^2 system whose kernel is Der(A), acting on vec(D); with
@@ -195,7 +192,7 @@ def commutant_basis(restricted, d, tol=DEFAULT_TOL):
     and its upper triangle, off-diagonal rows weighted sqrt(2), has the Gram
     matrix and singular values of all d^2 entries at half the height.  Other
     deltas fall back to gl(d) coordinates with all d^2 entries as rows."""
-    skew = np.max(np.abs(restricted + restricted.transpose(0, 2, 1)), initial=0.0) < tol.eq_tol
+    skew = np.max(np.abs(restricted + restricted.transpose(0, 2, 1)), initial=0.0) < tol.value
     if skew:
         coords, (i, k) = _sym_basis(d), _triu_indices(d)
         prod = restricted.reshape(-1, d) @ coords.transpose(1, 0, 2).reshape(d, -1)

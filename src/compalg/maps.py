@@ -23,15 +23,23 @@ from .numerics import DEFAULT_TOL, as_indices, det_sign, is_orthogonal
 
 
 class OrthoMap8:
-    """An orthogonal operator on O (or on H for 4-dimensional work)."""
+    """An immutable orthogonal operator on O (or on H for 4-dimensional work);
+    mat is a read-only view of the input matrix."""
 
     __slots__ = ("mat",)
 
     def __init__(self, mat, check=True):
-        mat = np.asarray(mat, dtype=float)
+        mat = np.asarray(mat, dtype=float).view()
         if check and not is_orthogonal(mat):
-            raise NotOrthogonal("matrix is not orthogonal within eq_tol")
-        self.mat = mat
+            raise NotOrthogonal("matrix is not orthogonal within the default tolerance")
+        mat.flags.writeable = False
+        object.__setattr__(self, "mat", mat)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"OrthoMap8 is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return OrthoMap8, (self.mat, False)
 
     @property
     def dim(self):
@@ -136,7 +144,7 @@ def sigma_map(vectors):
         return identity_map()
     basis = np.column_stack(cols)
     gram = basis.T @ basis
-    if not np.max(np.abs(gram - np.eye(basis.shape[1]))) < DEFAULT_TOL.eq_tol:
+    if not np.max(np.abs(gram - np.eye(basis.shape[1]))) < DEFAULT_TOL.value:
         raise NotOrthonormal("reflection vectors must be orthonormal")
     dim = basis.shape[0]
     mat = np.eye(dim) - 2.0 * basis @ basis.T
@@ -234,7 +242,7 @@ def is_automorphism(phi, tol=DEFAULT_TOL):
     mat = as_matrix(phi)
     if mat.shape != (8, 8) or not np.isfinite(mat).all():
         return False
-    if oc.homomorphism_residual(mat, mat, mat) >= tol.eq_tol:
+    if oc.homomorphism_residual(mat, mat, mat) >= tol.value:
         return False
     try:
         return det_sign(mat, tol) == 1

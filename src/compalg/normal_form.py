@@ -10,9 +10,9 @@ Quaternions are 4-vectors in the basis (1, u, v, uv).  The canonical sets:
 with refinements M1...M4 for the bracket actions, built from the same
 coordinate inequalities plus lexicographic tie rules.  Every membership test,
 stabilizer case and sign normalization reads the coordinates' signs from
-numerics.deadband_signs at zero_tol, one closed deadband: |x| <= zero_tol
+numerics.deadband_signs at the tolerance, one closed deadband: |x| <= tol
 counts as 0, so each coordinate has exactly one sign.  Results with a
-coordinate in [zero_tol, 10 zero_tol) are flagged as near a boundary.
+coordinate in [tol, 10 tol) are flagged as near a boundary.
 
 The reductions are constructive: rotate the first imaginary part onto the
 u-axis by one closed form, then rotate about u to push the second
@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NotCanonical
-from .numerics import DEFAULT_TOL, deadband_signs, leading_sign
+from .numerics import DEFAULT_TOL, PAIR_TOL, deadband_signs, leading_sign
 from .octonion import quat_kappa as kappa
 from .octonion import quat_mul
 
@@ -57,7 +57,7 @@ class PairTT:
         yield self.a
         yield self.b
 
-    def close_to(self, other, tol=1e-8):
+    def close_to(self, other, tol=PAIR_TOL):
         return (np.max(np.abs(self.a - other.a)) < tol
                 and np.max(np.abs(self.b - other.b)) < tol)
 
@@ -89,14 +89,14 @@ class BracketTT:
     def pair(self):
         return self.rep
 
-    def close_to(self, other, tol=1e-8):
+    def close_to(self, other, tol=PAIR_TOL):
         rep2 = other.rep if isinstance(other, BracketTT) else other
         flipped = PairTT(-rep2.a, -rep2.b)
         return self.rep.close_to(rep2, tol) or self.rep.close_to(flipped, tol)
 
 
 def _sign_normalize(pair, tol=DEFAULT_TOL):
-    if leading_sign(np.concatenate([pair.a, pair.b]), tol.zero_tol) < 0:
+    if leading_sign(np.concatenate([pair.a, pair.b]), tol.value) < 0:
         return PairTT(-pair.a, -pair.b)
     return pair
 
@@ -140,7 +140,7 @@ def act_pair(q, brackets, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 def _signs(q, tol):
-    return deadband_signs(q, tol.zero_tol)
+    return deadband_signs(q, tol.value)
 
 
 def _pair_signs(pair, tol):
@@ -170,10 +170,10 @@ def _T(s, m, n):
 
 
 def is_pm_one(q, tol=DEFAULT_TOL):
-    """The imaginary part's norm lies in the closed zero_tol deadband: a
+    """The imaginary part's norm lies in the closed deadband of tol: a
     rotation keeps the norm, where it moves the coordinates' signs."""
     _, x, y, z = np.asarray(q, dtype=float).tolist()
-    return math.hypot(x, y, z) <= tol.zero_tol
+    return math.hypot(x, y, z) <= tol.value
 
 
 def in_P0(q, tol=DEFAULT_TOL):
@@ -312,11 +312,11 @@ def in_transversal(point, which, tol=DEFAULT_TOL):
 
 
 def _boundary_flag(pairs, tol):
-    bound = BOUNDARY_FACTOR * tol.zero_tol
+    bound = BOUNDARY_FACTOR * tol.value
     for pair in pairs:
         for q in pair:
             for x in q.tolist():
-                if tol.zero_tol <= abs(x) < bound:
+                if tol.value <= abs(x) < bound:
                     return True
     return False
 

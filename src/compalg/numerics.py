@@ -20,28 +20,26 @@ DEFAULT_SEED = 0xC0FFEE
 #: Eigenvalues closer than this are reported as one cluster.
 CLUSTER_TOL = 1e-7
 
+#: Orbit closeness of canonical parameters, and the largest homomorphism
+#: residual of a witness or a triality pair.
+PAIR_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Thresholds used for rank, equality and zero decisions.
+    """The one threshold of every numeric decision.
 
-    rank_tol is relative to the largest singular value; eq_tol is an
-    entrywise threshold; zero_tol decides when a scalar counts as zero.
-    Every sign or zero decision on family parameters reads deadband_signs
-    below (zero_tol in the normal forms, triality signs and the D1133 fold,
-    eq_tol in algebra's block functions), and its deadband is closed:
-    |x| <= zero_tol (or eq_tol) counts as 0.
+    Rank cuts read value relative to the largest singular value, equality
+    checks read it entrywise, and every sign or zero decision on family
+    parameters reads it as the closed deadband of deadband_signs below:
+    |x| <= value counts as 0.
     """
 
-    rank_tol: float = 1e-9
-    eq_tol: float = 1e-9
-    zero_tol: float = 1e-9
+    value: float = 1e-9
 
     def __post_init__(self):
-        for name in ("rank_tol", "eq_tol", "zero_tol"):
-            value = getattr(self, name)
-            if not (0.0 < value < 1e-3):
-                raise ValueError(f"{name} must lie in (0, 1e-3), got {value}")
+        if not (0.0 < self.value < 1e-3):
+            raise ValueError(f"tolerance must lie in (0, 1e-3), got {self.value}")
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -100,12 +98,12 @@ def check_matrix(m, square=False, stack=False):
 
 
 def _rank_cut(s, tol):
-    """Number of singular values s (descending) above rank_tol relative to
-    the largest; none when the largest is within zero_tol of 0."""
+    """Number of singular values s (descending) above tol relative to the
+    largest; none when the largest is within tol of 0."""
     smax = s[0]
-    if smax <= tol.zero_tol:
+    if smax <= tol.value:
         return 0
-    return int(np.sum(s > tol.rank_tol * smax))
+    return int(np.sum(s > tol.value * smax))
 
 
 def nullspace(m, tol=DEFAULT_TOL):
@@ -115,7 +113,7 @@ def nullspace(m, tol=DEFAULT_TOL):
 
 def row_and_null_space(m, tol=DEFAULT_TOL):
     """Orthonormal bases of the row space and of the kernel of m, as columns,
-    from one SVD.  The rank cut is rank_tol relative to the largest singular
+    from one SVD.  The rank cut is tol relative to the largest singular
     value; an all-zero matrix has a full kernel.  U is never used: a tall
     input is reduced to the square R factor of its QR first (same s and V;
     LAPACK's SVD takes that step itself when rows far outnumber columns); a
@@ -150,8 +148,8 @@ class SymEigen:
 
 def sym_eigen(m, tol=DEFAULT_TOL):
     m = check_matrix(m, square=True)
-    if m.size and np.max(np.abs(m - m.T)) >= tol.eq_tol:
-        raise NotSymmetric(f"asymmetry {np.max(np.abs(m - m.T)):g} exceeds eq_tol")
+    if m.size and np.max(np.abs(m - m.T)) >= tol.value:
+        raise NotSymmetric(f"asymmetry {np.max(np.abs(m - m.T)):g} exceeds tol")
     w, v = np.linalg.eigh(0.5 * (m + m.T))
     clusters = []
     start = 0
@@ -164,23 +162,23 @@ def sym_eigen(m, tol=DEFAULT_TOL):
 
 def det_sign(m, tol=DEFAULT_TOL):
     """Sign of det(m) as +1 or -1, or an int array of them for a stack of
-    matrices; NearSingular when any |det| <= zero_tol."""
+    matrices; NearSingular when any |det| <= tol."""
     m = check_matrix(m, square=True, stack=True)
     sign, logabs = np.linalg.slogdet(m)
-    if (np.exp(logabs) <= tol.zero_tol).any():  # a singular matrix has logabs -inf
-        raise NearSingular("determinant within zero_tol of 0")
+    if (np.exp(logabs) <= tol.value).any():  # a singular matrix has logabs -inf
+        raise NearSingular("determinant within tol of 0")
     return int(sign) if m.ndim == 2 else sign.astype(int)
 
 
 def is_orthogonal(m, tol=DEFAULT_TOL):
-    """m^T m = I within eq_tol; False for input that is not a finite,
+    """m^T m = I within tol; False for input that is not a finite,
     non-empty square matrix."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1] or not np.isfinite(m).all():
         return False
     gram = m.T @ m
     gram.flat[:: len(m) + 1] -= 1.0
-    return bool(abs(gram).max() < tol.eq_tol)
+    return bool(abs(gram).max() < tol.value)
 
 
 def is_special_orthogonal(m, tol=DEFAULT_TOL):

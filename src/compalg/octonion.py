@@ -104,14 +104,6 @@ class Octonion:
         e[:4] = q
         return cls(e)
 
-    def to_json(self):
-        """Serialize as a plain array of 8 coordinates in the fixed basis."""
-        return self.coords.tolist()
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(np.asarray(obj, dtype=float))
-
     def __mul__(self, other):
         if isinstance(other, Octonion):
             return Octonion(mul(self.coords, other.coords))
@@ -199,17 +191,17 @@ def homomorphism_residual(phi, phi1, phi2, source=_STRUCTURE_F, target=_STRUCTUR
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def is_cayley_triple(a, b, c, tol=DEFAULT_TOL):
+def is_cayley_triple(a, b, c):
     """True iff (a, b, c) is orthonormal, imaginary, and c is orthogonal to ab.
 
-    Entries are Octonions or 8-vectors; checks read `not x < tol`, so that
-    non-finite input fails them."""
+    Entries are Octonions or 8-vectors.  An input check: it reads DEFAULT_TOL
+    as `not x < tol`, so that non-finite input fails it."""
+    tol = DEFAULT_TOL.value
     vecs = [as_coords(x) for x in (a, b, c)]
-    if any(x.shape != (8,) or not (abs(x @ x - 1.0) < tol.eq_tol and abs(x[0]) < tol.eq_tol)
-           for x in vecs):
+    if any(x.shape != (8,) or not (abs(x @ x - 1.0) < tol and abs(x[0]) < tol) for x in vecs):
         return False
     a, b, c = vecs
-    return bool(max(abs(a @ b), abs(a @ c), abs(b @ c), abs(mul(a, b) @ c)) < tol.eq_tol)
+    return bool(max(abs(a @ b), abs(a @ c), abs(b @ c), abs(mul(a, b) @ c)) < tol)
 
 
 class CayleyTriple:
@@ -242,18 +234,18 @@ def as_unit(x, n, what="parameter"):
     or 8), returned as an n-vector.
 
     A 4- or 8-vector is cut to n coordinates when its tail vanishes; for O a
-    quaternion is padded with zeros.  Checks read `not x < eq_tol` of
+    quaternion is padded with zeros.  Checks read `not x < tol` of
     DEFAULT_TOL, so that non-finite input fails them."""
     name, error = _UNIT_SPACES[n]
     x = as_coords(x)
     if x.shape in ((4,), (8,)) and len(x) > n:
-        if not np.max(np.abs(x[n:])) < DEFAULT_TOL.eq_tol:
+        if not np.max(np.abs(x[n:])) < DEFAULT_TOL.value:
             raise error(f"{what}: coordinates outside {name} are nonzero")
         x = x[:n]
     elif n == 8 and x.shape == (4,):
         x = np.concatenate([x, np.zeros(4)])
     if x.shape != (n,):
         raise error(f"{what}: expected {n} coordinates, got shape {x.shape}")
-    if not abs(x @ x - 1.0) < DEFAULT_TOL.eq_tol:
+    if not abs(x @ x - 1.0) < DEFAULT_TOL.value:
         raise error(f"{what}: norm differs from 1 by {abs(np.linalg.norm(x) - 1):g}")
     return x.astype(float)

@@ -23,9 +23,7 @@ import numpy as np
 from . import maps as mp
 from . import octonion as oc
 from .errors import NotSpecialOrthogonal
-from .numerics import DEFAULT_TOL, is_orthogonal, is_special_orthogonal, leading_sign
-
-PAIR_TOL = 1e-8
+from .numerics import DEFAULT_TOL, PAIR_TOL, is_orthogonal, is_special_orthogonal, leading_sign
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,7 @@ def solve_triality_components(m, tol=DEFAULT_TOL):
 
 def triality_pair(phi, tol=DEFAULT_TOL):
     """A triality pair of phi in SO(8), sign-normalized deterministically
-    (first coordinate of phi2(1) outside the zero_tol deadband positive).
+    (first coordinate of phi2(1) outside the deadband of tol positive).
 
     Computed in closed form from a reflection factorization of phi.
     NotSpecialOrthogonal unless phi is an orthogonal 8x8 matrix of
@@ -98,7 +96,7 @@ def triality_pair(phi, tol=DEFAULT_TOL):
     if m.shape != (8, 8) or not is_special_orthogonal(m, tol):
         raise NotSpecialOrthogonal("triality pairs exist only for maps in SO(8)")
     phi1, phi2 = _closed_form_pair(m)
-    if leading_sign(phi2[:, 0], tol.zero_tol) < 0:
+    if leading_sign(phi2[:, 0], tol.value) < 0:
         phi1, phi2 = -phi1, -phi2
     res = oc.homomorphism_residual(m, phi1, phi2)
     if res >= PAIR_TOL:

@@ -231,9 +231,9 @@ def test_block_functions_pin_membership_predicates():
     c = np.array([np.cos(0.4), np.sin(0.4), 0, 0])
     d = np.array([np.cos(1.1), np.sin(1.1), 0, 0])
     v = np.array([np.cos(0.7), 0, np.sin(0.7), 0])
-    # largest imaginary coordinate exactly eq_tol: inside the closed deadband,
+    # imaginary part of norm exactly tol: inside the closed deadband,
     # so all four count as +-1
-    edge = np.array([1.0, al.DEFAULT_TOL.eq_tol, 0, 0])
+    edge = np.array([1.0, al.DEFAULT_TOL.value, 0, 0])
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
         tau_points = [
             ((one, one), "D17"),
@@ -257,6 +257,19 @@ def test_block_functions_pin_membership_predicates():
             assert al.t_block(i, j, *qs) == kind, (i, j, kind)
             assert al.in_S(*qs) == (kind is not None)
             assert al.in_S_ij(i, j, *qs) == (kind not in (None, "D116"))
+
+
+def test_pm_one_tests_read_the_imaginary_norm():
+    # q and r are kappa-conjugate: their imaginary parts have one norm,
+    # 8e-10 * sqrt(2), outside the deadband, while each coordinate of q lies in it
+    q, r = (x / np.linalg.norm(x) for x in (np.array([1.0, 8e-10, 8e-10, 0]),
+                                            np.array([1.0, 8e-10 * np.sqrt(2), 0, 0])))
+    one = np.array([1.0, 0, 0, 0])
+    assert al.tau_block(0, 0, q, -one) == al.tau_block(0, 0, r, -one) == "D134a"
+    a, b = al.k_family(0, 0, q, one, one, one), al.k_family(0, 0, r, one, one, one)
+    assert cl.canonical(a).block == cl.canonical(b).block
+    verdict = cl.isomorphic(a, b)
+    assert verdict.verdict == "yes" and verdict.witness is not None
 
 
 def test_json_roundtrip_bit_exact(gen):

@@ -138,7 +138,7 @@ def test_tight_tolerance_keeps_a_near_unit_label():
         return np.array([np.cos(angle), np.sin(angle), 0.0, 0.0])
 
     k = al.k_family(0, 1, (1 + 1e-10) * cx(0.5), cx(0.8), np.array([0.6, 0, 0.8, 0]), U4)
-    tight = cl.canonical(k, TolerancePolicy(1e-12, 1e-12, 1e-12))
+    tight = cl.canonical(k, TolerancePolicy(1e-12))
     assert str(tight.block) == "D11114^(+,-)"
     assert tight.to_json() == cl.canonical(k).to_json()
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from compalg import algebra as al
+from compalg import classify as cl
 from compalg import d1133 as d33
 from compalg import maps as mp
 from compalg import octonion as oc
@@ -150,6 +151,13 @@ def test_canonical_region(gen):
     assert eps == 1
     with pytest.raises(NotInBlock):
         d33.canonical_1133(d33.GParams(0, 0, 0, 1, PI / 2, 0.0))
+    # on the fixed line alpha = 0 both beta and pi - beta lie in the region:
+    # the smaller candidate is kept
+    for beta in (0.3, PI - 0.3):
+        c, _ = d33.canonical_1133(d33.GParams(0, 0, 0, 1, 0.0, beta))
+        assert c.alpha == 0.0 and abs(c.beta - 0.3) < 1e-12
+    pair = (al.g_family(0, 0, 0, 1, 0.0, 0.3), al.g_family(0, 0, 0, 1, 0.0, PI - 0.3))
+    assert cl.isomorphic(*pair).verdict == "yes"
 
 
 def test_canonical_orbit_constancy(gen):

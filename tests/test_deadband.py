@@ -1,9 +1,9 @@
 """One closed deadband for every parameter-level sign decision.
 
-numerics.deadband_signs gives each value one sign, with |x| <= zero_tol
+numerics.deadband_signs gives each value one sign, with |x| <= tol
 counted as 0; the normal-form predicates, sign normalizations, block
 functions and the D1133 exclusion all read it, so a coordinate of exactly
-+-zero_tol means the same thing to each of them."""
++-tol means the same thing to each of them."""
 
 import json
 
@@ -20,7 +20,7 @@ from compalg.errors import NotInBlock
 from compalg.numerics import DEFAULT_TOL, deadband_signs, leading_sign
 from compalg.triality import triality_pair
 
-Z = DEFAULT_TOL.zero_tol
+Z = DEFAULT_TOL.value
 SIGN_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -77,7 +77,7 @@ def test_d1133_exclusion_distance_is_closed():
     assert d33.in_d1133(d33.GParams(0, 1, 0, 1, alpha0 + 2 * Z, beta0))
 
 
-#: A T-family point with coordinates of exactly +-zero_tol.
+#: A T-family point with coordinates of exactly +-tol.
 EDGE_POINT = (1, 0, _n(-Z, 1, 0, 0), np.array([0.0, -1, 0, 0]), _n(0, Z, 0, -1), _n(-1, 0, 0, Z))
 
 
@@ -97,7 +97,7 @@ def test_edge_point_is_canonical_and_isomorphic_to_itself(tmp_path, capsys):
 
 def test_edge_sweep_of_signed_basis_tuples():
     """2000 T-family tuples of +-basis quaternions, one coordinate of each
-    offset by 0 or +-zero_tol: every one reduces into N, or is all +-1."""
+    offset by 0 or +-tol: every one reduces into N, or is all +-1."""
     gen = np.random.default_rng(14)
     count = 2000
     rows = np.arange(count)[:, None], np.arange(4)

@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -7,6 +8,7 @@ from compalg import algebra as al
 from compalg import classify as cl
 from compalg import d1133 as d33
 from compalg import derivations as dv
+from compalg import maps as mp
 from compalg import normal_form as nf
 from compalg import octonion as oc
 from compalg import triality as tr
@@ -650,3 +652,13 @@ def test_analysis_records_are_immutable():
         with pytest.raises(FrozenInstanceError):
             setattr(record, field, None)
     assert not verdict
+    j = al.j_family(0, 0, [0.6, 0.8, 0, 0], [0, 0, 1, 0])
+    for witness in (cl.canonical(j).witness, cl.isomorphic(j, j).witness):
+        with pytest.raises(ValueError):
+            witness.mat[0, 0] = 3.0
+        with pytest.raises(AttributeError):
+            witness.mat = None
+        assert pickle.loads(pickle.dumps(witness)).mat.tobytes() == witness.mat.tobytes()
+    own = np.eye(8)
+    mp.OrthoMap8(own)
+    assert own.flags.writeable

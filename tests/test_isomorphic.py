@@ -133,6 +133,8 @@ def test_matches_the_invariant_first_ordering(gen):
         pairs.append((raw(a), raw(b)))  # raw twins
         pairs.append((a, raw(b)))       # one side labelled
         pairs.append((raw(b), a))
+    # raw tensors of differing double signs
+    pairs.append((raw(al.standard_isotope(0, 0)), raw(al.standard_isotope(1, 0))))
     moved = 0
     for a, b in pairs:
         want = expected_isomorphic(a, b)

@@ -293,7 +293,7 @@ def test_nf_pair_of_moving_tuples_avoids_excluded_points(gen):
 
 
 def test_boundary_flag_at_its_thresholds(tol):
-    z, bound = tol.zero_tol, nf.BOUNDARY_FACTOR * tol.zero_tol
+    z, bound = tol.value, nf.BOUNDARY_FACTOR * tol.value
     cases = [(z, True), (-z, True), (bound, False), (-bound, False), (0.0, False), (-0.0, False),
              (np.nextafter(z, 0.0), False), (np.nextafter(bound, 0.0), True), (1.0, False)]
     for x, flagged in cases:
@@ -305,7 +305,7 @@ def test_boundary_flag_at_its_thresholds(tol):
 def test_is_pm_one_reads_the_imaginary_norm(tol):
     # the closed deadband on |Im q|: a rotation keeps it, so it cannot move
     # a component across the +-1 test the way per-coordinate signs can
-    z = tol.zero_tol
+    z = tol.value
     assert nf.is_pm_one(np.array([1.0, z, 0.0, 0.0]))
     assert nf.is_pm_one(np.array([-1.0, 0.0, 0.6 * z, -0.8 * z]))
     assert not nf.is_pm_one(np.array([1.0, 0.9 * z, 0.9 * z, 0.0]))
@@ -313,7 +313,7 @@ def test_is_pm_one_reads_the_imaginary_norm(tol):
 
 
 def test_nf_M1_tag_survives_a_rotation_inside_the_deadband():
-    # kappa_q a has every imaginary coordinate within zero_tol, but its
+    # kappa_q a has every imaginary coordinate within tol, but its
     # imaginary norm (1.25e-9) is not: both orbit points read P0 x P
     a = np.array([1.0, -1.2534902714072827e-09, 0.0, 0.0])
     b = np.array([-0.71905637832721125, -0.29362080951591624,
