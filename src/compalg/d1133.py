@@ -22,12 +22,18 @@ from .numerics import DEFAULT_TOL, PAIR_TOL, as_indices, deadband_signs
 
 PI = np.pi
 
+#: The twelve index tuples (i2 = 1 or j2 = 1), each its own value: one lookup checks and casts.
+_INDEX_TUPLES = {k: k for k in np.ndindex(2, 2, 2, 2) if k[2] or k[3]}
+
 
 def _check_indices(i1, j1, i2, j2):
-    i1, j1, i2, j2 = as_indices(i1, j1, i2, j2)
-    if i2 != 1 and j2 != 1:
-        raise BadIndices("need i2 = 1 or j2 = 1")
-    return i1, j1, i2, j2
+    try:
+        return _INDEX_TUPLES[i1, j1, i2, j2]
+    except (KeyError, TypeError):  # not one of the twelve, or unhashable
+        i1, j1, i2, j2 = as_indices(i1, j1, i2, j2)
+        if i2 != 1 and j2 != 1:
+            raise BadIndices("need i2 = 1 or j2 = 1") from None
+        return i1, j1, i2, j2
 
 
 @dataclass(frozen=True)
@@ -146,24 +152,29 @@ def f_to_g(params: FParams):
 def excluded_point(i1, j1, i2, j2):
     """The unique (alpha, beta) in [0, pi)^2 whose pair degenerates out of
     the block: cos(2 alpha) = (-1)^(j1+j2) and cos(2 beta) = (-1)^(i1+i2)."""
-    i1, j1, i2, j2 = _check_indices(i1, j1, i2, j2)
-    alpha = 0.0 if (j1 + j2) % 2 == 0 else PI / 2
-    beta = 0.0 if (i1 + i2) % 2 == 0 else PI / 2
-    return alpha, beta
+    return PI / 2 * ((j1 + j2) % 2), PI / 2 * ((i1 + i2) % 2)
 
 
 def circle_distance(x, y):
-    """Distance of two angles on the circle R / pi Z."""
-    return min((x - y) % PI, (y - x) % PI)
+    """Distance of angles on the circle R / pi Z, elementwise: the smaller of
+    (x - y) mod pi and (y - x) mod pi, picked by 0/1 masks so floats stay floats."""
+    d, e = (x - y) % PI, (y - x) % PI
+    return d * (d <= e) + e * (e < d)
+
+
+def in_d1133_angles(indices, alpha, beta, tol=DEFAULT_TOL):
+    """Exclusion test over angles (floats or arrays, broadcast together): a
+    boolean array, True where (cos 2a, cos 2b) != ((-1)^(j1+j2), (-1)^(i1+i2))."""
+    # the excluded equation is quadratic in the angle near its root, so take the deadband
+    # on the torus distance (the larger circle distance), not on the cosine residual
+    alpha0, beta0 = excluded_point(*_check_indices(*indices))
+    dist = np.maximum(circle_distance(alpha, alpha0), circle_distance(beta, beta0))
+    return np.array(deadband_signs(dist, tol.value), dtype=bool).reshape(dist.shape)
 
 
 def in_d1133(params: GParams, tol=DEFAULT_TOL):
-    """Exclusion test: (cos 2a, cos 2b) != ((-1)^(j1+j2), (-1)^(i1+i2))."""
-    # the excluded equation is quadratic in the angle near its root, so take
-    # the deadband on the angle distance rather than on the cosine residual
-    alpha0, beta0 = excluded_point(*params.indices)
-    return any(deadband_signs((circle_distance(params.alpha, alpha0),
-                               circle_distance(params.beta, beta0)), tol.value))
+    """The exclusion test at one point, as a bool."""
+    return bool(in_d1133_angles(params.indices, params.alpha, params.beta, tol))
 
 
 def _region_member(alpha, beta, tol):

@@ -176,14 +176,6 @@ def is_pm_one(q, tol=DEFAULT_TOL):
     return math.hypot(x, y, z) <= tol.value
 
 
-def in_P0(q, tol=DEFAULT_TOL):
-    return _P0(_signs(q, tol))
-
-
-def in_T12(q, tol=DEFAULT_TOL):
-    return _T(_signs(q, tol), 1, 2)
-
-
 # ---------------------------------------------------------------------------
 # Transversal membership
 # ---------------------------------------------------------------------------

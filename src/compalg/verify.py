@@ -473,11 +473,7 @@ def check_d1133_exclusion(gen, fast):
     grid = np.arange(steps) * np.pi / steps
     for i1, j1 in ((0, 0), (0, 1), (1, 0), (1, 1)):
         for i2, j2 in ((0, 1), (1, 0), (1, 1)):
-            count = 0
-            for a in grid:
-                for b in grid:
-                    if not d33.in_d1133(d33.GParams(i1, j1, i2, j2, a, b), TOL):
-                        count += 1
+            count = np.count_nonzero(~d33.in_d1133_angles((i1, j1, i2, j2), grid[:, None], grid, TOL))
             if count != 1:
                 return False, f"{(i1, j1, i2, j2)}: {count} excluded grid points"
     return True, f"{steps}x{steps} grid, 12 index tuples"

@@ -8,6 +8,7 @@ from compalg import maps as mp
 from compalg import octonion as oc
 from compalg import triality as tr
 from compalg.errors import BadIndices, NotInBlock
+from compalg.numerics import DEFAULT_TOL
 
 from conftest import g_iso
 
@@ -30,6 +31,8 @@ def test_index_constraint():
         d33.GParams(0, 0, 0, 0, 0.1, 0.2)
     with pytest.raises(BadIndices):
         d33.FParams(1, 1, 0, 0, 0.1, 0.2)
+    with pytest.raises(BadIndices):
+        d33.in_d1133_angles((1, 0, 0, 0), np.zeros(3), 0.2)
 
 
 def test_fractional_indices_rejected():
@@ -38,6 +41,11 @@ def test_fractional_indices_rejected():
         d33.GParams(0.9, 0, 1.2, 0, 0.1, 0.2)
     with pytest.raises(BadIndices):
         d33.FParams(1, 1, 1, 0.5, 0.1, 0.2)
+    with pytest.raises(BadIndices):
+        d33.in_d1133_angles((1, 1, 1, 0.5), np.zeros(3), 0.2)
+    # indices equal to 0 or 1 are kept, as ints
+    p = d33.GParams(1.0, np.int64(0), True, np.array(1), 0.1, 0.2)
+    assert p.indices == (1, 0, 1, 1) and all(type(k) is int for k in p.indices)
     assert d33.GParams(1.0, 0, 1, 0.0, 0.1, 0.2).indices == (1, 0, 1, 0)
 
 
@@ -127,12 +135,32 @@ def test_in_d1133_exclusion():
 
 
 def test_exclusion_unique_per_index_tuple():
+    """On the 100 x 100 grid the array test keeps every point but the excluded
+    one, and agrees with the per-point test and a plain-float reference everywhere."""
     grid = np.arange(100) * PI / 100
+
+    def near(x, x0):
+        return min((x - x0) % PI, (x0 - x) % PI) <= DEFAULT_TOL.value
+
     for i1, j1 in ((0, 0), (0, 1), (1, 0), (1, 1)):
         for i2, j2 in ((0, 1), (1, 0), (1, 1)):
-            count = sum(1 for a in grid for b in grid
-                        if not d33.in_d1133(d33.GParams(i1, j1, i2, j2, a, b)))
-            assert count == 1, (i1, j1, i2, j2, count)
+            kept = d33.in_d1133_angles((i1, j1, i2, j2), grid[:, None], grid)
+            assert kept.shape == (100, 100) and kept.dtype == bool
+            a0, b0 = d33.excluded_point(i1, j1, i2, j2)
+            assert np.argwhere(~kept).tolist() == [[round(a0 / (PI / 100)), round(b0 / (PI / 100))]]
+            assert kept.tolist() == [[d33.in_d1133(d33.GParams(i1, j1, i2, j2, a, b)) for b in grid]
+                                     for a in grid]
+            assert kept.tolist() == [[not (near(a, a0) and near(b, b0)) for b in grid] for a in grid]
+
+
+@pytest.mark.parametrize("where", [(0, 0), (17, 3), (99, 99)])
+def test_exclusion_rejects_nan_angles(where):
+    alpha = np.linspace(0.0, 3.0, 100)[:, None] + np.zeros(100)
+    alpha[where] = np.nan
+    with pytest.raises(ValueError):
+        d33.in_d1133_angles((0, 1, 1, 1), alpha, 0.4)
+    with pytest.raises(ValueError):
+        d33.in_d1133_angles((0, 1, 1, 1), 0.4, alpha.T)
 
 
 def test_excluded_algebra_leaves_block():

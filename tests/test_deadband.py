@@ -52,8 +52,9 @@ def test_deadband_signs_of_a_vector_and_nan():
 def test_sign_decisions_read_zero_tol_as_zero(x):
     one = nf.ONE4
     assert nf.is_pm_one(np.array([1.0, x, 0, 0]))
-    assert nf.in_P0(np.array([0.0, 1, x, 0]))
-    assert not nf.in_T12(np.array([x, -1.0, 0, 0]))
+    # the P0 and T12 sign predicates, read through M's pm1_P0 and M2's c2 branch
+    assert nf.in_M(nf.make_pair(one, np.array([0.0, 1, x, 0]))) == (True, "pm1_P0")
+    assert nf.in_M2(nf.make_pair(nf.V4, np.array([x, -1.0, 0, 0]))) == (False, None)
     # the real part x of the P0 component ties, so the P component's decides
     p0 = np.array([x, 1.0, 0, 0])
     assert nf.in_transversal(nf.make_pair(p0, _n(1, 1, 0, 0)), "M1") == (True, "P0_P_plus")
@@ -75,6 +76,14 @@ def test_d1133_exclusion_distance_is_closed():
     alpha0, beta0 = d33.excluded_point(0, 1, 0, 1)
     assert not d33.in_d1133(d33.GParams(0, 1, 0, 1, alpha0 + Z, beta0))
     assert d33.in_d1133(d33.GParams(0, 1, 0, 1, alpha0 + 2 * Z, beta0))
+    # on arrays around an excluded point at (0, 0), where the offsets are exact:
+    # an offset of +-Z in either angle, or both, is excluded, and one of +-2Z is kept
+    offsets = np.array([-2 * Z, -Z, 0.0, Z, 2 * Z])
+    within = abs(offsets) <= Z
+    for indices in ((0, 1, 0, 1), (1, 1, 1, 1)):
+        assert d33.excluded_point(*indices) == (0.0, 0.0)
+        kept = d33.in_d1133_angles(indices, offsets[:, None], offsets)
+        assert (kept == ~(within[:, None] & within)).all()
 
 
 #: A T-family point with coordinates of exactly +-tol.

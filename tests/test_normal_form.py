@@ -251,8 +251,8 @@ def test_transversal_constituents(which, a, member, miss, tag):
 
 def test_T12_tie_membership():
     # pure (v, uv) values tie the first two coordinates at zero and stay members
-    assert nf.in_T12(V4)
-    assert nf.in_T12(np.array([0.0, 0, -1, 0]))
+    for b in (V4, np.array([0.0, 0, -1, 0])):
+        assert nf.in_M2(nf.make_pair(V4, b)) == (True, "c2")
 
 
 def test_irredundancy_grid(gen):
