@@ -15,13 +15,13 @@ double_sign and is_division take determinants at fixed sample points, drawn
 once per dimension, so their answers are functions of the tensor alone.
 
 tau_block and t_block decide which block a tau- or T-family parameter point
-lands in; the membership predicates in_TxT_ij and in_S_ij read them.
+lands in; the membership predicates in_TxT_ij and in_S_ij read them at
+DEFAULT_TOL.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import asdict, dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -32,7 +32,7 @@ from . import d1133 as d33
 from . import maps as mp
 from . import octonion as oc
 from .errors import BadParameter, InconsistentSigns, NearSingular, NotOrthogonal
-from .numerics import DEFAULT_TOL, as_indices, det_sign, is_orthogonal, rng
+from .numerics import DEFAULT_TOL, as_indices, det_sign, is_orthogonal, rng, vanishes
 
 
 #: How closely a rebuilt label or isotope pair must reproduce the tensor.
@@ -135,15 +135,6 @@ class Algebra:
     def __reduce__(self):  # pickle and copy rebuild through the checked constructor
         return Algebra, (self.sc, self.family, self.isotope)
 
-    def product(self, x, y):
-        return np.einsum("i,j,ijk->k", np.asarray(x, float), np.asarray(y, float), self.sc)
-
-    def left_mul(self, a):
-        return np.einsum("i,ijk->kj", np.asarray(a, float), self.sc)
-
-    def right_mul(self, a):
-        return np.einsum("j,ijk->ki", np.asarray(a, float), self.sc)
-
     def __repr__(self):
         tag = self.family.name if self.family else "raw"
         return f"Algebra(dim={self.dim}, family={tag})"
@@ -244,10 +235,11 @@ def double_sign(algebra, tol=DEFAULT_TOL):
     return DoubleSign(i=0 if sl > 0 else 1, j=0 if sr > 0 else 1)
 
 
-def is_division(algebra, tol=DEFAULT_TOL):
-    """True unless L_a or R_a is near singular at one of the DIVISION_TRIALS sample points."""
+def is_division(algebra):
+    """True unless L_a or R_a is within DEFAULT_TOL of singular at one of the
+    DIVISION_TRIALS sample points."""
     try:
-        _det_sign_samples(algebra, DIVISION_TRIALS, tol)
+        _det_sign_samples(algebra, DIVISION_TRIALS, DEFAULT_TOL)
     except NearSingular:
         return False
     return True
@@ -396,21 +388,16 @@ def from_json(obj):
 # Blocks and membership predicates for the parameter sets of the classification
 # ---------------------------------------------------------------------------
 
-def _vanishes(x, tol):
-    """The norm of x, which a rotation keeps, lies in the closed deadband of tol."""
-    return math.hypot(*x.tolist()) <= tol.value
-
-
 def tau_block(i, j, a, b, tol=DEFAULT_TOL):
     """D17, D8, D134s or D134a: the block of the tau-family point (a, b) of
     double sign (i, j), for unit quaternion 4-vectors taken as they are."""
-    one = np.array([1.0, 0, 0, 0])
-    if _vanishes(a - one, tol) and _vanishes(b - one, tol):
+    one, z = np.array([1.0, 0, 0, 0]), tol.value
+    if vanishes(a - one, z) and vanishes(b - one, z):
         return "D17"
     a2 = oc.quat_mul(a, a)
-    if (i, j) == (1, 1) and _vanishes(a2 + a + one, tol) and _vanishes(b - a2, tol):
+    if (i, j) == (1, 1) and vanishes(a2 + a + one, z) and vanishes(b - a2, z):
         return "D8"  # the Okubo curve (a, a^2) with a^2 + a + 1 = 0
-    return "D134s" if _vanishes(a[1:], tol) and _vanishes(b[1:], tol) else "D134a"
+    return "D134s" if vanishes(a[1:], z) and vanishes(b[1:], z) else "D134a"
 
 
 def t_block(i, j, a1, b1, a2, b2, tol=DEFAULT_TOL):
@@ -418,12 +405,12 @@ def t_block(i, j, a1, b1, a2, b2, tol=DEFAULT_TOL):
     D116 under the one-axis alignment b1 = (-1)^j a1, b2 = (-1)^i a2, else
     D1124 or D11114 as the imaginary parts span a line or more."""
     i, j = as_indices(i, j)
-    qs = [oc.as_unit(x, 4, "parameter") for x in (a1, b1, a2, b2)]
-    if all(_vanishes(x[1:], tol) for x in qs):
+    qs, z = [oc.as_unit(x, 4, "parameter") for x in (a1, b1, a2, b2)], tol.value
+    if all(vanishes(x[1:], z) for x in qs):
         return None
     span = _imaginary_span_dim(qs, tol)
-    if (span == 1 and _vanishes(qs[1] - (-1.0) ** j * qs[0], tol)
-            and _vanishes(qs[3] - (-1.0) ** i * qs[2], tol)):
+    if (span == 1 and vanishes(qs[1] - (-1.0) ** j * qs[0], z)
+            and vanishes(qs[3] - (-1.0) ** i * qs[2], z)):
         return "D116"
     return "D1124" if span == 1 else "D11114"
 
@@ -434,7 +421,7 @@ def _imaginary_span_dim(quats, tol=DEFAULT_TOL):
     return int(np.sum(s > tol.value * max(s[0], 1.0)))
 
 
-def in_TxT_ij(i, j, a, b, tol=DEFAULT_TOL):
+def in_TxT_ij(i, j, a, b):
     """Membership of (a, b) in the tau-family parameter set for double sign (i, j).
 
     Excludes (1, 1) always, and for (i, j) = (1, 1) also the curve
@@ -442,17 +429,17 @@ def in_TxT_ij(i, j, a, b, tol=DEFAULT_TOL):
     i, j = as_indices(i, j)
     a4 = oc.as_unit(a, 4, "a")
     b4 = oc.as_unit(b, 4, "b")
-    return tau_block(i, j, a4, b4, tol) not in ("D17", "D8")
+    return tau_block(i, j, a4, b4) not in ("D17", "D8")
 
 
-def in_S(a1, b1, a2, b2, tol=DEFAULT_TOL):
-    """True iff not all four unit quaternions lie in {1, -1}."""
-    return not all(_vanishes(oc.as_unit(x, 4, "parameter")[1:], tol)
+def in_S(a1, b1, a2, b2):
+    """True iff not all four unit quaternions lie in {1, -1} at DEFAULT_TOL."""
+    return not all(vanishes(oc.as_unit(x, 4, "parameter")[1:], DEFAULT_TOL.value)
                    for x in (a1, b1, a2, b2))
 
 
-def in_S_ij(i, j, a1, b1, a2, b2, tol=DEFAULT_TOL):
+def in_S_ij(i, j, a1, b1, a2, b2):
     """Membership in the T-family parameter set for double sign (i, j):
     tuples not all in {1, -1} that do not satisfy the one-axis alignment
     with b1 = (-1)^j a1 and b2 = (-1)^i a2."""
-    return t_block(i, j, a1, b1, a2, b2, tol) not in (None, "D116")
+    return t_block(i, j, a1, b1, a2, b2) not in (None, "D116")

@@ -167,7 +167,7 @@ def _free_space(kind, family, signs, dim=8):
                   lambda form: {}, lambda kind, grid: ((family, {"i": i, "j": j}) for i, j in signs))
 
 
-def _pair_form(kind, p, res, tol):
+def _pair_form(kind, p, res):
     """The form of a tau- or T-family point from its normal-form result."""
     return CanonicalForm(BlockLabel(kind, al.DoubleSign(p["i"], p["j"])), res.canonical,
                          mp.kappa_hat_map(res.witness_q), res.boundary_flag)
@@ -176,7 +176,7 @@ def _pair_form(kind, p, res, tol):
 def _tau_reduce(name, p, tol):
     # a point in D17 or D8 keeps its pair (the block's fixed point); those records ignore it
     res = nf.nf_TxT(nf.make_pair(p["a"], p["b"]), tol)
-    return _pair_form(al.tau_block(p["i"], p["j"], *res.canonical, tol), p, res, tol)
+    return _pair_form(al.tau_block(p["i"], p["j"], *res.canonical, tol), p, res)
 
 
 def _tau_grid(kind, grid):
@@ -215,7 +215,7 @@ def _bracket_reduce(name, p, tol):
         raise NotInBlock("all four parameters in {1,-1}: outside the bracket-pair blocks")
     res = nf.nf_pair((nf.BracketTT.of(qs[0], qs[1], tol),
                       nf.BracketTT.of(qs[2], qs[3], tol)), tol)
-    return _pair_form(kind, p, res, tol)
+    return _pair_form(kind, p, res)
 
 
 def _bracket_grid(kind, grid):

@@ -203,9 +203,10 @@ def canonical_1133(params: GParams, tol=DEFAULT_TOL):
     return GParams(params.i1, params.j1, params.i2, params.j2, alpha, beta), eps
 
 
-def _angle_mod(x, modulus, tol):
+def _angle_mod(x, modulus):
+    """x lies within PAIR_TOL of a multiple of modulus."""
     r = x % modulus
-    return min(r, modulus - r) < tol
+    return min(r, modulus - r) < PAIR_TOL
 
 
 def iso_1133_lattice_oracle(p: GParams, q: GParams):
@@ -232,6 +233,6 @@ def iso_1133_lattice_oracle(p: GParams, q: GParams):
             residues = ((dx, PI), (dy, PI / 3))
         else:
             residues = ((dx, PI / 3), (dy - dx, PI))
-        if all(_angle_mod(x, modulus, PAIR_TOL) for x, modulus in residues):
+        if all(_angle_mod(x, modulus) for x, modulus in residues):
             return True
     return False

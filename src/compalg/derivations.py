@@ -3,11 +3,12 @@
 derivation_basis solves the Leibniz system, built in so(n) coordinates when
 algebra.norm_multiplicative holds and in gl(n) otherwise.  For every algebra
 isomorphic to a composition algebra, in any basis, Der(A) is compact (skew in
-an orthonormal basis of the norm), so the bracket rank alone gives the center,
-the Killing signature and lie_type's label.  decompose splits off the common
-kernel and its complement with one SVD, then eigen-splits along symmetric
-commutant elements solved in sym(d) once per module; by Schur a piece is
-irreducible exactly when its symmetric commutant is the scalars.
+an orthonormal basis of the norm), so the bracket rank derived_dim alone gives
+lie_type's label, and the center and the Killing signature in closed form:
+dim - derived_dim and (derived_dim, dim - derived_dim, 0).  decompose splits
+off the common kernel and its complement with one SVD, then eigen-splits along
+symmetric commutant elements solved in sym(d) once per module; by Schur a
+piece is irreducible exactly when its symmetric commutant is the scalars.
 Nothing here is random: every result is a function of the tensor and tol.
 """
 
@@ -32,13 +33,12 @@ _triu_indices = functools.lru_cache(maxsize=None)(np.triu_indices)
 
 @dataclass(frozen=True)
 class DerivationAlgebra:
-    """Orthonormal basis of Der(A), one (dim, n, n) stack, with its invariants."""
+    """Orthonormal basis of Der(A), one (dim, n, n) stack, with its dimension,
+    the dimension of [Der(A), Der(A)] and the structure constants."""
 
     basis: np.ndarray
     dim: int
-    killing_signature: tuple
     derived_dim: int
-    center_dim: int
     structure: np.ndarray  # c[a, b, e]: [basis_a, basis_b] = sum_e c[a,b,e] basis_e
 
 
@@ -133,12 +133,14 @@ def derivation_basis(algebra, tol=DEFAULT_TOL):
 
 
 def _structure(stack, tol):
-    """Invariants of the Lie algebra spanned by the d x n x n stack, which is
-    orthonormal under the trace form, from one decision: the bracket rank.
-    A compact Lie algebra is z(g) + [g, g], its Killing form negative definite
-    on [g, g] and zero on z(g): center d - rank, signature (rank, d - rank, 0).
-    Der(A) is compact for every algebra isomorphic to a composition algebra;
-    any other stack gets this compact reading."""
+    """The Lie algebra spanned by the d x n x n stack, which is orthonormal
+    under the trace form, with its structure constants and one decision: the
+    bracket rank, derived_dim.  A compact Lie algebra is z(g) + [g, g], its
+    Killing form negative definite on [g, g] and zero on z(g), so its center
+    and Killing signature are closed forms of derived_dim: d - derived_dim and
+    (derived_dim, d - derived_dim, 0).  Der(A) is compact for every algebra
+    isomorphic to a composition algebra; any other stack gets this compact
+    reading."""
     d, n = stack.shape[:2]
     # every S_a S_b in one GEMM; t[a, b, e] = <S_a S_b, S_e>
     prod = (stack.reshape(d * n, n) @ stack.transpose(1, 0, 2).reshape(n, d * n)).reshape(d, n, d, n)
@@ -146,7 +148,7 @@ def _structure(stack, tol):
     struct = t - t.transpose(1, 0, 2)
     derived = rank(struct[_triu_indices(d, 1)], tol) if d > 1 else 0
     stack.flags.writeable = False
-    return DerivationAlgebra(stack, d, (derived, d - derived, 0), derived, d - derived, struct)
+    return DerivationAlgebra(stack, d, derived, struct)
 
 
 #: Compact Lie algebras by (dim, derived dim): semisimple when the two agree.
@@ -219,13 +221,13 @@ def _restrict(subspace, der):
     return restricted
 
 
-def is_irreducible(subspace, der, tol=DEFAULT_TOL):
+def is_irreducible(subspace, der):
     """Certify irreducibility of an invariant subspace.
 
     Derivations of a composition algebra are skew, so by Schur the subspace
     is irreducible exactly when the symmetric commutant of the restricted
     derivations is the scalars: one solve in sym(d) and its kernel dimension
-    decide it.  With Der(A) = 0 only lines are irreducible.
+    decide it, at DEFAULT_TOL.  With Der(A) = 0 only lines are irreducible.
     """
     subspace = np.asarray(subspace, dtype=float)
     if subspace.ndim == 1:
@@ -234,7 +236,7 @@ def is_irreducible(subspace, der, tol=DEFAULT_TOL):
         raise ValueError("subspace must be given by basis columns")
     if der.dim == 0:
         return subspace.shape[1] == 1
-    return len(commutant_basis(_restrict(subspace, der), subspace.shape[1], tol)) == 1
+    return len(commutant_basis(_restrict(subspace, der), subspace.shape[1])) == 1
 
 
 def decompose(algebra, tol=DEFAULT_TOL, der=None):

@@ -237,15 +237,16 @@ def bimul_map(c, rho):
     return OrthoMap8(mat, check=False)
 
 
-def is_automorphism(phi, tol=DEFAULT_TOL):
-    """True iff phi(e_i e_j) = phi(e_i) phi(e_j) on all 64 basis pairs and det = +1."""
+def is_automorphism(phi):
+    """True iff phi(e_i e_j) = phi(e_i) phi(e_j) on all 64 basis pairs and
+    det = +1, both within DEFAULT_TOL."""
     mat = as_matrix(phi)
     if mat.shape != (8, 8) or not np.isfinite(mat).all():
         return False
-    if oc.homomorphism_residual(mat, mat, mat) >= tol.value:
+    if oc.homomorphism_residual(mat, mat, mat) >= DEFAULT_TOL.value:
         return False
     try:
-        return det_sign(mat, tol) == 1
+        return det_sign(mat) == 1
     except NearSingular:
         return False
 

@@ -26,14 +26,13 @@ transversal and cosets; in_N and nf_pair both read it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import NotCanonical
-from .numerics import DEFAULT_TOL, PAIR_TOL, deadband_signs, leading_sign
+from .numerics import DEFAULT_TOL, PAIR_TOL, deadband_signs, leading_sign, vanishes
 from .octonion import quat_kappa as kappa
 from .octonion import quat_mul
 
@@ -126,13 +125,13 @@ def act_TxT(q, pair):
     return PairTT(kappa(q, pair.a), kappa(q, pair.b))
 
 
-def act_bracket(q, br, tol=DEFAULT_TOL):
-    moved = act_TxT(q, br.pair())
-    return BracketTT(rep=_sign_normalize(moved, tol))
+def act_bracket(q, br):
+    """The sign class of kappa_q of br's representative, sign-normalized at DEFAULT_TOL."""
+    return BracketTT(rep=_sign_normalize(act_TxT(q, br.pair())))
 
 
-def act_pair(q, brackets, tol=DEFAULT_TOL):
-    return (act_bracket(q, brackets[0], tol), act_bracket(q, brackets[1], tol))
+def act_pair(q, brackets):
+    return (act_bracket(q, brackets[0]), act_bracket(q, brackets[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +169,9 @@ def _T(s, m, n):
 
 
 def is_pm_one(q, tol=DEFAULT_TOL):
-    """The imaginary part's norm lies in the closed deadband of tol: a
-    rotation keeps the norm, where it moves the coordinates' signs."""
-    _, x, y, z = np.asarray(q, dtype=float).tolist()
-    return math.hypot(x, y, z) <= tol.value
+    """The imaginary part of the quaternion array q vanishes: its norm lies in
+    the closed deadband of tol."""
+    return vanishes(q[1:], tol.value)
 
 
 # ---------------------------------------------------------------------------
@@ -276,30 +274,30 @@ _SECOND_CLASS = {
 }
 
 
-def in_N(brackets, tol=DEFAULT_TOL):
-    """Membership in the transversal for the action on pairs of sign classes.
+def in_N(brackets):
+    """Membership in the transversal for the action on pairs of sign classes,
+    at DEFAULT_TOL.
 
     Takes the pair of canonical pair representatives; the second component's
     target set is keyed by the stabilizer case of the first."""
     first, second = brackets
-    ok, _ = in_M1(first, tol)
+    ok, _ = in_M1(first)
     if not ok:
         return False, None
-    case = stabilizer_case(first, tol)
+    case = stabilizer_case(first)
     member = _SECOND_CLASS[case][0]
-    ok, tag = member(second, tol) if member else (True, "any")
+    ok, tag = member(second) if member else (True, "any")
     if not ok:
         return False, None
     return True, (case, tag)
 
 
-def in_transversal(point, which, tol=DEFAULT_TOL):
-    """Dispatch membership with constituent tag for M, M1, M2, M3, M4 or N."""
-    table = {"M": in_M, "M1": in_M1, "M2": in_M2, "M3": in_M3, "M4": in_M4}
+def in_transversal(point, which):
+    """Dispatch membership with constituent tag for M, M1, M2, M3, M4 or N,
+    at DEFAULT_TOL."""
+    table = {"M": in_M, "M1": in_M1, "M2": in_M2, "M3": in_M3, "M4": in_M4, "N": in_N}
     if which in table:
-        return table[which](point, tol)
-    if which == "N":
-        return in_N(point, tol)
+        return table[which](point)
     raise ValueError(f"unknown transversal {which!r}")
 
 
@@ -451,13 +449,14 @@ def nf_pair(brackets, tol=DEFAULT_TOL):
                     boundary_flag=_boundary_flag(canonical, tol))
 
 
-def pair_angles(pair, tol=DEFAULT_TOL):
-    """Angle fields of a canonical point, where defined."""
+def pair_angles(pair):
+    """Angle fields of a canonical point, where defined: components that are
+    not +-1 at DEFAULT_TOL."""
     a, b = pair
     out = {}
-    if not is_pm_one(a, tol):
+    if not is_pm_one(a):
         out["alpha"] = float(np.arctan2(np.linalg.norm(a[1:]), a[0]))
-    if not is_pm_one(b, tol):
+    if not is_pm_one(b):
         im = np.linalg.norm(b[1:])
         out["alpha2"] = float(np.arctan2(im, b[0]))
         out["beta"] = float(np.arctan2(b[2], b[1]))

@@ -8,6 +8,7 @@ threshold so that module-dimension counting survives accumulated round-off.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,12 @@ def deadband_signs(values, deadband):
         else:
             raise ValueError("deadband sign of NaN")
     return tuple(signs)
+
+
+def vanishes(x, deadband):
+    """The norm of the float vector x lies in the closed deadband: |x| <=
+    deadband.  A rotation keeps the norm, where it moves the coordinates' signs."""
+    return math.hypot(*x.tolist()) <= deadband
 
 
 def leading_sign(values, deadband):
@@ -170,18 +177,18 @@ def det_sign(m, tol=DEFAULT_TOL):
     return int(sign) if m.ndim == 2 else sign.astype(int)
 
 
-def is_orthogonal(m, tol=DEFAULT_TOL):
-    """m^T m = I within tol; False for input that is not a finite,
+def is_orthogonal(m):
+    """m^T m = I within DEFAULT_TOL; False for input that is not a finite,
     non-empty square matrix."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1] or not np.isfinite(m).all():
         return False
     gram = m.T @ m
     gram.flat[:: len(m) + 1] -= 1.0
-    return bool(abs(gram).max() < tol.value)
+    return bool(abs(gram).max() < DEFAULT_TOL.value)
 
 
-def is_special_orthogonal(m, tol=DEFAULT_TOL):
+def is_special_orthogonal(m):
     """is_orthogonal with determinant +1.  An orthogonal determinant is +1 or
     -1, so its sign has margin 1 and needs no deadband."""
-    return is_orthogonal(m, tol) and bool(np.linalg.det(m) > 0)
+    return is_orthogonal(m) and bool(np.linalg.det(m) > 0)

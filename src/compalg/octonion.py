@@ -97,13 +97,6 @@ class Octonion:
         e[k] = 1.0
         return cls(e)
 
-    @classmethod
-    def from_quaternion(cls, q):
-        q = np.asarray(q, dtype=float)
-        e = np.zeros(8)
-        e[:4] = q
-        return cls(e)
-
     def __mul__(self, other):
         if isinstance(other, Octonion):
             return Octonion(mul(self.coords, other.coords))

@@ -33,12 +33,12 @@ class TrialityPair:
     residual: float
 
 
-def is_triality_pair(phi, phi1, phi2, tol=DEFAULT_TOL):
-    """Check phi(e_i e_j) = phi1(e_i) phi2(e_j) over all 64 basis pairs."""
+def is_triality_pair(phi, phi1, phi2):
+    """Check that the three maps are orthogonal and phi(e_i e_j) = phi1(e_i)
+    phi2(e_j) over all 64 basis pairs within PAIR_TOL."""
     m, m1, m2 = mp.as_matrix(phi), mp.as_matrix(phi1), mp.as_matrix(phi2)
-    for x in (m, m1, m2):
-        if not is_orthogonal(x, tol):
-            return False
+    if not all(is_orthogonal(x) for x in (m, m1, m2)):
+        return False
     return oc.homomorphism_residual(m, m1, m2) < PAIR_TOL
 
 
@@ -75,28 +75,28 @@ def _closed_form_pair(m):
     return phi1, phi2
 
 
-def solve_triality_components(m, tol=DEFAULT_TOL):
+def solve_triality_components(m):
     """s = phi2(1) of the triality pair of m, with the squared pair residual.
 
     The pair is the closed form of triality_pair.
     """
-    pair = triality_pair(m, tol)
+    pair = triality_pair(m)
     return pair.phi2[:, 0].copy(), pair.residual ** 2
 
 
-def triality_pair(phi, tol=DEFAULT_TOL):
+def triality_pair(phi):
     """A triality pair of phi in SO(8), sign-normalized deterministically
-    (first coordinate of phi2(1) outside the deadband of tol positive).
+    (first coordinate of phi2(1) outside the deadband of DEFAULT_TOL positive).
 
     Computed in closed form from a reflection factorization of phi.
     NotSpecialOrthogonal unless phi is an orthogonal 8x8 matrix of
     determinant +1.
     """
     m = mp.as_matrix(phi)
-    if m.shape != (8, 8) or not is_special_orthogonal(m, tol):
+    if m.shape != (8, 8) or not is_special_orthogonal(m):
         raise NotSpecialOrthogonal("triality pairs exist only for maps in SO(8)")
     phi1, phi2 = _closed_form_pair(m)
-    if leading_sign(phi2[:, 0], tol.value) < 0:
+    if leading_sign(phi2[:, 0], DEFAULT_TOL.value) < 0:
         phi1, phi2 = -phi1, -phi2
     res = oc.homomorphism_residual(m, phi1, phi2)
     if res >= PAIR_TOL:
@@ -110,16 +110,17 @@ def witness_residual(phi, source, target):
     return oc.homomorphism_residual(m, m, m, source.sc, target.sc)
 
 
-def iso_isotopes(a, b, phi, tol=DEFAULT_TOL):
+def iso_isotopes(a, b, phi):
     """Is phi in SO(8) an isomorphism from the 8-dimensional algebra a to b?
 
-    True iff phi is special orthogonal and phi(x y) = phi(x) phi(y) on basis
-    pairs within PAIR_TOL.  For isotopes (f, g) and (f', g') of O this is the
-    triality criterion: a triality pair of phi, unique up to a simultaneous
-    sign, equals (f' phi f^-1, g' phi g^-1).  Non-finite input gives False.
+    True iff phi is special orthogonal within DEFAULT_TOL and phi(x y) =
+    phi(x) phi(y) on basis pairs within PAIR_TOL.  For isotopes (f, g) and
+    (f', g') of O this is the triality criterion: a triality pair of phi,
+    unique up to a simultaneous sign, equals (f' phi f^-1, g' phi g^-1).
+    Non-finite input gives False.
     """
     m = mp.as_matrix(phi)
     if (m.shape != (8, 8) or a.dim != 8 or b.dim != 8
-            or not is_special_orthogonal(m, tol)):
+            or not is_special_orthogonal(m)):
         return False
     return witness_residual(m, a, b) < PAIR_TOL

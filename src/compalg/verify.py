@@ -117,7 +117,7 @@ def check_maps_orthogonal(gen, fast):
         mp.F_map(gen.uniform(0, np.pi), int(gen.integers(0, 2)), int(gen.integers(0, 2))),
         mp.eps_hat(1),
     ]
-    bad = [m for m in samples if not is_orthogonal(m.mat, TOL)]
+    bad = [m for m in samples if not is_orthogonal(m.mat)]
     return not bad, f"{len(samples)} constructors"
 
 
@@ -125,7 +125,7 @@ def check_maps_automorphisms(gen, fast):
     samples = [mp.tau_map(_unit(gen, 4)), mp.kappa_hat_map(_unit(gen, 4)),
                mp.eps_hat(1),
                mp.g2_from_triples(oc.CayleyTriple.fixed(), _random_cayley_triple(gen))]
-    bad = [m for m in samples if not mp.is_automorphism(m, TOL)]
+    bad = [m for m in samples if not mp.is_automorphism(m)]
     return not bad, "tau, kappa, u-flip, triple map"
 
 
@@ -241,7 +241,7 @@ def check_algebra_double_signs(gen, fast):
 
 def check_algebra_division_norm(gen, fast):
     for a in _family_draws(gen, 8 if fast else 20):
-        if not al.is_division(a, TOL):
+        if not al.is_division(a):
             return False, "division failed"
         if not al.norm_multiplicative(a, TOL):
             return False, "norm multiplicativity failed"
@@ -281,7 +281,7 @@ def check_derivation_partitions(gen, fast):
     for _ in range(count):
         i, j = int(gen.integers(0, 2)), int(gen.integers(0, 2))
         a4, b4 = _unit(gen, 4), _unit(gen, 4)
-        if not al.in_TxT_ij(i, j, a4, b4, TOL):
+        if not al.in_TxT_ij(i, j, a4, b4):
             continue
         if pt(al.j_family(i, j, a4, b4)) != (1, 3, 4):
             return False, "tau family point"
@@ -349,12 +349,12 @@ def check_nf_invariance_pair(gen, fast):
         br2 = nf.BracketTT.of(_unit(gen, 4), _unit(gen, 4))
         q = _unit(gen, 4)
         r1 = nf.nf_pair((br1, br2), TOL)
-        r2 = nf.nf_pair(nf.act_pair(q, (br1, br2), TOL), TOL)
+        r2 = nf.nf_pair(nf.act_pair(q, (br1, br2)), TOL)
         if not (r1.canonical[0].close_to(r2.canonical[0], 1e-8)
                 and nf.BracketTT.of(*r1.canonical[1]).close_to(
                     nf.BracketTT.of(*r2.canonical[1]), 1e-8)):
             return False, f"trial {k}"
-        ok, _ = nf.in_N(r1.canonical, TOL)
+        ok, _ = nf.in_N(r1.canonical)
         if not ok:
             return False, "canonical pair left the transversal"
     return True, f"{trials} trials"
@@ -404,7 +404,7 @@ def check_triality_g2_pairs(gen, fast):
     worst = 0.0
     for _ in range(trials):
         phi = mp.g2_from_triples(oc.CayleyTriple.fixed(), _random_cayley_triple(gen))
-        pair = tr.triality_pair(phi, TOL)
+        pair = tr.triality_pair(phi)
         # both components equal phi, up to one simultaneous sign
         worst = max(worst, min(max(np.max(np.abs(pair.phi1 - sign * phi.mat)),
                                    np.max(np.abs(pair.phi2 - sign * phi.mat))) for sign in (1, -1)))
@@ -417,11 +417,11 @@ def check_triality_closed_forms(gen, fast):
         rho = mp.g2_from_triples(oc.CayleyTriple.fixed(), _random_cayley_triple(gen))
         t8, s8 = _unit(gen, 8), _unit(gen, 8)
         phi = mp.left_right_mul_map(t8, s8, rho)
-        pair = tr.triality_pair(phi, TOL)
+        pair = tr.triality_pair(phi)
         if pair.residual > 1e-8:
             return False, "left/right isotopy composite"
         phi2 = mp.bimul_map(_unit(gen, 8), rho)
-        pair2 = tr.triality_pair(phi2, TOL)
+        pair2 = tr.triality_pair(phi2)
         if pair2.residual > 1e-8:
             return False, "bimultiplication composite"
     return True, f"{trials} draws each"
@@ -434,7 +434,7 @@ def check_triality_identities(gen, fast):
         m = np.linalg.qr(gen.standard_normal((8, 8)))[0]
         if np.linalg.det(m) < 0:
             m[:, 0] *= -1
-        pair = tr.triality_pair(mp.OrthoMap8(m), TOL)
+        pair = tr.triality_pair(mp.OrthoMap8(m))
         lhs1 = oc.right_mul_matrix(oc.Octonion(pair.phi2[:, 0]).conj()) @ m
         lhs2 = oc.left_mul_matrix(oc.Octonion(pair.phi1[:, 0]).conj()) @ m
         worst = max(worst, np.max(np.abs(lhs1 - pair.phi1)), np.max(np.abs(lhs2 - pair.phi2)))
@@ -463,7 +463,7 @@ def check_d1133_witness(gen, fast):
         f, w = d33.g_to_f(p, gamma)
         a = al.from_isotope(mp.G_map(p.alpha, gamma, j1, j2), mp.G_map(p.beta, gamma, i1, i2))
         b = al.from_isotope(mp.F_map(f.xi, j1, j2), mp.F_map(f.eta, i1, i2))
-        if not tr.iso_isotopes(a, b, w.phi, TOL):
+        if not tr.iso_isotopes(a, b, w.phi):
             return False, "witness rejected"
     return True, f"{trials} draws"
 

@@ -34,7 +34,7 @@ def test_from_isotope_lambda_u_product():
     # 1 . 1 = f(1) g(1) = u u = -1
     lam = mp.lambda_map([0.0, 1.0], 0)
     a = al.from_isotope(lam, lam)
-    assert np.allclose(a.product(oc.ONE.coords, oc.ONE.coords), -oc.ONE.coords)
+    assert np.allclose(np.einsum("i,j,ijk->k", oc.ONE.coords, oc.ONE.coords, a.sc), -oc.ONE.coords)
 
 
 def test_from_isotope_rejects_non_orthogonal():
@@ -74,7 +74,8 @@ def test_double_sign_matches_random_points(gen):
         ds = al.double_sign(a)
         for _ in range(10):
             x = unit(gen, a.dim)
-            got = (np.sign(np.linalg.det(a.left_mul(x))), np.sign(np.linalg.det(a.right_mul(x))))
+            left, right = np.einsum("i,ijk->kj", x, a.sc), np.einsum("j,ijk->ki", x, a.sc)
+            got = (np.sign(np.linalg.det(left)), np.sign(np.linalg.det(right)))
             assert got == ds.signs, (a, x)
 
 
@@ -84,7 +85,8 @@ def test_det_sign_samples_match_per_point_signs():
         rows = al._det_sign_samples(a, al.DIVISION_TRIALS, DEFAULT_TOL)
         assert rows.shape == (al.DIVISION_TRIALS, 2)
         for x, row in zip(al._sample_points(a.dim), rows.tolist()):
-            assert row == [det_sign(a.left_mul(x)), det_sign(a.right_mul(x))]
+            left, right = np.einsum("i,ijk->kj", x, a.sc), np.einsum("j,ijk->ki", x, a.sc)
+            assert row == [det_sign(left), det_sign(right)]
 
 
 def test_double_sign_inconsistent_for_non_division():

@@ -143,6 +143,22 @@ def test_tight_tolerance_keeps_a_near_unit_label():
     assert tight.to_json() == cl.canonical(k).to_json()
 
 
+def test_user_tolerance_reaches_the_rank_cut_and_the_deadband():
+    # a1 has an imaginary part of norm 1e-6: outside the default deadband,
+    # inside that of 1e-5, where the derivation rank cut and the parameter
+    # deadband both read the point as all four parameters in {1, -1}
+    one = np.array([1.0, 0, 0, 0])
+    k = al.k_family(0, 0, np.array([1.0, 1e-6, 0, 0]) / np.hypot(1.0, 1e-6), one, one, one)
+    rep = cl.analyze(k)
+    assert (str(rep.block), rep.der_dim, rep.lie_type.value) == ("D1124^(+,+)", 4, "su2+center")
+    assert str(cl.canonical(k).block) == "D1124^(+,+)"
+    loose = TolerancePolicy(1e-5)
+    rep = cl.analyze(k, loose)
+    assert (str(rep.block), rep.der_dim, rep.lie_type.value) == ("D17^(+,+)", 14, "g2")
+    with pytest.raises(NotInBlock):
+        cl.canonical(k, loose)
+
+
 def test_canonical_lambda_family(gen):
     t1, t2 = unit(gen, 2), unit(gen, 2)
     form = cl.canonical(al.lambda_family(0, 1, t1, t2))

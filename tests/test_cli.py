@@ -64,6 +64,27 @@ def test_canon_roundtrip(tmp_path, capsys):
     assert abs(form["alpha"] - (np.pi - 2.0)) < 1e-9
 
 
+def test_tol_reaches_analyze_and_canon(tmp_path, capsys):
+    from compalg import algebra as al
+
+    # a T-family point whose a1 has an imaginary part of norm 1e-6
+    target = tmp_path / "near_one.json"
+    one = np.array([1.0, 0, 0, 0])
+    k = al.k_family(0, 0, np.array([1.0, 1e-6, 0, 0]) / np.hypot(1.0, 1e-6), one, one, one)
+    target.write_text(json.dumps(k.to_json()))
+    code, out, _ = run(["analyze", str(target)], capsys)
+    assert code == 0 and json.loads(out)["block"] == "D1124^(+,+)"
+    code, out, _ = run(["canon", str(target)], capsys)
+    assert code == 0 and json.loads(out)["block"] == "D1124^(+,+)"
+    code, out, _ = run(["analyze", str(target), "--tol", "1e-5"], capsys)
+    report = json.loads(out)
+    assert code == 0
+    assert (report["block"], report["der_dim"], report["lie_type"]) == ("D17^(+,+)", 14, "g2")
+    code, out, err = run(["canon", str(target), "--tol", "1e-5"], capsys)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_canon_raw_tensor_fails(tmp_path, capsys):
     from compalg import algebra as al
 

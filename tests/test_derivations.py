@@ -66,9 +66,10 @@ def test_derivations_satisfy_leibniz_and_skewness(gen):
 ])
 def test_derivation_structure_closure(build, signature, derived_dim, center_dim):
     der = dv.derivation_basis(build())
-    # invariants as the per-pair loop over brackets and Killing traces gave them
-    assert der.killing_signature == signature
-    assert (der.derived_dim, der.center_dim) == (derived_dim, center_dim)
+    # the closed forms of derived_dim give the center and Killing signature
+    # that the per-pair loop over brackets and Killing traces gave
+    assert (der.derived_dim, der.dim - der.derived_dim, 0) == signature
+    assert (der.derived_dim, der.dim - der.derived_dim) == (derived_dim, center_dim)
     assert np.array_equal(der.structure, -np.swapaxes(der.structure, 0, 1))
     for a in range(der.dim):
         for b in range(a + 1, der.dim):
@@ -559,7 +560,7 @@ def test_trivial_submodule_idempotent_counts():
         sub = np.zeros((2, 2, 2))
         for a in range(2):
             for b in range(2):
-                sub[a, b] = basis.T @ alg.product(basis[:, a], basis[:, b])
+                sub[a, b] = basis.T @ np.einsum("i,j,ijk->k", basis[:, a], basis[:, b], alg.sc)
         assert _nonzero_idempotents_2d(sub) == expected
 
 
@@ -628,8 +629,8 @@ def test_compact_reading_matches_measured_center_and_killing_form(a, label):
     eig = np.linalg.eigvalsh(0.5 * (killing + killing.T))
     cut = CLUSTER_TOL * max(1.0, float(np.max(np.abs(eig))))
     neg, pos = int(np.sum(eig < -cut)), int(np.sum(eig > cut))
-    assert der.center_dim == center
-    assert der.killing_signature == (neg, d - neg - pos, pos)
+    assert d - der.derived_dim == center
+    assert (der.derived_dim, d - der.derived_dim, 0) == (neg, d - neg - pos, pos)
     assert dv.lie_type(der).value == label
 
 

@@ -41,7 +41,7 @@ def test_tau_map_identity_and_okubo_twist():
     t = np.array([-0.5, np.sqrt(3) / 2, 0.0, 0.0])
     tau = mp.tau_map(t)
     assert mp.is_automorphism(tau)
-    assert np.allclose(tau.mat @ oc.Z.coords, (oc.Z * oc.Octonion.from_quaternion(t)).coords)
+    assert np.allclose(tau.mat @ oc.Z.coords, (oc.Z * oc.Octonion(np.r_[t, np.zeros(4)])).coords)
 
 
 def test_tau_map_block_oracle(gen):
