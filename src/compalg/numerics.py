@@ -8,6 +8,7 @@ threshold so that module-dimension counting survives accumulated round-off.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -128,10 +129,25 @@ def row_and_null_space(m, tol=DEFAULT_TOL):
     """
     m = check_matrix(m)
     if m.shape[0] > m.shape[1]:
-        m = np.linalg.qr(m, mode="r")
+        m = _r_factor(m)
     _, s, vt = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     r = _rank_cut(s, tol)
     return vt[:r].T, vt[r:].T
+
+
+def _r_factor(m):
+    """R of a tall m's QR, bit for bit as np.linalg.qr(m, mode="r") gives it,
+    with the triangle mask cached per width instead of rebuilt by np.triu."""
+    n = m.shape[1]
+    return np.where(_strictly_lower(n), 0.0, np.linalg.qr(m, mode="raw")[0].T[:n])
+
+
+@functools.lru_cache(maxsize=32)
+def _strictly_lower(n):
+    """Read-only mask of the entries below the diagonal of an n x n matrix."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def rank(m, tol=DEFAULT_TOL):

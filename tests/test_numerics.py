@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from compalg import algebra as al
+from compalg import classify as cl
+from compalg import numerics as nm
 from compalg import octonion as oc
 from compalg.derivations import derivation_basis, leibniz_matrix
 from compalg.errors import NearSingular, NotSymmetric
@@ -75,6 +77,51 @@ def test_nullspace_tall_inputs_match_full_svd(gen):
         _, s, vt = np.linalg.svd(m, full_matrices=True)
         ref = vt[int(np.sum(s > DEFAULT_TOL.value * s[0])):].T
         assert np.max(np.abs(basis @ basis.T - ref @ ref.T)) < 1e-12
+
+
+#: One point per family, each block reached at least once (CI's analyze list).
+FAMILY_POINTS = [
+    ("standard_isotope", {"i": 1, "j": 0}),
+    ("quat4", {"i": 0, "j": 1}),
+    ("okubo", {}),
+    ("p35", {"i": 0, "j": 1}),
+    ("tau_family", {"i": 0, "j": 0, "a": [0, 1, 0, 0], "b": [0, 0, 1, 0]}),
+    ("tau_family", {"i": 0, "j": 0, "a": [0, 1, 0, 0], "b": [0, 1, 0, 0]}),
+    ("tau_family", {"i": 1, "j": 0, "a": [-1, 0, 0, 0], "b": [-1, 0, 0, 0]}),
+    ("t_family", {"i": 0, "j": 1, "a1": [0.6, 0.8, 0, 0], "b1": [-0.6, -0.8, 0, 0],
+                  "a2": [0, 1, 0, 0], "b2": [0, 1, 0, 0]}),
+    ("t_family", {"i": 0, "j": 1, "a1": [0.6, 0.8, 0, 0], "b1": [0.8, 0.6, 0, 0],
+                  "a2": [0, 1, 0, 0], "b2": [0, 1, 0, 0]}),
+    ("t_family", {"i": 1, "j": 0, "a1": [0.6, 0.8, 0, 0], "b1": [0, 0, 1, 0],
+                  "a2": [0, 1, 0, 0], "b2": [0.6, 0, 0.8, 0]}),
+    ("lambda_family", {"i": 0, "j": 1, "a": [0.6, 0.8], "b": [0, 1]}),
+    ("g_family", {"i1": 1, "j1": 1, "i2": 0, "j2": 1, "alpha": 0.4, "beta": 1.1}),
+]
+
+
+def test_r_factor_is_numpy_qr_r_bit_for_bit(monkeypatch, gen):
+    # every tall matrix analyze factors, and rank-deficient ones of the same
+    # widths, get the very R that np.linalg.qr(m, mode="r") gives
+    seen = {}
+    factor = nm._r_factor
+
+    def record(m):
+        seen.setdefault(m.shape, m.copy())
+        return factor(m)
+
+    monkeypatch.setattr(nm, "_r_factor", record)
+    for name, params in FAMILY_POINTS:
+        cl.analyze(al.from_family(name, params))
+    # the Leibniz system, the d*8 x 8 derivation stacks and commutant systems
+    assert {(512, 28), (24, 8), (32, 8), (48, 8), (64, 8), (112, 8), (392, 28)} <= set(seen)
+    cases = list(seen.values())
+    for rows, cols, rank_ in [(112, 8, 8), (112, 8, 5), (196, 14, 14), (196, 14, 9), (512, 28, 21)]:
+        cases.append(gen.standard_normal((rows, rank_)) @ gen.standard_normal((rank_, cols)))
+    for m in cases:
+        r = factor(m)
+        ref = np.linalg.qr(m, mode="r")
+        assert r.shape == ref.shape and r.dtype == ref.dtype
+        assert r.tobytes() == ref.tobytes(), m.shape
 
 
 def test_sym_eigen_clusters():
