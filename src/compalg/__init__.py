@@ -15,12 +15,12 @@ from .maps import (B_map, C_map, F_map, G_map, OrthoMap8, T_map, eps_hat,
                    g2_from_triples, is_automorphism, kappa_hat_map, lambda_map,
                    sigma_map, tau_map)
 from .normal_form import (BracketTT, NFResult, PairTT, StabilizerCase, act_TxT,
-                          act_bracket, act_pair, in_transversal, nf_M1, nf_TxT,
-                          nf_pair, stabilizer_case)
+                          act_bracket, act_pair, nf_M1, nf_TxT, nf_pair,
+                          stabilizer_case)
 from .numerics import (DEFAULT_SEED, TolerancePolicy, det_sign, is_orthogonal,
                        nullspace, sym_eigen)
 from .octonion import CayleyTriple, Octonion, is_cayley_triple
-from .triality import TrialityPair, is_triality_pair, iso_isotopes, triality_pair
+from .triality import TrialityPair, iso_isotopes, triality_pair
 from .verify import verify_suite
 
 __version__ = "0.1.0"

@@ -112,12 +112,7 @@ def _cmd_classify(args):
 
 
 def _cmd_canon(args):
-    algebra = _load_algebra(args.file)
-    try:
-        form = cl.canonical(algebra, args.tol)
-    except CompalgError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    form = cl.canonical(_load_algebra(args.file), args.tol)
     _dump(form.to_json(), args.output)
     return 0
 

@@ -98,26 +98,20 @@ def _xi_eta(i2, j2, theta, zeta, gamma):
     return x / 2.0, y / 2.0
 
 
-@dataclass(frozen=True)
-class GtoFWitness:
-    theta: float
-    zeta: float
-    phi: mp.OrthoMap8       # L_t R_s rho
-
-
 def g_to_f(params: GParams, gamma=0.0):
     """Convert block-diagonal parameters (with twist angle gamma) to the
-    conjugation-twisted presentation, with the witness isomorphism.
+    conjugation-twisted presentation: (FParams, phi), phi the witness isomorphism.
 
-    The witness is phi = L_t R_s rho where rho = maps.rho_map(gamma) rotates
-    (v, z) by -gamma/3 inside their complex lines; its triality components
-    conjugate the pair (G_alpha,gamma, G_beta,gamma) onto (F_xi, F_eta) exactly.
+    The witness is phi = L_t R_s rho, with t and s the complex units at the table's
+    angles theta and zeta and rho = maps.rho_map(gamma), which rotates (v, z) by
+    -gamma/3 inside their complex lines; its triality components conjugate the
+    pair (G_alpha,gamma, G_beta,gamma) onto (F_xi, F_eta) exactly.
     """
     i1, j1, i2, j2 = params.indices
     theta, zeta = _theta_zeta(i1, j1, params.alpha, params.beta)
     xi, eta = _xi_eta(i2, j2, theta, zeta, gamma)
     phi = mp.left_right_mul_map(oc.complex_unit(theta), oc.complex_unit(zeta), mp.rho_map(gamma))
-    return (FParams(i1, j1, i2, j2, xi, eta), GtoFWitness(theta, zeta, phi))
+    return FParams(i1, j1, i2, j2, xi, eta), phi
 
 
 def f_to_g(params: FParams):

@@ -33,13 +33,12 @@ _triu_indices = functools.lru_cache(maxsize=None)(np.triu_indices)
 
 @dataclass(frozen=True)
 class DerivationAlgebra:
-    """Orthonormal basis of Der(A), one (dim, n, n) stack, with its dimension,
-    the dimension of [Der(A), Der(A)] and the structure constants."""
+    """Orthonormal basis of Der(A), one (dim, n, n) stack, with its dimension
+    and the dimension of [Der(A), Der(A)]."""
 
     basis: np.ndarray
     dim: int
     derived_dim: int
-    structure: np.ndarray  # c[a, b, e]: [basis_a, basis_b] = sum_e c[a,b,e] basis_e
 
 
 class LieTypeLabel(Enum):
@@ -134,13 +133,13 @@ def derivation_basis(algebra, tol=DEFAULT_TOL):
 
 def _structure(stack, tol):
     """The Lie algebra spanned by the d x n x n stack, which is orthonormal
-    under the trace form, with its structure constants and one decision: the
-    bracket rank, derived_dim.  A compact Lie algebra is z(g) + [g, g], its
-    Killing form negative definite on [g, g] and zero on z(g), so its center
-    and Killing signature are closed forms of derived_dim: d - derived_dim and
-    (derived_dim, d - derived_dim, 0).  Der(A) is compact for every algebra
-    isomorphic to a composition algebra; any other stack gets this compact
-    reading."""
+    under the trace form, with one decision: derived_dim, the rank of the
+    structure constants c[a, b, e] = <[S_a, S_b], S_e>.  A compact Lie
+    algebra is z(g) + [g, g], its Killing form negative definite on [g, g] and
+    zero on z(g), so its center and Killing signature are closed forms of
+    derived_dim: d - derived_dim and (derived_dim, d - derived_dim, 0).  Der(A)
+    is compact for every algebra isomorphic to a composition algebra; any
+    other stack gets this compact reading."""
     d, n = stack.shape[:2]
     # every S_a S_b in one GEMM; t[a, b, e] = <S_a S_b, S_e>
     prod = (stack.reshape(d * n, n) @ stack.transpose(1, 0, 2).reshape(n, d * n)).reshape(d, n, d, n)
@@ -148,7 +147,7 @@ def _structure(stack, tol):
     struct = t - t.transpose(1, 0, 2)
     derived = rank(struct[_triu_indices(d, 1)], tol) if d > 1 else 0
     stack.flags.writeable = False
-    return DerivationAlgebra(stack, d, derived, struct)
+    return DerivationAlgebra(stack, d, derived)
 
 
 #: Compact Lie algebras by (dim, derived dim): semisimple when the two agree.

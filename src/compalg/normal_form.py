@@ -85,9 +85,6 @@ class BracketTT:
     def of(cls, a, b, tol=DEFAULT_TOL):
         return cls(rep=_sign_normalize(make_pair(a, b), tol))
 
-    def pair(self):
-        return self.rep
-
     def close_to(self, other, tol=PAIR_TOL):
         rep2 = other.rep if isinstance(other, BracketTT) else other
         flipped = PairTT(-rep2.a, -rep2.b)
@@ -127,7 +124,7 @@ def act_TxT(q, pair):
 
 def act_bracket(q, br):
     """The sign class of kappa_q of br's representative, sign-normalized at DEFAULT_TOL."""
-    return BracketTT(rep=_sign_normalize(act_TxT(q, br.pair())))
+    return BracketTT(rep=_sign_normalize(act_TxT(q, br.rep)))
 
 
 def act_pair(q, brackets):
@@ -292,15 +289,6 @@ def in_N(brackets):
     return True, (case, tag)
 
 
-def in_transversal(point, which):
-    """Dispatch membership with constituent tag for M, M1, M2, M3, M4 or N,
-    at DEFAULT_TOL."""
-    table = {"M": in_M, "M1": in_M1, "M2": in_M2, "M3": in_M3, "M4": in_M4, "N": in_N}
-    if which in table:
-        return table[which](point)
-    raise ValueError(f"unknown transversal {which!r}")
-
-
 def _boundary_flag(pairs, tol):
     bound = BOUNDARY_FACTOR * tol.value
     for pair in pairs:
@@ -375,7 +363,7 @@ def nf_M1(bracket, tol=DEFAULT_TOL):
     x -> (-x0, x1, x2, -x3) = -kappa_uv(x) of both components, with witness
     uv q.  If both miss, the class sits on a deadband boundary: keep the
     point with the larger (a0, b0), tagged "boundary" and flagged."""
-    pair = bracket.pair() if isinstance(bracket, BracketTT) else bracket
+    pair = bracket.rep if isinstance(bracket, BracketTT) else bracket
     res = nf_TxT(pair, tol)
     first = res.canonical
     ok, tag = in_M1(first, tol)
@@ -428,7 +416,7 @@ def nf_pair(brackets, tol=DEFAULT_TOL):
     br1, br2 = brackets
     first = nf_M1(br1, tol)
     q1 = first.witness_q
-    pair2 = br2.pair() if isinstance(br2, BracketTT) else br2
+    pair2 = br2.rep if isinstance(br2, BracketTT) else br2
     moved = act_TxT(q1, pair2)
     case = stabilizer_case(first.canonical, tol)
 

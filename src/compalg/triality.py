@@ -23,7 +23,7 @@ import numpy as np
 from . import maps as mp
 from . import octonion as oc
 from .errors import NotSpecialOrthogonal
-from .numerics import DEFAULT_TOL, PAIR_TOL, is_orthogonal, is_special_orthogonal, leading_sign
+from .numerics import DEFAULT_TOL, PAIR_TOL, is_special_orthogonal, leading_sign
 
 
 @dataclass(frozen=True)
@@ -31,15 +31,6 @@ class TrialityPair:
     phi1: np.ndarray
     phi2: np.ndarray
     residual: float
-
-
-def is_triality_pair(phi, phi1, phi2):
-    """Check that the three maps are orthogonal and phi(e_i e_j) = phi1(e_i)
-    phi2(e_j) over all 64 basis pairs within PAIR_TOL."""
-    m, m1, m2 = mp.as_matrix(phi), mp.as_matrix(phi1), mp.as_matrix(phi2)
-    if not all(is_orthogonal(x) for x in (m, m1, m2)):
-        return False
-    return oc.homomorphism_residual(m, m1, m2) < PAIR_TOL
 
 
 def _reflection_vectors(m):

@@ -465,10 +465,10 @@ def check_d1133_witness(gen, fast):
         i1, j1, i2, j2 = _random_valid_g_indices(gen)
         p = d33.GParams(i1, j1, i2, j2, gen.uniform(0, np.pi), gen.uniform(0, np.pi))
         gamma = gen.uniform(0, np.pi)
-        f, w = d33.g_to_f(p, gamma)
+        f, phi = d33.g_to_f(p, gamma)
         a = al.from_isotope(mp.G_map(p.alpha, gamma, j1, j2), mp.G_map(p.beta, gamma, i1, i2))
         b = al.from_isotope(mp.F_map(f.xi, j1, j2), mp.F_map(f.eta, i1, i2))
-        if not tr.iso_isotopes(a, b, w.phi):
+        if not tr.iso_isotopes(a, b, phi):
             return False, "witness rejected"
     return True, f"{trials} draws"
 

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import select
 import subprocess
 import sys
 
@@ -187,6 +188,47 @@ def test_verify_deterministic(capsys):
     _, out1, _ = run(["verify", "--fast", "--seed", "7"], capsys)
     _, out2, _ = run(["verify", "--fast", "--seed", "7"], capsys)
     assert out1 == out2
+
+
+def _raise_value_error():
+    raise ValueError("no data")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_verify_failure_exit_code(monkeypatch, capsys, cpus):
+    from compalg import verify as vf
+
+    outcomes = [("ok", lambda: (True, "fine")), ("bad", lambda: (False, "off by 1")),
+                ("boom", _raise_value_error)]
+    parent, (ran, announce) = os.getpid(), os.pipe()
+    waited = []
+
+    def check(outcome):
+        def body(gen, fast):
+            if os.getpid() != parent:
+                os.write(announce, b"x")
+            elif cpus == 2 and not waited:
+                # the caller's first check waits until a worker has run the
+                # other two, so a worker's FAIL reaches the report
+                while len(waited) < 2:
+                    assert select.select([ran], [], [], 60)[0], "no worker ran a check within 60 s"
+                    waited.extend(os.read(ran, 2 - len(waited)))
+            return outcome()
+        return body
+
+    # as tests/test_verify.py's force_cpus: cpus usable CPUs, one OS thread
+    monkeypatch.setattr(vf, "CHECKS", [(name, check(outcome)) for name, outcome in outcomes])
+    monkeypatch.setattr(vf, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(vf, "_os_threads", lambda: 1)
+    try:
+        code, out, err = run(["verify", "--fast"], capsys)
+    finally:
+        os.close(ran)
+        os.close(announce)
+    assert code == 1 and err == ""
+    assert out.splitlines() == ["PASS  ok  (fine)", "FAIL  bad  (off by 1)",
+                                "FAIL  boom  (ValueError: no data)", "1/3 checks passed"]
+    assert len(waited) == (2 if cpus == 2 else 0)
 
 
 def test_bad_usage_exit_code(tmp_path, capsys):

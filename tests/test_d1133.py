@@ -54,19 +54,27 @@ def test_angles_fold():
     assert 0 <= p.alpha < PI and 0 <= p.beta < PI
 
 
+def witness_at(theta, zeta, gamma):
+    """L_t R_s rho(gamma), t and s the complex units at theta and zeta."""
+    return mp.left_right_mul_map(oc.complex_unit(theta), oc.complex_unit(zeta), mp.rho_map(gamma)).mat
+
+
 def test_g_to_f_zero_case():
     p = d33.GParams(0, 0, 0, 1, 0.0, 0.0)
-    f, w = d33.g_to_f(p, 0.0)
-    assert w.theta == 0.0 and w.zeta == 0.0
+    f, phi = d33.g_to_f(p, 0.0)
+    assert np.array_equal(phi.mat, witness_at(0.0, 0.0, 0.0))
     assert f.xi == 0.0 and f.eta == 0.0
 
 
 def test_g_to_f_first_row():
     # for first indices (0,0): (3 theta / 2, 3 zeta / 2) = (a + 2b, 2a + b)
     p = d33.GParams(0, 0, 0, 1, 0.4, 0.9)
-    _, w = d33.g_to_f(p, 0.0)
-    assert abs(1.5 * w.theta - (0.4 + 1.8)) < 1e-12
-    assert abs(1.5 * w.zeta - (0.8 + 0.9)) < 1e-12
+    f, phi = d33.g_to_f(p, 0.0)
+    theta, zeta = (0.4 + 1.8) / 1.5, (0.8 + 0.9) / 1.5
+    assert np.max(np.abs(phi.mat - witness_at(theta, zeta, 0.0))) < 1e-12
+    # second indices (0,1) at gamma = 0: (xi, eta) = (theta / 2, zeta / 2 - theta),
+    # which pins theta and zeta themselves, not only the map they give
+    assert abs(f.xi - theta / 2) < 1e-12 and abs(f.eta - (zeta / 2 - theta)) < 1e-12
 
 
 def test_rho_map_is_the_triple_map(gen):
@@ -81,12 +89,12 @@ def test_g_to_f_witness_transports_pairs(gen):
     for _ in range(10):
         p = random_params(gen)
         gamma = gen.uniform(0, PI)
-        f, w = d33.g_to_f(p, gamma)
-        pair = tr.triality_pair(w.phi)
+        f, phi = d33.g_to_f(p, gamma)
+        pair = tr.triality_pair(phi)
         fmat = mp.G_map(p.alpha, gamma, p.j1, p.j2).mat
         gmat = mp.G_map(p.beta, gamma, p.i1, p.i2).mat
-        lhs_f = pair.phi1 @ fmat @ w.phi.mat.T
-        lhs_g = pair.phi2 @ gmat @ w.phi.mat.T
+        lhs_f = pair.phi1 @ fmat @ phi.mat.T
+        lhs_g = pair.phi2 @ gmat @ phi.mat.T
         target_f = mp.F_map(f.xi, f.j1, f.j2).mat
         target_g = mp.F_map(f.eta, f.i1, f.i2).mat
         err = min(max(np.max(np.abs(lhs_f - target_f)), np.max(np.abs(lhs_g - target_g))),
@@ -98,11 +106,11 @@ def test_g_to_f_witness_via_iso_isotopes(gen):
     for _ in range(10):
         p = random_params(gen)
         gamma = gen.uniform(0, PI)
-        f, w = d33.g_to_f(p, gamma)
+        f, phi = d33.g_to_f(p, gamma)
         a = al.from_isotope(mp.G_map(p.alpha, gamma, p.j1, p.j2),
                             mp.G_map(p.beta, gamma, p.i1, p.i2))
         b = al.from_isotope(mp.F_map(f.xi, f.j1, f.j2), mp.F_map(f.eta, f.i1, f.i2))
-        assert tr.iso_isotopes(a, b, w.phi)
+        assert tr.iso_isotopes(a, b, phi)
 
 
 def test_f_to_g_roundtrip(gen):

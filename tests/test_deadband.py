@@ -57,8 +57,8 @@ def test_sign_decisions_read_zero_tol_as_zero(x):
     assert nf.in_M2(nf.make_pair(nf.V4, np.array([x, -1.0, 0, 0]))) == (False, None)
     # the real part x of the P0 component ties, so the P component's decides
     p0 = np.array([x, 1.0, 0, 0])
-    assert nf.in_transversal(nf.make_pair(p0, _n(1, 1, 0, 0)), "M1") == (True, "P0_P_plus")
-    assert nf.in_transversal(nf.make_pair(p0, _n(-1, 1, 0, 0)), "M1") == (False, None)
+    assert nf.in_M1(nf.make_pair(p0, _n(1, 1, 0, 0))) == (True, "P0_P_plus")
+    assert nf.in_M1(nf.make_pair(p0, _n(-1, 1, 0, 0))) == (False, None)
     # sign normalization skips x and reads the u-coordinate
     assert nf.BracketTT.of(np.array([x, -1.0, 0, 0]), nf.U4).rep.a[1] == 1.0
     c = np.zeros(8)

@@ -59,6 +59,13 @@ def test_derivations_satisfy_leibniz_and_skewness(gen):
             assert abs(x @ (delta @ x)) < 1e-8 * (x @ x)
 
 
+def structure_constants(der):
+    """c[a, b, e] = <[S_a, S_b], S_e> under the trace form, from the orthonormal basis."""
+    s = der.basis
+    prod = np.einsum("aij,bjk->abik", s, s)
+    return np.einsum("abik,eik->abe", prod - prod.transpose(1, 0, 2, 3), s)
+
+
 @pytest.mark.parametrize("build, signature, derived_dim, center_dim", [
     pytest.param(al.okubo_p11, (8, 0, 0), 8, 0, id="okubo"),
     pytest.param(al.octonion_algebra, (14, 0, 0), 14, 0, id="octonions"),
@@ -70,11 +77,13 @@ def test_derivation_structure_closure(build, signature, derived_dim, center_dim)
     # that the per-pair loop over brackets and Killing traces gave
     assert (der.derived_dim, der.dim - der.derived_dim, 0) == signature
     assert (der.derived_dim, der.dim - der.derived_dim) == (derived_dim, center_dim)
-    assert np.array_equal(der.structure, -np.swapaxes(der.structure, 0, 1))
+    struct = structure_constants(der)
+    assert np.array_equal(struct, -np.swapaxes(struct, 0, 1))
+    assert rank(struct.reshape(-1, der.dim)) == der.derived_dim
     for a in range(der.dim):
         for b in range(a + 1, der.dim):
             comm = der.basis[a] @ der.basis[b] - der.basis[b] @ der.basis[a]
-            recon = sum(der.structure[a, b, e] * der.basis[e] for e in range(der.dim))
+            recon = sum(struct[a, b, e] * der.basis[e] for e in range(der.dim))
             assert np.max(np.abs(comm - recon)) < 1e-7
 
 
@@ -623,7 +632,7 @@ def test_compact_reading_matches_measured_center_and_killing_form(a, label):
     # eigvalsh cut at CLUSTER_TOL times the largest |eigenvalue|, measured on
     # the structure constants, equal the closed forms of the bracket rank
     der = dv.derivation_basis(a)
-    d, struct = der.dim, der.structure
+    d, struct = der.dim, structure_constants(der)
     center = nullspace(struct.transpose(1, 2, 0).reshape(d * d, d)).shape[1]
     killing = struct.reshape(d, d * d) @ struct.transpose(0, 2, 1).reshape(d, d * d).T
     eig = np.linalg.eigvalsh(0.5 * (killing + killing.T))
@@ -647,14 +656,14 @@ def test_analysis_records_are_immutable():
     records = [(cl.canonical(al.standard_isotope(0, 0)), "witness"), (verdict, "verdict"),
                (dv.decompose(a), "partition"),
                (nf.nf_TxT(nf.make_pair([0.6, 0.8, 0, 0], [0, 0, 1, 0])), "tag"),
-               (tr.triality_pair(np.eye(8)), "residual"),
-               (d33.g_to_f(d33.GParams(0, 0, 0, 1, 0.4, 0.9))[1], "phi")]
+               (tr.triality_pair(np.eye(8)), "residual")]
     for record, field in records:
         with pytest.raises(FrozenInstanceError):
             setattr(record, field, None)
     assert not verdict
     j = al.j_family(0, 0, [0.6, 0.8, 0, 0], [0, 0, 1, 0])
-    for witness in (cl.canonical(j).witness, cl.isomorphic(j, j).witness):
+    g_to_f_witness = d33.g_to_f(d33.GParams(0, 0, 0, 1, 0.4, 0.9))[1]
+    for witness in (cl.canonical(j).witness, cl.isomorphic(j, j).witness, g_to_f_witness):
         with pytest.raises(ValueError):
             witness.mat[0, 0] = 3.0
         with pytest.raises(AttributeError):

@@ -30,8 +30,8 @@ def test_actions(gen):
 
 def test_sign_normalization():
     br = nf.BracketTT.of(-U4, V4)
-    assert np.allclose(br.pair().a, U4)
-    assert np.allclose(br.pair().b, -V4)
+    assert np.allclose(br.rep.a, U4)
+    assert np.allclose(br.rep.b, -V4)
 
 
 def test_nf_TxT_fixed_point():
@@ -214,15 +214,13 @@ def test_nf_pair_structured_cases(gen):
             nf.BracketTT.of(*r2.canonical[1]), 1e-8)
 
 
-def test_in_transversal_dispatch():
-    ok, tag = nf.in_transversal(nf.make_pair(U4, V4), "M")
+def test_transversal_member_tags():
+    ok, tag = nf.in_M(nf.make_pair(U4, V4))
     assert ok and tag == "P0_P"
-    ok, tag = nf.in_transversal(nf.make_pair(ONE4, ONE4), "M2")
+    ok, tag = nf.in_M2(nf.make_pair(ONE4, ONE4))
     assert ok and tag == "c1"
-    ok, _ = nf.in_transversal(nf.make_pair(V4, unit(np.random.default_rng(1), 4)), "M4")
+    ok, _ = nf.in_M4(nf.make_pair(V4, unit(np.random.default_rng(1), 4)))
     assert isinstance(ok, bool)
-    with pytest.raises(ValueError):
-        nf.in_transversal(nf.make_pair(U4, V4), "bogus")
 
 
 def _q(*coords):
@@ -245,8 +243,9 @@ _CONSTITUENTS = [
 
 @pytest.mark.parametrize("which, a, member, miss, tag", _CONSTITUENTS)
 def test_transversal_constituents(which, a, member, miss, tag):
-    assert nf.in_transversal(nf.make_pair(a, member), which) == (True, tag)
-    assert nf.in_transversal(nf.make_pair(a, miss), which) == (False, None)
+    member_test = getattr(nf, f"in_{which}")
+    assert member_test(nf.make_pair(a, member)) == (True, tag)
+    assert member_test(nf.make_pair(a, miss)) == (False, None)
 
 
 def test_T12_tie_membership():
