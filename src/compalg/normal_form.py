@@ -14,6 +14,11 @@ numerics.deadband_signs at the tolerance, one closed deadband: |x| <= tol
 counts as 0, so each coordinate has exactly one sign.  Results with a
 coordinate in [tol, 10 tol) are flagged as near a boundary.
 
+Arrays at the API, floats inside: public functions take and return float64
+4-arrays; inside, each quaternion is a 4-tuple of Python floats (ValueError on
+a non-finite coordinate), multiplied by octonion.hamilton, its signs read
+once.  Norms and angles stay numpy's, so results keep the array formulas' bits.
+
 The reductions are constructive: rotate the first imaginary part onto the
 u-axis by one closed form, then rotate about u to push the second
 component's (v, uv)-part onto the +v ray.  Reductions modulo a stabilizer
@@ -26,6 +31,7 @@ transversal and cosets; in_N and nf_pair both read it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,14 +39,13 @@ import numpy as np
 
 from .errors import NotCanonical
 from .numerics import DEFAULT_TOL, PAIR_TOL, deadband_signs, leading_sign, vanishes
-from .octonion import quat_kappa as kappa
-from .octonion import quat_mul
+from .octonion import hamilton, hamilton_kappa
 
 ONE4 = np.array([1.0, 0.0, 0.0, 0.0])
 U4 = np.array([0.0, 1.0, 0.0, 0.0])
 V4 = np.array([0.0, 0.0, 1.0, 0.0])
 UV4 = np.array([0.0, 0.0, 0.0, 1.0])
-_FLIP = np.array([-1.0, 1.0, 1.0, -1.0])  # -kappa_uv on coordinates
+_ONE, _V, _UV = (tuple(q.tolist()) for q in (ONE4, V4, UV4))
 
 BOUNDARY_FACTOR = 10.0
 
@@ -67,11 +72,10 @@ class PairTT:
 
 
 def make_pair(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     if a.shape != (4,) or b.shape != (4,):
         raise ValueError("pair entries must be quaternion 4-vectors")
-    return PairTT(a.copy(), b.copy())
+    return PairTT(a, b)
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,7 @@ class BracketTT:
 
     @classmethod
     def of(cls, a, b, tol=DEFAULT_TOL):
-        return cls(rep=_sign_normalize(make_pair(a, b), tol))
+        return cls(rep=_box(*_sign_normalize(_quat(a), _quat(b), tol)))
 
     def close_to(self, other, tol=PAIR_TOL):
         rep2 = other.rep if isinstance(other, BracketTT) else other
@@ -91,10 +95,34 @@ class BracketTT:
         return self.rep.close_to(rep2, tol) or self.rep.close_to(flipped, tol)
 
 
-def _sign_normalize(pair, tol=DEFAULT_TOL):
-    if leading_sign(np.concatenate([pair.a, pair.b]), tol.value) < 0:
-        return PairTT(-pair.a, -pair.b)
-    return pair
+def _quat(q):
+    """q as a 4-tuple of Python floats; ValueError unless it holds 4 finite numbers."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (4,):
+        raise ValueError("a quaternion must be a 4-vector")
+    q = tuple(q.tolist())
+    if not all(map(math.isfinite, q)):
+        raise ValueError("quaternion has a non-finite coordinate")
+    return q
+
+
+def _box(a, b):
+    return PairTT(np.array(a), np.array(b))
+
+
+def _neg(q):
+    return (-q[0], -q[1], -q[2], -q[3])
+
+
+def _flip(x):
+    """x -> (-x0, x1, x2, -x3) = -kappa_uv(x), on a quaternion or on its signs."""
+    return (-x[0], x[1], x[2], -x[3])
+
+
+def _sign_normalize(a, b, tol=DEFAULT_TOL):
+    if leading_sign(a + b, tol.value) < 0:
+        return _neg(a), _neg(b)
+    return a, b
 
 
 class StabilizerCase(Enum):
@@ -117,14 +145,17 @@ class NFResult:
 # Actions
 # ---------------------------------------------------------------------------
 
+def _act(q, a, b):
+    return hamilton_kappa(q, a), hamilton_kappa(q, b)
+
+
 def act_TxT(q, pair):
-    q = np.asarray(q, dtype=float)
-    return PairTT(kappa(q, pair.a), kappa(q, pair.b))
+    return _box(*_act(_quat(q), *map(_quat, pair)))
 
 
 def act_bracket(q, br):
     """The sign class of kappa_q of br's representative, sign-normalized at DEFAULT_TOL."""
-    return BracketTT(rep=_sign_normalize(act_TxT(q, br.rep)))
+    return BracketTT(rep=_box(*_sign_normalize(*_act(_quat(q), *map(_quat, br.rep)))))
 
 
 def act_pair(q, brackets):
@@ -140,6 +171,7 @@ def _signs(q, tol):
 
 
 def _pair_signs(pair, tol):
+    """Deadband signs of a pair's quaternions, arrays or float tuples."""
     a, b = pair
     return _signs(a, tol), _signs(b, tol)
 
@@ -166,8 +198,8 @@ def _T(s, m, n):
 
 
 def is_pm_one(q, tol=DEFAULT_TOL):
-    """The imaginary part of the quaternion array q vanishes: its norm lies in
-    the closed deadband of tol."""
+    """The imaginary part of the quaternion q, an array or a float tuple,
+    vanishes: its norm lies in the closed deadband of tol."""
     return vanishes(q[1:], tol.value)
 
 
@@ -189,7 +221,11 @@ def in_M(pair, tol=DEFAULT_TOL):
 
 
 def in_M1(pair, tol=DEFAULT_TOL):
-    sa, sb = _pair_signs(pair, tol)
+    return _M1(*_pair_signs(pair, tol))
+
+
+def _M1(sa, sb):
+    """in_M1 on the sign tuples of the pair."""
     if sa == _ONE_S and _pm1(sb):
         return True, "1_pm1"
     if sa == _ONE_S and _P0(sb):
@@ -241,11 +277,13 @@ def in_M4(pair, tol=DEFAULT_TOL):
 
 def stabilizer_case(pair, tol=DEFAULT_TOL):
     """The five-way stabilizer classification of a sign class in M1."""
-    ok, _ = in_M1(pair, tol)
-    if not ok:
+    return _stabilizer_case(*pair, *_pair_signs(pair, tol), tol)
+
+
+def _stabilizer_case(a, b, sa, sb, tol):
+    """stabilizer_case of the pair (a, b) with the sign tuples (sa, sb)."""
+    if not _M1(sa, sb)[0]:
         raise NotCanonical("stabilizer classification needs a canonical M1 representative")
-    a, b = pair
-    sa, sb = _pair_signs(pair, tol)
     a_c, b_c = _pm1(sa), _pm1(sb)
     if a_c and b_c:
         return StabilizerCase.FULL
@@ -254,7 +292,7 @@ def stabilizer_case(pair, tol=DEFAULT_TOL):
             return StabilizerCase.CIRCLE_U_PLUS_VU
         return StabilizerCase.CIRCLE_U
     in_uv_planes = sa[0] == sa[3] == sb[0] == sb[3] == 0
-    if in_uv_planes and _signs(a[1] * b[2] - a[2] * b[1], tol) != (0,):
+    if in_uv_planes and _signs((a[1] * b[2] - a[2] * b[1],), tol) != (0,):
         return StabilizerCase.TWO_ELT
     return StabilizerCase.TRIVIAL
 
@@ -264,9 +302,9 @@ def stabilizer_case(pair, tol=DEFAULT_TOL):
 #: the circle about u).  FULL reduces by nf_M1; TRIVIAL takes any second class.
 _SECOND_CLASS = {
     StabilizerCase.FULL: (in_M1, None, None),
-    StabilizerCase.CIRCLE_U: (in_M2, (ONE4,), True),
-    StabilizerCase.CIRCLE_U_PLUS_VU: (in_M3, (ONE4, V4), True),
-    StabilizerCase.TWO_ELT: (in_M4, (ONE4, UV4), False),
+    StabilizerCase.CIRCLE_U: (in_M2, (_ONE,), True),
+    StabilizerCase.CIRCLE_U_PLUS_VU: (in_M3, (_ONE, _V), True),
+    StabilizerCase.TWO_ELT: (in_M4, (_ONE, _UV), False),
     StabilizerCase.TRIVIAL: (None, None, None),
 }
 
@@ -293,7 +331,7 @@ def _boundary_flag(pairs, tol):
     bound = BOUNDARY_FACTOR * tol.value
     for pair in pairs:
         for q in pair:
-            for x in q.tolist():
+            for x in q:
                 if tol.value <= abs(x) < bound:
                     return True
     return False
@@ -304,7 +342,13 @@ def _boundary_flag(pairs, tol):
 # ---------------------------------------------------------------------------
 
 def _snap_sign(q):
-    return np.array([1.0 if q[0] > 0 else -1.0, 0.0, 0.0, 0.0])
+    return (1.0 if q[0] > 0 else -1.0, 0.0, 0.0, 0.0)
+
+
+def _norm(xs):
+    """np.linalg.norm of a float tuple by its formula: sqrt of one dot product."""
+    v = np.array(xs)
+    return math.sqrt(v.dot(v))
 
 
 def _onto_u(im):
@@ -316,18 +360,35 @@ def _onto_u(im):
     (-x, y, -z), times v: (1 - x, 0, -z, -y) v = (z, y, 1 - x, 0).  Both
     have norm at least 1 before normalizing, so nothing cancels.
     """
-    x, y, z = (im / np.linalg.norm(im)).tolist()
-    q = np.array([1.0 + x, 0.0, z, -y] if x >= 0.0 else [z, y, 1.0 - x, 0.0])
-    return q / np.linalg.norm(q)
+    n = _norm(im)
+    x, y, z = im[0] / n, im[1] / n, im[2] / n
+    q = (1.0 + x, 0.0, z, -y) if x >= 0.0 else (z, y, 1.0 - x, 0.0)
+    n = _norm(q)
+    return (q[0] / n, q[1] / n, q[2] / n, q[3] / n)
 
 
 def _v_turn(q, tol):
     """The rotation about u that puts q's (v, uv)-part on the +v ray, or
     None when that part lies in the deadband."""
-    if _signs(np.hypot(q[2], q[3]), tol) == (0,):
+    if vanishes(q[2:], tol.value):
         return None
     half = -np.arctan2(q[3], q[2]) / 2.0
-    return np.array([np.cos(half), np.sin(half), 0.0, 0.0])
+    return (float(np.cos(half)), float(np.sin(half)), 0.0, 0.0)
+
+
+def _nf_TxT(a, b, tol):
+    """nf_TxT on float tuples: the canonical pair and the witness."""
+    a_pm1 = is_pm_one(a, tol)
+    q = _ONE
+    if not (a_pm1 and is_pm_one(b, tol)):
+        q = _onto_u((b if a_pm1 else a)[1:])
+        a, b = _act(q, a, b)
+        turn = None if a_pm1 else _v_turn(b, tol)
+        if turn is not None:
+            q, (a, b) = hamilton(turn, q), _act(turn, a, b)
+    a = _snap_sign(a) if a_pm1 else a
+    b = _snap_sign(b) if is_pm_one(b, tol) else b
+    return a, b, q
 
 
 def nf_TxT(pair, tol=DEFAULT_TOL):
@@ -339,21 +400,23 @@ def nf_TxT(pair, tol=DEFAULT_TOL):
     component to exactly +-1, the first as read before the rotation (it
     picks what rotates) and the second as read after it, keeping its signs.
     """
-    a, b = pair
-    a_pm1 = is_pm_one(a, tol)
-    q, moved = ONE4.copy(), pair
-    if not (a_pm1 and is_pm_one(b, tol)):
-        q = _onto_u((b if a_pm1 else a)[1:])
-        moved = act_TxT(q, pair)
-        turn = None if a_pm1 else _v_turn(moved.b, tol)
-        if turn is not None:
-            q, moved = quat_mul(turn, q), act_TxT(turn, moved)
-    a1, b1 = moved
-    canonical = PairTT(_snap_sign(a1) if a_pm1 else a1,
-                       _snap_sign(b1) if is_pm_one(b1, tol) else b1)
-    ok, tag = in_M(canonical, tol)
-    return NFResult(canonical=canonical, witness_q=q, tag=tag,
-                    boundary_flag=_boundary_flag([canonical], tol))
+    a, b, q = _nf_TxT(*map(_quat, pair), tol)
+    return NFResult(canonical=_box(a, b), witness_q=np.array(q), tag=in_M((a, b), tol)[1],
+                    boundary_flag=_boundary_flag([(a, b)], tol))
+
+
+def _nf_M1(a, b, tol):
+    """nf_M1 on float tuples: the pair, the witness, the tag and the pair's signs."""
+    a, b, q = _nf_TxT(a, b, tol)
+    sa, sb = _pair_signs((a, b), tol)
+    ok, tag = _M1(sa, sb)
+    if not ok:
+        fa, fb, fsa, fsb = _flip(a), _flip(b), _flip(sa), _flip(sb)
+        ok, tag = _M1(fsa, fsb)
+        if ok or (fa[0], fb[0]) > (a[0], b[0]):
+            a, b, q, sa, sb = fa, fb, hamilton(_UV, q), fsa, fsb
+        tag = tag if ok else "boundary"
+    return (a, b), q, tag, (sa, sb)
 
 
 def nf_M1(bracket, tol=DEFAULT_TOL):
@@ -364,20 +427,9 @@ def nf_M1(bracket, tol=DEFAULT_TOL):
     uv q.  If both miss, the class sits on a deadband boundary: keep the
     point with the larger (a0, b0), tagged "boundary" and flagged."""
     pair = bracket.rep if isinstance(bracket, BracketTT) else bracket
-    res = nf_TxT(pair, tol)
-    first = res.canonical
-    ok, tag = in_M1(first, tol)
-    if ok:
-        return NFResult(canonical=first, witness_q=res.witness_q, tag=tag,
-                        boundary_flag=res.boundary_flag)
-    flipped = PairTT(first.a * _FLIP, first.b * _FLIP)
-    ok, tag = in_M1(flipped, tol)
-    if ok or (flipped.a[0], flipped.b[0]) > (first.a[0], first.b[0]):
-        canonical, q = flipped, quat_mul(UV4, res.witness_q)
-    else:
-        canonical, q = first, res.witness_q
-    return NFResult(canonical=canonical, witness_q=q, tag=tag if ok else "boundary",
-                    boundary_flag=res.boundary_flag or not ok)
+    canonical, q, tag, _ = _nf_M1(*map(_quat, pair), tol)
+    return NFResult(canonical=_box(*canonical), witness_q=np.array(q), tag=tag,
+                    boundary_flag=_boundary_flag([canonical], tol) or tag == "boundary")
 
 
 def _u_rotations(pair, tol):
@@ -387,22 +439,23 @@ def _u_rotations(pair, tol):
         turn = _v_turn(q, tol)
         if turn is not None:
             yield turn
-    yield ONE4
+    yield _ONE
 
 
 def _reduce_with_cosets(pair, cosets, member, circle, tol):
-    """Reduce a sign class modulo (finite cosets) x (u-axis circle, if circle).
+    """Reduce a sign class, a pair of float tuples, modulo (finite cosets) x
+    (u-axis circle, if circle).
 
     Enumerates coset representative x sign x angle placement, filters by the
     target transversal; transversality makes any hit canonical."""
     for coset in cosets:
-        base = act_TxT(coset, pair) if np.max(np.abs(coset - ONE4)) > 0 else pair
-        for rep in (base, PairTT(-base.a, -base.b)):
+        base = _act(coset, *pair) if coset != _ONE else pair
+        for rep in (base, (_neg(base[0]), _neg(base[1]))):
             for qu in _u_rotations(rep, tol) if circle else (None,):
-                cand = rep if qu is None else act_TxT(qu, rep)
+                cand = rep if qu is None else _act(qu, *rep)
                 ok, tag = member(cand, tol)
                 if ok:
-                    return cand, coset if qu is None else quat_mul(qu, coset), tag
+                    return cand, coset if qu is None else hamilton(qu, coset), tag
     return None
 
 
@@ -413,28 +466,23 @@ def nf_pair(brackets, tol=DEFAULT_TOL):
     stabilizer of the first, landing in M1/M2/M3/M4 or (trivial stabilizer)
     just sign-normalized.
     """
-    br1, br2 = brackets
-    first = nf_M1(br1, tol)
-    q1 = first.witness_q
-    pair2 = br2.rep if isinstance(br2, BracketTT) else br2
-    moved = act_TxT(q1, pair2)
-    case = stabilizer_case(first.canonical, tol)
+    pair1, pair2 = (br.rep if isinstance(br, BracketTT) else br for br in brackets)
+    c1, q1, _, signs = _nf_M1(*map(_quat, pair1), tol)
+    moved = _act(q1, *map(_quat, pair2))
+    case = _stabilizer_case(*c1, *signs, tol)
 
     if case is StabilizerCase.FULL:
-        second = nf_M1(moved, tol)
-        q2, c2, tag2 = second.witness_q, second.canonical, second.tag
+        c2, q2, tag2, _ = _nf_M1(*moved, tol)
     elif case is StabilizerCase.TRIVIAL:
-        q2, c2, tag2 = ONE4, _sign_normalize(moved, tol), "any"
+        q2, c2, tag2 = _ONE, _sign_normalize(*moved, tol), "any"
     else:
         member, cosets, circle = _SECOND_CLASS[case]
         hit = _reduce_with_cosets(moved, cosets, member, circle, tol)
         if hit is None:
             raise NotCanonical(f"no candidate landed in the {case.value} transversal")
         c2, q2, tag2 = hit
-    witness = quat_mul(q2, q1)
-    canonical = (first.canonical, c2)
-    return NFResult(canonical=canonical, witness_q=witness, tag=(case, tag2),
-                    boundary_flag=_boundary_flag(canonical, tol))
+    return NFResult(canonical=(_box(*c1), _box(*c2)), witness_q=np.array(hamilton(q2, q1)),
+                    tag=(case, tag2), boundary_flag=_boundary_flag((c1, c2), tol))
 
 
 def pair_angles(pair):

@@ -54,10 +54,11 @@ def rng(seed=DEFAULT_SEED):
 
 def deadband_signs(values, deadband):
     """Sign of each entry of values as -1, 0 or +1, with |x| <= deadband
-    counted as 0; ValueError on NaN.  Plain float comparisons after one
-    tolist(), since normal forms call it per quaternion on hot paths."""
+    counted as 0; ValueError on NaN.  Plain float comparisons, on a tuple as it
+    is and on anything else after one tolist(): normal forms call it per quaternion."""
     signs = []
-    for x in np.asarray(values, dtype=float).ravel().tolist():
+    xs = values if isinstance(values, tuple) else np.asarray(values, dtype=float).ravel().tolist()
+    for x in xs:
         if x > deadband:
             signs.append(1)
         elif x < -deadband:
@@ -70,9 +71,9 @@ def deadband_signs(values, deadband):
 
 
 def vanishes(x, deadband):
-    """The norm of the float vector x lies in the closed deadband: |x| <=
-    deadband.  A rotation keeps the norm, where it moves the coordinates' signs."""
-    return math.hypot(*x.tolist()) <= deadband
+    """The norm of x, a float array or tuple, lies in the closed deadband: |x|
+    <= deadband.  A rotation keeps the norm, where it moves the coordinates' signs."""
+    return math.hypot(*(x if isinstance(x, tuple) else x.tolist())) <= deadband
 
 
 def leading_sign(values, deadband):

@@ -25,35 +25,44 @@ from .errors import NotCayleyTriple, NotUnitComplex, NotUnitNorm, NotUnitQuatern
 from .numerics import DEFAULT_TOL
 
 
-def quat_mul(a, b):
-    """Hamilton product on 4-vectors (1, i, j, k) = (1, u, v, uv).
+def hamilton(a, b):
+    """Hamilton product of 4-sequences (1, i, j, k) = (1, u, v, uv), as a
+    4-tuple: unboxed on Python floats, column by column on (4, N) rows."""
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
 
-    The four components sit on the first axis and any trailing axes
+
+def hamilton_kappa(q, x):
+    """The conjugation action x -> q x conj(q) on 4-sequences, as hamilton."""
+    w, i, j, k = q
+    return hamilton(hamilton(q, x), (w, -i, -j, -k))
+
+
+def _unboxed(a):
+    a = np.asarray(a)
+    return a.tolist() if a.ndim == 1 else a
+
+
+def quat_mul(a, b):
+    """hamilton on arrays: components on the first axis, trailing axes
     broadcast, so (4, N) batches multiply column by column; integer input
     stays integer.  A single quaternion runs on Python scalars: the same
-    operations as a batch column, bit for bit, but unboxed.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    w1, x1, y1, z1 = a.tolist() if a.ndim == 1 else a
-    w2, x2, y2, z2 = b.tolist() if b.ndim == 1 else b
-    return np.array([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ])
+    operations as a batch column, bit for bit, but unboxed."""
+    return np.array(hamilton(_unboxed(a), _unboxed(b)))
 
 
 def quat_conj(a):
-    a = np.asarray(a)
-    w, x, y, z = a.tolist() if a.ndim == 1 else a
+    w, x, y, z = _unboxed(a)
     return np.array([w, -x, -y, -z])
 
 
 def quat_kappa(q, x):
-    """The conjugation action x -> q x conj(q), components on the first axis
-    as in quat_mul."""
-    return quat_mul(quat_mul(q, x), quat_conj(q))
+    """hamilton_kappa on arrays, as quat_mul runs hamilton."""
+    return np.array(hamilton_kappa(_unboxed(q), _unboxed(x)))
 
 
 def _build_structure_tensor():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from compalg import normal_form as nf
+from compalg import octonion as oc
 from compalg.errors import NotCanonical
 
 from conftest import unit
@@ -117,7 +118,7 @@ def test_nf_M1_invariance(gen):
         r1 = nf.nf_M1(br)
         q = unit(gen, 4)
         sign = 1.0 if gen.integers(0, 2) else -1.0
-        r2 = nf.nf_M1(nf.BracketTT.of(sign * nf.kappa(q, a), sign * nf.kappa(q, b)))
+        r2 = nf.nf_M1(nf.BracketTT.of(sign * oc.quat_kappa(q, a), sign * oc.quat_kappa(q, b)))
         assert r1.canonical.close_to(r2.canonical, 1e-8)
         ok, _ = nf.in_M1(r1.canonical)
         assert ok
@@ -345,11 +346,113 @@ def test_nf_TxT_rotates_the_first_component_onto_u(direction):
     assert nf.in_M(r.canonical) == (True, "P0_P")
 
 
+def _real(x):
+    return np.array([x, 0.0, 0.0, 0.0])
+
+
 @pytest.mark.parametrize("a, b", [
     (np.full(4, np.nan), HALVES),
     (HALVES, np.full(4, np.nan)),
     (ONE4, np.array([0.5, np.nan, 0.5, 0.5])),
-], ids=["first", "second", "second-after-one"])
+    (_real(np.nan), U4),
+    (U4, _real(np.nan)),
+    (_real(np.inf), U4),
+    (_real(-np.inf), U4),
+    (U4, _real(np.inf)),
+    (U4, _real(-np.inf)),
+    (HALVES, np.array([0.5, np.inf, 0.5, 0.5])),
+], ids=["first", "second", "second-after-one", "first-real-nan", "second-real-nan",
+        "first-real-inf", "first-real-minus-inf", "second-real-inf", "second-real-minus-inf",
+        "second-imaginary-inf"])
 def test_nf_TxT_rejects_nan(a, b):
+    # a non-finite coordinate is an error wherever the float path reads it,
+    # never a component snapped to +-1
     with pytest.raises(ValueError):
         nf.nf_TxT(nf.make_pair(a, b))
+    with pytest.raises(ValueError):
+        nf.nf_M1(nf.make_pair(a, b))
+    with pytest.raises(ValueError):
+        nf.BracketTT.of(a, b)
+    bad = nf.BracketTT(rep=nf.make_pair(a, b))
+    good = nf.BracketTT.of(HALVES, U4)
+    for brackets in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError):
+            nf.nf_pair(brackets)
+    with pytest.raises(ValueError):
+        nf.act_TxT(HALVES, nf.make_pair(a, b))
+
+
+def _is_quaternion_array(q):
+    return isinstance(q, np.ndarray) and q.dtype == np.float64 and q.shape == (4,)
+
+
+def _check_contract(r, pairs):
+    """Float64 (4,) arrays in every canonical pair and in the witness, and a
+    Python bool flag."""
+    assert all(isinstance(p, nf.PairTT) and _is_quaternion_array(p.a) and _is_quaternion_array(p.b)
+               for p in pairs)
+    assert _is_quaternion_array(r.witness_q)
+    assert type(r.boundary_flag) is bool
+
+
+# A point whose first component is already on the u-axis and whose second
+# has a (v, uv)-part inside the deadband: no turn about u, and no snap.
+_IN_DEADBAND = np.array([0.6, 0.8, 3e-10, -4e-10]) / np.linalg.norm([0.6, 0.8, 3e-10, -4e-10])
+
+
+@pytest.mark.parametrize("a, b, tag", [
+    (ONE4, -ONE4, "pm1_pm1"),                                    # both +-1: no rotation
+    (-ONE4, HALVES, "pm1_P0"),                                   # a +-1 first component
+    (HALVES, ONE4, "P0_pm1"),
+    (HALVES, np.array([0.1, -0.7, 0.5, 0.5]), "P0_P"),
+    (np.array([0.6, 0.8, 0.0, 0.0]), _IN_DEADBAND, "P0_P"),      # (v, uv)-part in the deadband
+], ids=["pm1_pm1", "pm1_P0", "P0_pm1", "P0_P", "vuv-deadband"])
+def test_nf_TxT_contract(a, b, tag):
+    x = nf.make_pair(a, b / np.linalg.norm(b))
+    r = nf.nf_TxT(x)
+    _check_contract(r, [r.canonical])
+    assert r.tag == tag and nf.in_M(r.canonical) == (True, tag)
+    assert nf.act_TxT(r.witness_q, x).close_to(r.canonical, 1e-15)
+    # the inputs are left as they were
+    assert np.array_equal(x.a, a) and np.array_equal(x.b, b / np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("a, b, tag", [
+    (ONE4, -ONE4, "1_pm1"),
+    (-ONE4, HALVES, "1_P0"),
+    (HALVES, ONE4, "P0_1"),
+    (HALVES, np.array([0.1, -0.7, 0.5, 0.5]), "P0_P_plus"),
+    (np.array([-0.6, 0.8, 0.0, 0.0]), _IN_DEADBAND, "P0_P_plus"),
+])
+def test_nf_M1_contract(a, b, tag):
+    x = nf.BracketTT.of(a, b / np.linalg.norm(b))
+    r = nf.nf_M1(x)
+    _check_contract(r, [r.canonical])
+    assert r.tag == tag and nf.in_M1(r.canonical) == (True, tag)
+    assert nf.act_bracket(r.witness_q, x).close_to(nf.BracketTT.of(*r.canonical), 1e-15)
+
+
+def test_nf_pair_contract():
+    S = nf.StabilizerCase
+
+    def cx(t):
+        return np.array([np.cos(t), np.sin(t), 0.0, 0.0])
+
+    firsts = {
+        S.FULL: (ONE4, -ONE4),
+        S.CIRCLE_U: (cx(0.8), ONE4),
+        S.CIRCLE_U_PLUS_VU: (U4, -U4),
+        S.TWO_ELT: (U4, np.array([0.0, 0.6, 0.8, 0.0])),
+        S.TRIVIAL: (cx(0.3), np.array([0.6, 0.48, 0.64, 0.0])),
+    }
+    second = nf.BracketTT.of(HALVES, np.array([0.1, -0.7, 0.5, 0.5]))
+    for case, (a1, b1) in firsts.items():
+        x = (nf.BracketTT.of(a1, b1), second)
+        r = nf.nf_pair(x)
+        assert isinstance(r.canonical, tuple) and len(r.canonical) == 2
+        _check_contract(r, r.canonical)
+        assert r.tag[0] is case and isinstance(r.tag[1], str)
+        assert nf.stabilizer_case(r.canonical[0]) is case
+        assert nf.in_N(r.canonical) == (True, r.tag)
+        for br, pair in zip(x, r.canonical):
+            assert nf.act_bracket(r.witness_q, br).close_to(nf.BracketTT.of(*pair), 1e-12)

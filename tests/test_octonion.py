@@ -42,6 +42,26 @@ def test_quat_mul_broadcasts(gen):
     assert oc.STRUCTURE.dtype == np.int64
 
 
+def test_unboxed_kernel_matches_quat_mul_and_kappa(gen):
+    # hamilton and hamilton_kappa on Python floats give quat_mul's and
+    # quat_kappa's bits, on single quaternions and on each batch column;
+    # signed zeros included
+    a, b = gen.standard_normal((4, 50)), gen.standard_normal((4, 50))
+    a[:, :10] = np.round(a[:, :10])  # exact zeros of both signs
+    a[1, :5] = -0.0
+    batch_mul, batch_kappa = oc.quat_mul(a, b), oc.quat_kappa(a, b)
+    for k in range(50):
+        x, y = tuple(a[:, k].tolist()), tuple(b[:, k].tolist())
+        mul, kappa = oc.hamilton(x, y), oc.hamilton_kappa(x, y)
+        assert all(type(c) is float for c in mul + kappa)
+        for unboxed, boxed in ((mul, oc.quat_mul(a[:, k], b[:, k])), (mul, batch_mul[:, k]),
+                               (kappa, oc.quat_kappa(a[:, k], b[:, k])), (kappa, batch_kappa[:, k])):
+            assert np.array(unboxed).tobytes() == np.ascontiguousarray(boxed).tobytes()
+    # on (4, N) rows the kernel is the batch product itself
+    assert np.array(oc.hamilton(a, b)).tobytes() == batch_mul.tobytes()
+    assert np.array(oc.hamilton_kappa(a, b)).tobytes() == batch_kappa.tobytes()
+
+
 def test_octonion_mul_broadcasts(gen):
     x, y = gen.standard_normal((30, 8)), gen.standard_normal((30, 8))
     batch = oc.mul(x, y)
