@@ -390,35 +390,43 @@ def from_json(obj):
 
 def tau_block(i, j, a, b, tol=DEFAULT_TOL):
     """D17, D8, D134s or D134a: the block of the tau-family point (a, b) of
-    double sign (i, j), for unit quaternion 4-vectors taken as they are."""
-    one, z = np.array([1.0, 0, 0, 0]), tol.value
-    if vanishes(a - one, z) and vanishes(b - one, z):
+    double sign (i, j), unit quaternions read by octonion.unit_coords."""
+    i, j = as_indices(i, j)
+    a, b, z = oc.unit_coords(a, 4, "parameter a"), oc.unit_coords(b, 4, "parameter b"), tol.value
+    if vanishes((a[0] - 1.0, *a[1:]), z) and vanishes((b[0] - 1.0, *b[1:]), z):
         return "D17"
-    a2 = oc.quat_mul(a, a)
-    if (i, j) == (1, 1) and vanishes(a2 + a + one, z) and vanishes(b - a2, z):
+    a2 = oc.hamilton(a, a)
+    cubic = (a2[0] + a[0] + 1.0, a2[1] + a[1], a2[2] + a[2], a2[3] + a[3])
+    if (i, j) == (1, 1) and vanishes(cubic, z) and _aligned(b, a2, 0, z):
         return "D8"  # the Okubo curve (a, a^2) with a^2 + a + 1 = 0
     return "D134s" if vanishes(a[1:], z) and vanishes(b[1:], z) else "D134a"
+
+
+def _aligned(b, a, k, deadband):
+    """b = (-1)^k a within the closed deadband, on float tuples."""
+    sign = (-1.0) ** k
+    return vanishes(tuple(y - sign * x for x, y in zip(a, b)), deadband)
 
 
 def t_block(i, j, a1, b1, a2, b2, tol=DEFAULT_TOL):
     """None when all four lie in {1, -1}, else the block of the T-family point:
     D116 under the one-axis alignment b1 = (-1)^j a1, b2 = (-1)^i a2, else
-    D1124 or D11114 as the imaginary parts span a line or more."""
+    D1124 or D11114 as the imaginary parts span a line or more.  The unit
+    quaternions are read by octonion.unit_coords."""
     i, j = as_indices(i, j)
-    qs, z = [oc.as_unit(x, 4, "parameter") for x in (a1, b1, a2, b2)], tol.value
+    qs, z = [oc.unit_coords(x, 4, "parameter") for x in (a1, b1, a2, b2)], tol.value
     if all(vanishes(x[1:], z) for x in qs):
         return None
     span = _imaginary_span_dim(qs, tol)
-    if (span == 1 and vanishes(qs[1] - (-1.0) ** j * qs[0], z)
-            and vanishes(qs[3] - (-1.0) ** i * qs[2], z)):
+    if span == 1 and _aligned(qs[1], qs[0], j, z) and _aligned(qs[3], qs[2], i, z):
         return "D116"
     return "D1124" if span == 1 else "D11114"
 
 
-def _imaginary_span_dim(quats, tol=DEFAULT_TOL):
-    ims = np.array([np.asarray(x, float)[1:] for x in quats])
-    s = np.linalg.svd(ims, compute_uv=False)
-    return int(np.sum(s > tol.value * max(s[0], 1.0)))
+def _imaginary_span_dim(quats, tol):
+    """The rank of the quaternions' imaginary parts, float tuples, by one SVD."""
+    s = np.linalg.svd(np.array([q[1:] for q in quats]), compute_uv=False).tolist()
+    return sum(x > tol.value * max(s[0], 1.0) for x in s)
 
 
 def in_TxT_ij(i, j, a, b):
@@ -426,15 +434,12 @@ def in_TxT_ij(i, j, a, b):
 
     Excludes (1, 1) always, and for (i, j) = (1, 1) also the curve
     (a, a^2) with a^2 + a + 1 = 0 (the Okubo points)."""
-    i, j = as_indices(i, j)
-    a4 = oc.as_unit(a, 4, "a")
-    b4 = oc.as_unit(b, 4, "b")
-    return tau_block(i, j, a4, b4) not in ("D17", "D8")
+    return tau_block(i, j, a, b) not in ("D17", "D8")
 
 
 def in_S(a1, b1, a2, b2):
     """True iff not all four unit quaternions lie in {1, -1} at DEFAULT_TOL."""
-    return not all(vanishes(oc.as_unit(x, 4, "parameter")[1:], DEFAULT_TOL.value)
+    return not all(vanishes(oc.unit_coords(x, 4, "parameter")[1:], DEFAULT_TOL.value)
                    for x in (a1, b1, a2, b2))
 
 

@@ -29,6 +29,7 @@ from . import maps as mp
 from . import normal_form as nf
 from .errors import NotInBlock, RawTensorNotSupported
 from .numerics import DEFAULT_TOL, PAIR_TOL
+from .octonion import unit_coords
 from .triality import witness_residual
 
 _SIGN_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -152,7 +153,13 @@ def _grid_open(n, lo=0.0, hi=np.pi):
 
 
 def _cx(angle):
-    return np.array([np.cos(angle), np.sin(angle), 0.0, 0.0])
+    """cos(angle) + u sin(angle) as a float tuple."""
+    return (float(np.cos(angle)), float(np.sin(angle)), 0.0, 0.0)
+
+
+def _signed(q, k):
+    """(-1)^k q on a float tuple."""
+    return tuple(-x for x in q) if k else q
 
 
 def _free_space(kind, family, signs, dim=8):
@@ -175,8 +182,8 @@ def _pair_form(kind, p, res):
 
 def _tau_reduce(name, p, tol):
     # a point in D17 or D8 keeps its pair (the block's fixed point); those records ignore it
-    res = nf.nf_TxT(nf.make_pair(p["a"], p["b"]), tol)
-    return _pair_form(al.tau_block(p["i"], p["j"], *res.canonical, tol), p, res)
+    pair = [unit_coords(p[k], 4, f"parameter {k}") for k in ("a", "b")]
+    return _pair_form(al.tau_block(p["i"], p["j"], *pair, tol), p, nf.nf_TxT(pair, tol))
 
 
 def _tau_grid(kind, grid):
@@ -184,14 +191,12 @@ def _tau_grid(kind, grid):
     the half 2-sphere; three points at grids 1-8 are in D8, and dropped."""
     if kind == "D134s":
         for (i, j), (sa, sb) in product(_SIGN_PAIRS, ((1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))):
-            yield "tau_family", {"i": i, "j": j, "a": sa * nf.ONE4, "b": sb * nf.ONE4}
+            yield "tau_family", {"i": i, "j": j, "a": (sa, 0.0, 0.0, 0.0), "b": (sb, 0.0, 0.0, 0.0)}
         return
-    angles = _grid_open(grid)
-    for (i, j), alpha, alpha2, beta in product(_SIGN_PAIRS, angles, angles,
-                                               np.linspace(0.0, np.pi, grid)):
-        b = np.array([np.cos(alpha2), np.sin(alpha2) * np.cos(beta),
-                      np.sin(alpha2) * np.sin(beta), 0.0])
-        yield "tau_family", {"i": i, "j": j, "a": _cx(alpha), "b": b}
+    circle = [_cx(angle) for angle in _grid_open(grid)]
+    for (i, j), a, (c2, s2, _, _), (cb, sb, _, _) in product(
+            _SIGN_PAIRS, circle, circle, map(_cx, np.linspace(0.0, np.pi, grid))):
+        yield "tau_family", {"i": i, "j": j, "a": a, "b": (c2, s2 * cb, s2 * sb, 0.0)}
 
 
 def _lambda_to_t(i, j, a2, b2):
@@ -200,21 +205,20 @@ def _lambda_to_t(i, j, a2, b2):
     out = []
     for e2, k in ((a2, j), (b2, i)):
         half = ((float(np.arctan2(e2[1], e2[0])) % (2 * np.pi) - np.pi * k) / 2.0) % np.pi
-        out += [_cx(half), (-1.0) ** k * _cx(half)]
+        out += [_cx(half), _signed(_cx(half), k)]
     return tuple(out)
 
 
 def _bracket_reduce(name, p, tol):
     i, j = p["i"], p["j"]
     if name == "lambda_family":
-        qs = _lambda_to_t(i, j, np.asarray(p["a"], float), np.asarray(p["b"], float))
+        qs = _lambda_to_t(i, j, *(unit_coords(p[k], 2, f"parameter {k}") for k in ("a", "b")))
     else:
-        qs = tuple(np.asarray(p[k], float) for k in ("a1", "b1", "a2", "b2"))
+        qs = [unit_coords(p[k], 4, f"parameter {k}") for k in ("a1", "b1", "a2", "b2")]
     kind = al.t_block(i, j, *qs, tol)
     if kind is None:
         raise NotInBlock("all four parameters in {1,-1}: outside the bracket-pair blocks")
-    res = nf.nf_pair((nf.BracketTT.of(qs[0], qs[1], tol),
-                      nf.BracketTT.of(qs[2], qs[3], tol)), tol)
+    res = nf.nf_pair((nf._sign_normalize(*qs[:2], tol), nf._sign_normalize(*qs[2:], tol)), tol)
     return _pair_form(kind, p, res)
 
 
@@ -230,19 +234,18 @@ def _bracket_grid(kind, grid):
     D1124 point has b2 = +-a2 and every D11114 point b1 = +-a1, while
     k_family(i, j, cx(.5), cx(.8), cx(.7), cx(1.1)) is a D1124 point (all four
     sign pairs) whose canonical b2 is not +-a2."""
-    angles, m = _grid_open(grid), grid - 1
+    circle, m = [_cx(angle) for angle in _grid_open(grid)], grid - 1
     for (i, j), s1, (t1, s2) in product(_SIGN_PAIRS, range((grid + 1) // 2),
                                         product(range(grid), repeat=2)):
         if 2 * s1 == m and (t1, s2) > (m - t1, m - s2):
             continue
-        a1, a2 = _cx(angles[s1]), _cx(angles[s2])
+        a1, a2 = circle[s1], circle[s2]
         if kind == "D116" and t1 == s1:  # b1 aligned with a1: one angle fewer
-            qs = (a1, (-1.0) ** j * a1, a2, (-1.0) ** i * a2)
+            qs = (a1, _signed(a1, j), a2, _signed(a2, i))
         elif kind == "D1124" and (j or t1 != s1):
-            qs = (a1, _cx(angles[t1]), a2, (-1.0) ** i * a2)
+            qs = (a1, circle[t1], a2, _signed(a2, i))
         elif kind == "D11114":
-            qs = (a1, (-1.0) ** j * a1, _cx(angles[t1]),
-                  np.array([np.cos(angles[s2]), 0.0, np.sin(angles[s2]), 0.0]))
+            qs = (a1, _signed(a1, j), circle[t1], (a2[0], 0.0, a2[1], 0.0))
         else:
             continue
         yield "t_family", {"i": i, "j": j, **dict(zip(("a1", "b1", "a2", "b2"), qs))}

@@ -14,10 +14,10 @@ numerics.deadband_signs at the tolerance, one closed deadband: |x| <= tol
 counts as 0, so each coordinate has exactly one sign.  Results with a
 coordinate in [tol, 10 tol) are flagged as near a boundary.
 
-Arrays at the API, floats inside: public functions take and return float64
-4-arrays; inside, each quaternion is a 4-tuple of Python floats (ValueError on
-a non-finite coordinate), multiplied by octonion.hamilton, its signs read
-once.  Norms and angles stay numpy's, so results keep the array formulas' bits.
+Arrays at the API, floats inside: public functions take float64 4-arrays or
+4-tuples of Python floats and return arrays; inside, each quaternion is a
+4-tuple of Python floats (ValueError on a non-finite coordinate), multiplied
+by octonion.hamilton, its signs read once.  Norms and angles stay numpy's, so results keep the array formulas' bits.
 
 The reductions are constructive: rotate the first imaginary part onto the
 u-axis by one closed form, then rotate about u to push the second
@@ -38,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NotCanonical
-from .numerics import DEFAULT_TOL, PAIR_TOL, deadband_signs, leading_sign, vanishes
+from .numerics import DEFAULT_TOL, PAIR_TOL, deadband_signs, is_floats, leading_sign, vanishes
 from .octonion import hamilton, hamilton_kappa
 
 ONE4 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -96,11 +96,13 @@ class BracketTT:
 
 
 def _quat(q):
-    """q as a 4-tuple of Python floats; ValueError unless it holds 4 finite numbers."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (4,):
-        raise ValueError("a quaternion must be a 4-vector")
-    q = tuple(q.tolist())
+    """q as a 4-tuple of Python floats, a tuple of four as it is; ValueError
+    unless it holds 4 finite numbers."""
+    if not is_floats(q, 4):
+        q = np.asarray(q, dtype=float)
+        if q.shape != (4,):
+            raise ValueError("a quaternion must be a 4-vector")
+        q = tuple(q.tolist())
     if not all(map(math.isfinite, q)):
         raise ValueError("quaternion has a non-finite coordinate")
     return q
@@ -120,6 +122,8 @@ def _flip(x):
 
 
 def _sign_normalize(a, b, tol=DEFAULT_TOL):
+    """The representative of the sign class of (a, b), float tuples, whose
+    first coordinate beyond the deadband is positive."""
     if leading_sign(a + b, tol.value) < 0:
         return _neg(a), _neg(b)
     return a, b

@@ -70,6 +70,11 @@ def deadband_signs(values, deadband):
     return tuple(signs)
 
 
+def is_floats(x, n):
+    """x is an n-tuple of floats, which the float paths take as it is."""
+    return type(x) is tuple and len(x) == n and all(map(float.__instancecheck__, x))
+
+
 def vanishes(x, deadband):
     """The norm of x, a float array or tuple, lies in the closed deadband: |x|
     <= deadband.  A rotation keeps the norm, where it moves the coordinates' signs."""

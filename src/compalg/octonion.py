@@ -19,10 +19,12 @@ every basis-level identity is exact; floats enter only through coordinates.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NotCayleyTriple, NotUnitComplex, NotUnitNorm, NotUnitQuaternion
-from .numerics import DEFAULT_TOL
+from .numerics import DEFAULT_TOL, is_floats
 
 
 def hamilton(a, b):
@@ -168,19 +170,23 @@ def conj_matrix():
     return np.diag([1.0, -1, -1, -1, -1, -1, -1, -1])
 
 
+#: The leading blocks of STRUCTURE for C, H and O, as (n^2, n) matrices whose
+#: product with a is the flattened matrix of x -> a x, resp. of x -> x a.
+_MUL_KERNELS = {n: tuple(np.ascontiguousarray(_STRUCTURE_F[:n, :n, :n].transpose(axes)).reshape(n * n, n)
+                         for axes in ((2, 1, 0), (2, 0, 1))) for n in (2, 4, 8)}
+
+
 def left_mul_matrix(a):
     """Matrix of x -> a x in C, H or O, as a has 2, 4 or 8 coordinates (the
     leading block of STRUCTURE); columns are the products a e_j."""
     a = as_coords(a)
-    n = len(a)
-    return np.einsum("i,ijk->kj", a, _STRUCTURE_F[:n, :n, :n])
+    return (_MUL_KERNELS[len(a)][0] @ a).reshape(len(a), len(a))
 
 
 def right_mul_matrix(a):
     """Matrix of x -> x a in C, H or O, as in left_mul_matrix."""
     a = as_coords(a)
-    n = len(a)
-    return np.einsum("j,ijk->ki", a, _STRUCTURE_F[:n, :n, :n])
+    return (_MUL_KERNELS[len(a)][1] @ a).reshape(len(a), len(a))
 
 
 def homomorphism_residual(phi, phi1, phi2, source=_STRUCTURE_F, target=_STRUCTURE_F):
@@ -231,23 +237,32 @@ class CayleyTriple:
 _UNIT_SPACES = {2: ("C", NotUnitComplex), 4: ("H", NotUnitQuaternion), 8: ("O", NotUnitNorm)}
 
 
-def as_unit(x, n, what="parameter"):
-    """Coerce an Octonion or array to a unit element of C, H or O (n = 2, 4
-    or 8), returned as an n-vector.
+def unit_coords(x, n, what="parameter"):
+    """The coordinates of a unit element of C, H or O (n = 2, 4 or 8) as an
+    n-tuple of Python floats: the one reader of unit parameters.  A tuple of
+    n floats is read as it is, an Octonion or array through one float array.
 
     A 4- or 8-vector is cut to n coordinates when its tail vanishes; for O a
     quaternion is padded with zeros.  Checks read `not x < tol` of
     DEFAULT_TOL, so that non-finite input fails them."""
     name, error = _UNIT_SPACES[n]
-    x = as_coords(x)
-    if x.shape in ((4,), (8,)) and len(x) > n:
-        if not np.max(np.abs(x[n:])) < DEFAULT_TOL.value:
-            raise error(f"{what}: coordinates outside {name} are nonzero")
-        x = x[:n]
-    elif n == 8 and x.shape == (4,):
-        x = np.concatenate([x, np.zeros(4)])
-    if x.shape != (n,):
-        raise error(f"{what}: expected {n} coordinates, got shape {x.shape}")
-    if not abs(x @ x - 1.0) < DEFAULT_TOL.value:
-        raise error(f"{what}: norm differs from 1 by {abs(np.linalg.norm(x) - 1):g}")
-    return x.astype(float)
+    if not is_floats(x, n):
+        x = as_coords(x)
+        if x.shape in ((4,), (8,)) and len(x) > n:
+            if not np.max(np.abs(x[n:])) < DEFAULT_TOL.value:
+                raise error(f"{what}: coordinates outside {name} are nonzero")
+            x = x[:n]
+        elif n == 8 and x.shape == (4,):
+            x = np.concatenate([x, np.zeros(4)])
+        if x.shape != (n,):
+            raise error(f"{what}: expected {n} coordinates, got shape {x.shape}")
+        x = tuple(x.tolist())
+    norm = math.hypot(*x)
+    if not abs(norm * norm - 1.0) < DEFAULT_TOL.value:
+        raise error(f"{what}: norm differs from 1 by {abs(norm - 1):g}")
+    return x
+
+
+def as_unit(x, n, what="parameter"):
+    """unit_coords(x, n, what) as a float n-array."""
+    return np.array(unit_coords(x, n, what))

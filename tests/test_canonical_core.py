@@ -70,14 +70,19 @@ def test_core_matches_canonical_of_the_constructor(gen):
 # The tensor-building enumeration loop, kept as the reference
 # ---------------------------------------------------------------------------
 
+def cx(angle):
+    """The grid's circle point cos(angle) + u sin(angle) as an array."""
+    return np.array(cl._cx(angle))
+
+
 def t_point(kind, i, j, s1, t1, s2):
     """The four bracket parameters of a T-kind grid point at angles (s1, t1, s2)."""
-    a1 = cl._cx(s1)
+    a1 = cx(s1)
     if kind == "D116":
-        return (a1, (-1.0) ** j * a1, cl._cx(s2), (-1.0) ** i * cl._cx(s2))
+        return (a1, (-1.0) ** j * a1, cx(s2), (-1.0) ** i * cx(s2))
     if kind == "D1124":
-        return (a1, cl._cx(t1), cl._cx(s2), (-1.0) ** i * cl._cx(s2))
-    return (a1, (-1.0) ** j * a1, cl._cx(t1), np.array([np.cos(s2), 0.0, np.sin(s2), 0.0]))
+        return (a1, cx(t1), cx(s2), (-1.0) ** i * cx(s2))
+    return (a1, (-1.0) ** j * a1, cx(t1), np.array([np.cos(s2), 0.0, np.sin(s2), 0.0]))
 
 
 def t_grid(kind, i, j, grid):
@@ -113,7 +118,7 @@ def reference_enumerate(kind, grid, tol=cl.DEFAULT_TOL):
     if kind == "D134a":
         for i, j in SIGN_PAIRS:
             for alpha in cl._grid_open(grid):
-                a = cl._cx(alpha)
+                a = cx(alpha)
                 for alpha2 in cl._grid_open(grid):
                     for beta in np.linspace(0.0, np.pi, grid):
                         b = np.array([np.cos(alpha2), np.sin(alpha2) * np.cos(beta),
