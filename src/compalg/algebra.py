@@ -279,8 +279,7 @@ def quat4(i, j):
 def j_family(i, j, a, b):
     """O with pair (K^j tau_a, K^i tau_b) for unit quaternions a, b."""
     i, j = as_indices(i, j)
-    a4 = oc.as_unit(a, 4, "parameter a")
-    b4 = oc.as_unit(b, 4, "parameter b")
+    a4, b4 = oc.as_unit(a, 4, "parameter a"), oc.as_unit(b, 4, "parameter b")
     f = mp.tau_map(a4).mat
     g = mp.tau_map(b4).mat
     if j:
@@ -305,8 +304,7 @@ def k_family(i, j, a1, b1, a2, b2):
 def lambda_family(i, j, a, b):
     """O with pair (lambda_a^(j), lambda_b^(i)) for unit complex a, b."""
     i, j = as_indices(i, j)
-    a2 = oc.as_unit(a, 2, "parameter a")
-    b2 = oc.as_unit(b, 2, "parameter b")
+    a2, b2 = oc.as_unit(a, 2, "parameter a"), oc.as_unit(b, 2, "parameter b")
     return _labelled(from_isotope(mp.lambda_map(a2, j), mp.lambda_map(b2, i)),
                      FamilyLabel("lambda_family", {"i": i, "j": j, "a": a2, "b": b2}))
 
@@ -354,11 +352,9 @@ def g_family(i1, j1, i2, j2, alpha, beta):
 _BUILDERS = {
     "standard_isotope": lambda p: standard_isotope(p["i"], p["j"]),
     "quat4": lambda p: quat4(p["i"], p["j"]),
-    "tau_family": lambda p: j_family(p["i"], p["j"], np.asarray(p["a"]), np.asarray(p["b"])),
-    "t_family": lambda p: k_family(p["i"], p["j"], np.asarray(p["a1"]), np.asarray(p["b1"]),
-                                   np.asarray(p["a2"]), np.asarray(p["b2"])),
-    "lambda_family": lambda p: lambda_family(p["i"], p["j"],
-                                             np.asarray(p["a"]), np.asarray(p["b"])),
+    "tau_family": lambda p: j_family(p["i"], p["j"], p["a"], p["b"]),
+    "t_family": lambda p: k_family(p["i"], p["j"], p["a1"], p["b1"], p["a2"], p["b2"]),
+    "lambda_family": lambda p: lambda_family(p["i"], p["j"], p["a"], p["b"]),
     "okubo": lambda p: okubo_p11(),
     "p35": lambda p: p35(p["i"], p["j"]),
     "g_family": lambda p: g_family(p["i1"], p["j1"], p["i2"], p["j2"],
@@ -390,9 +386,8 @@ def from_json(obj):
 
 def tau_block(i, j, a, b, tol=DEFAULT_TOL):
     """D17, D8, D134s or D134a: the block of the tau-family point (a, b) of
-    double sign (i, j), unit quaternions read by octonion.unit_coords."""
-    i, j = as_indices(i, j)
-    a, b, z = oc.unit_coords(a, 4, "parameter a"), oc.unit_coords(b, 4, "parameter b"), tol.value
+    double sign (i, j), unit quaternions read by octonion.as_unit."""
+    a, b, z = oc.as_unit(a, 4, "parameter a"), oc.as_unit(b, 4, "parameter b"), tol.value
     if vanishes((a[0] - 1.0, *a[1:]), z) and vanishes((b[0] - 1.0, *b[1:]), z):
         return "D17"
     a2 = oc.hamilton(a, a)
@@ -404,29 +399,22 @@ def tau_block(i, j, a, b, tol=DEFAULT_TOL):
 
 def _aligned(b, a, k, deadband):
     """b = (-1)^k a within the closed deadband, on float tuples."""
-    sign = (-1.0) ** k
-    return vanishes(tuple(y - sign * x for x, y in zip(a, b)), deadband)
+    return vanishes(tuple(y - (-1.0) ** k * x for x, y in zip(a, b)), deadband)
 
 
 def t_block(i, j, a1, b1, a2, b2, tol=DEFAULT_TOL):
     """None when all four lie in {1, -1}, else the block of the T-family point:
     D116 under the one-axis alignment b1 = (-1)^j a1, b2 = (-1)^i a2, else
-    D1124 or D11114 as the imaginary parts span a line or more.  The unit
-    quaternions are read by octonion.unit_coords."""
+    D1124 or D11114 as the imaginary parts (octonion.as_unit's) span a line or more."""
     i, j = as_indices(i, j)
-    qs, z = [oc.unit_coords(x, 4, "parameter") for x in (a1, b1, a2, b2)], tol.value
+    qs, z = [oc.as_unit(x, 4, "parameter") for x in (a1, b1, a2, b2)], tol.value
     if all(vanishes(x[1:], z) for x in qs):
         return None
-    span = _imaginary_span_dim(qs, tol)
+    s = np.linalg.svd(np.array([x[1:] for x in qs]), compute_uv=False).tolist()
+    span = sum(x > z * max(s[0], 1.0) for x in s)  # the rank of the imaginary parts
     if span == 1 and _aligned(qs[1], qs[0], j, z) and _aligned(qs[3], qs[2], i, z):
         return "D116"
     return "D1124" if span == 1 else "D11114"
-
-
-def _imaginary_span_dim(quats, tol):
-    """The rank of the quaternions' imaginary parts, float tuples, by one SVD."""
-    s = np.linalg.svd(np.array([q[1:] for q in quats]), compute_uv=False).tolist()
-    return sum(x > tol.value * max(s[0], 1.0) for x in s)
 
 
 def in_TxT_ij(i, j, a, b):
@@ -434,13 +422,12 @@ def in_TxT_ij(i, j, a, b):
 
     Excludes (1, 1) always, and for (i, j) = (1, 1) also the curve
     (a, a^2) with a^2 + a + 1 = 0 (the Okubo points)."""
-    return tau_block(i, j, a, b) not in ("D17", "D8")
+    return tau_block(*as_indices(i, j), a, b) not in ("D17", "D8")
 
 
 def in_S(a1, b1, a2, b2):
     """True iff not all four unit quaternions lie in {1, -1} at DEFAULT_TOL."""
-    return not all(vanishes(oc.unit_coords(x, 4, "parameter")[1:], DEFAULT_TOL.value)
-                   for x in (a1, b1, a2, b2))
+    return t_block(0, 0, a1, b1, a2, b2) is not None
 
 
 def in_S_ij(i, j, a1, b1, a2, b2):

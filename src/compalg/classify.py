@@ -29,7 +29,7 @@ from . import maps as mp
 from . import normal_form as nf
 from .errors import NotInBlock, RawTensorNotSupported
 from .numerics import DEFAULT_TOL, PAIR_TOL
-from .octonion import unit_coords
+from .octonion import as_unit
 from .triality import witness_residual
 
 _SIGN_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -153,13 +153,7 @@ def _grid_open(n, lo=0.0, hi=np.pi):
 
 
 def _cx(angle):
-    """cos(angle) + u sin(angle) as a float tuple."""
     return (float(np.cos(angle)), float(np.sin(angle)), 0.0, 0.0)
-
-
-def _signed(q, k):
-    """(-1)^k q on a float tuple."""
-    return tuple(-x for x in q) if k else q
 
 
 def _free_space(kind, family, signs, dim=8):
@@ -182,7 +176,7 @@ def _pair_form(kind, p, res):
 
 def _tau_reduce(name, p, tol):
     # a point in D17 or D8 keeps its pair (the block's fixed point); those records ignore it
-    pair = [unit_coords(p[k], 4, f"parameter {k}") for k in ("a", "b")]
+    pair = [as_unit(p[k], 4, f"parameter {k}") for k in ("a", "b")]
     return _pair_form(al.tau_block(p["i"], p["j"], *pair, tol), p, nf.nf_TxT(pair, tol))
 
 
@@ -205,16 +199,16 @@ def _lambda_to_t(i, j, a2, b2):
     out = []
     for e2, k in ((a2, j), (b2, i)):
         half = ((float(np.arctan2(e2[1], e2[0])) % (2 * np.pi) - np.pi * k) / 2.0) % np.pi
-        out += [_cx(half), _signed(_cx(half), k)]
+        out += [_cx(half), tuple((-1.0) ** k * x for x in _cx(half))]
     return tuple(out)
 
 
 def _bracket_reduce(name, p, tol):
     i, j = p["i"], p["j"]
     if name == "lambda_family":
-        qs = _lambda_to_t(i, j, *(unit_coords(p[k], 2, f"parameter {k}") for k in ("a", "b")))
+        qs = _lambda_to_t(i, j, *(as_unit(p[k], 2, f"parameter {k}") for k in ("a", "b")))
     else:
-        qs = [unit_coords(p[k], 4, f"parameter {k}") for k in ("a1", "b1", "a2", "b2")]
+        qs = [as_unit(p[k], 4, f"parameter {k}") for k in ("a1", "b1", "a2", "b2")]
     kind = al.t_block(i, j, *qs, tol)
     if kind is None:
         raise NotInBlock("all four parameters in {1,-1}: outside the bracket-pair blocks")
@@ -235,17 +229,18 @@ def _bracket_grid(kind, grid):
     k_family(i, j, cx(.5), cx(.8), cx(.7), cx(1.1)) is a D1124 point (all four
     sign pairs) whose canonical b2 is not +-a2."""
     circle, m = [_cx(angle) for angle in _grid_open(grid)], grid - 1
+    signed = (circle, [tuple(-x for x in q) for q in circle])  # (-1)^k cx by [k][index]
     for (i, j), s1, (t1, s2) in product(_SIGN_PAIRS, range((grid + 1) // 2),
                                         product(range(grid), repeat=2)):
         if 2 * s1 == m and (t1, s2) > (m - t1, m - s2):
             continue
         a1, a2 = circle[s1], circle[s2]
         if kind == "D116" and t1 == s1:  # b1 aligned with a1: one angle fewer
-            qs = (a1, _signed(a1, j), a2, _signed(a2, i))
+            qs = (a1, signed[j][s1], a2, signed[i][s2])
         elif kind == "D1124" and (j or t1 != s1):
-            qs = (a1, circle[t1], a2, _signed(a2, i))
+            qs = (a1, circle[t1], a2, signed[i][s2])
         elif kind == "D11114":
-            qs = (a1, _signed(a1, j), circle[t1], (a2[0], 0.0, a2[1], 0.0))
+            qs = (a1, signed[j][s1], circle[t1], (a2[0], 0.0, a2[1], 0.0))
         else:
             continue
         yield "t_family", {"i": i, "j": j, **dict(zip(("a1", "b1", "a2", "b2"), qs))}

@@ -110,9 +110,8 @@ def tau_map(p):
 
 
 def kappa4(q):
-    """4x4 matrix L_q R_conj(q) of x -> q x conj(q) on H, the blocks fed by
-    the floats of octonion.unit_coords."""
-    w, x, y, z = oc.unit_coords(q, 4, "kappa parameter")
+    """4x4 matrix L_q R_conj(q) of x -> q x conj(q) on H, fed by octonion.as_unit's floats."""
+    w, x, y, z = oc.as_unit(q, 4, "kappa parameter")
     return oc.left_mul_matrix((w, x, y, z)) @ oc.right_mul_matrix((w, -x, -y, -z))
 
 

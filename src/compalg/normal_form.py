@@ -14,10 +14,10 @@ numerics.deadband_signs at the tolerance, one closed deadband: |x| <= tol
 counts as 0, so each coordinate has exactly one sign.  Results with a
 coordinate in [tol, 10 tol) are flagged as near a boundary.
 
-Arrays at the API, floats inside: public functions take float64 4-arrays or
-4-tuples of Python floats and return arrays; inside, each quaternion is a
+Arrays or float tuples in, arrays out, floats inside: each quaternion is a
 4-tuple of Python floats (ValueError on a non-finite coordinate), multiplied
-by octonion.hamilton, its signs read once.  Norms and angles stay numpy's, so results keep the array formulas' bits.
+by octonion.hamilton, its signs read once.  Norms and angles stay numpy's, so
+results keep the array formulas' bits.
 
 The reductions are constructive: rotate the first imaginary part onto the
 u-axis by one closed form, then rotate about u to push the second
@@ -58,8 +58,7 @@ class PairTT:
     b: np.ndarray
 
     def __iter__(self):
-        yield self.a
-        yield self.b
+        return iter((self.a, self.b))
 
     def close_to(self, other, tol=PAIR_TOL):
         return (np.max(np.abs(self.a - other.a)) < tol
@@ -96,8 +95,7 @@ class BracketTT:
 
 
 def _quat(q):
-    """q as a 4-tuple of Python floats, a tuple of four as it is; ValueError
-    unless it holds 4 finite numbers."""
+    """q as a 4-tuple of floats (a tuple of four as it is); ValueError unless 4 finite numbers."""
     if not is_floats(q, 4):
         q = np.asarray(q, dtype=float)
         if q.shape != (4,):
@@ -122,8 +120,7 @@ def _flip(x):
 
 
 def _sign_normalize(a, b, tol=DEFAULT_TOL):
-    """The representative of the sign class of (a, b), float tuples, whose
-    first coordinate beyond the deadband is positive."""
+    """(a, b) or (-a, -b) on float tuples, the first coordinate beyond the deadband positive."""
     if leading_sign(a + b, tol.value) < 0:
         return _neg(a), _neg(b)
     return a, b

@@ -85,6 +85,9 @@ def _build_structure_tensor():
 STRUCTURE = _build_structure_tensor()
 
 _STRUCTURE_F = STRUCTURE.astype(float)
+#: STRUCTURE's blocks on C, H and O as (n^2, n) matrices taking a to L_a and to R_a, flattened.
+_MUL_KERNELS = {n: [np.ascontiguousarray(_STRUCTURE_F[:n, :n, :n].transpose(t)).reshape(n * n, n)
+                    for t in ((2, 1, 0), (2, 0, 1))] for n in (2, 4, 8)}
 
 BASIS_NAMES = ("1", "u", "v", "uv", "z", "uz", "vz", "(uv)z")
 
@@ -170,12 +173,6 @@ def conj_matrix():
     return np.diag([1.0, -1, -1, -1, -1, -1, -1, -1])
 
 
-#: The leading blocks of STRUCTURE for C, H and O, as (n^2, n) matrices whose
-#: product with a is the flattened matrix of x -> a x, resp. of x -> x a.
-_MUL_KERNELS = {n: tuple(np.ascontiguousarray(_STRUCTURE_F[:n, :n, :n].transpose(axes)).reshape(n * n, n)
-                         for axes in ((2, 1, 0), (2, 0, 1))) for n in (2, 4, 8)}
-
-
 def left_mul_matrix(a):
     """Matrix of x -> a x in C, H or O, as a has 2, 4 or 8 coordinates (the
     leading block of STRUCTURE); columns are the products a e_j."""
@@ -237,13 +234,10 @@ class CayleyTriple:
 _UNIT_SPACES = {2: ("C", NotUnitComplex), 4: ("H", NotUnitQuaternion), 8: ("O", NotUnitNorm)}
 
 
-def unit_coords(x, n, what="parameter"):
-    """The coordinates of a unit element of C, H or O (n = 2, 4 or 8) as an
-    n-tuple of Python floats: the one reader of unit parameters.  A tuple of
-    n floats is read as it is, an Octonion or array through one float array.
-
-    A 4- or 8-vector is cut to n coordinates when its tail vanishes; for O a
-    quaternion is padded with zeros.  Checks read `not x < tol` of
+def as_unit(x, n, what="parameter"):
+    """An Octonion, array or tuple as a unit of C, H or O (n = 2, 4 or 8), an n-tuple of
+    floats: a tuple of n floats as it is, else one float array's, cut to n coordinates
+    when the tail vanishes or padded from H to O.  Checks read `not x < tol` of
     DEFAULT_TOL, so that non-finite input fails them."""
     name, error = _UNIT_SPACES[n]
     if not is_floats(x, n):
@@ -261,8 +255,3 @@ def unit_coords(x, n, what="parameter"):
     if not abs(norm * norm - 1.0) < DEFAULT_TOL.value:
         raise error(f"{what}: norm differs from 1 by {abs(norm - 1):g}")
     return x
-
-
-def as_unit(x, n, what="parameter"):
-    """unit_coords(x, n, what) as a float n-array."""
-    return np.array(unit_coords(x, n, what))
