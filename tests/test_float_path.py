@@ -212,11 +212,10 @@ def test_records_and_block_functions_reject_what_the_constructors_reject(call, e
         call()
 
 
-
 def test_as_unit_reads_tuples_as_they_are_and_other_input_through_one_array():
-    assert oc.as_unit((0.6, 0.8, 0.0, 0.0), 4) == (0.6, 0.8, 0.0, 0.0)
-    assert oc.as_unit(np.array([0.6, 0.8, 0.0, 0.0]), 4) == (0.6, 0.8, 0.0, 0.0)
+    x = (0.6, 0.8, 0.0, 0.0)
+    assert oc.as_unit(x, 4) is x
+    assert oc.as_unit(np.array(x), 4) == x
     assert oc.as_unit((1, 0, 0, 0), 4) == (1.0, 0.0, 0.0, 0.0)  # integers go through the array
-    assert all(type(x) is float for x in oc.as_unit((1, 0, 0, 0), 4))
+    assert all(type(c) is float for c in oc.as_unit((1, 0, 0, 0), 4))
     assert oc.as_unit(oc.U, 2) == (0.0, 1.0)
-    assert np.array_equal(oc.as_unit((0.6, 0.8), 2), [0.6, 0.8])
